@@ -16,6 +16,7 @@ from pathlib import Path
 
 from pegkit import registry
 from pegkit.bench import affine_fit, run_bench, to_csv
+from pegkit.oracles import DEFAULT_CALL_BUDGET
 
 
 def main() -> None:
@@ -23,8 +24,8 @@ def main() -> None:
     ap.add_argument("--kmin", type=int, default=4, help="smallest k (default 4)")
     ap.add_argument("--kmax", type=int, default=14, help="largest k (default 14)")
     ap.add_argument(
-        "--call-budget", type=int, default=10**7,
-        help="naive-interpreter call cap per run (default 1e7)",
+        "--call-budget", type=int, default=DEFAULT_CALL_BUDGET,
+        help="naive-interpreter call cap per run (default %(default)s)",
     )
     ap.add_argument(
         "--out", type=Path, default=Path("results/blowup.csv"),

@@ -18,10 +18,10 @@ reported as 0.
 
 from __future__ import annotations
 
+import math
+import statistics
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .engine import (
     DEEP_INPUT_THRESHOLD,
@@ -280,11 +280,13 @@ class AffineFit:
 def affine_fit(xs: list[int | float], ys: list[int | float]) -> AffineFit:
     if len(xs) < 3:
         raise ValueError("need at least 3 points to judge affinity")
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (slope * x + intercept)
-    rms = float(np.sqrt(np.mean(residuals**2)))
-    scale = float(np.mean(np.abs(y)))
+    try:
+        slope, intercept = statistics.linear_regression(xs, ys)
+    except statistics.StatisticsError as exc:  # e.g. all xs equal
+        raise ValueError(f"no line fits these points: {exc}") from None
+    rms = math.sqrt(
+        statistics.fmean((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    )
+    scale = statistics.fmean(abs(y) for y in ys)
     rel = rms / scale if scale > 0 else 0.0
-    return AffineFit(float(slope), float(intercept), rel)
+    return AffineFit(slope, intercept, rel)

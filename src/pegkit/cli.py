@@ -20,6 +20,7 @@ from .bench import ENGINES, parse_sizes, run_bench, to_csv
 from .catalog import CatalogEntry, registry
 from .diffcheck import CheckConfig, run_check
 from .engine import (
+    DEEP_INPUT_THRESHOLD,
     DEFAULT_DEPTH_LIMIT,
     DepthExceeded,
     EngineConfig,
@@ -38,12 +39,11 @@ from .notation import (
     load_grammar,
     parse_grammar,
 )
+from .oracles import DEFAULT_CALL_BUDGET
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-DEFAULT_CALL_BUDGET = 10**8
 
 
 class UsageError(Exception):
@@ -121,7 +121,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return EXIT_FAILURE
     if entry.evaluator is not None:
         # evaluators recurse over the tree; deep trees need the big stack
-        if len(args.input) >= session.config.deep_input_threshold:
+        if len(args.input) >= DEEP_INPUT_THRESHOLD:
             value = run_deep(entry.evaluator, node, args.input)
         else:
             value = entry.evaluator(node, args.input)

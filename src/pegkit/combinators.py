@@ -152,20 +152,7 @@ def many(p: Parser[V]) -> Parser[list[V]]:
 
 def many1(p: Parser[V]) -> Parser[list[V]]:
     """One or more, greedy, with the same strict-progress guard."""
-
-    def run(s: ParseSession, pos: int):
-        r = p.run(s, pos)
-        if r is FAIL:
-            return FAIL
-        end, value = r
-        if end == pos:
-            raise NoProgress(pos)
-        rest = many(p).run(s, end)
-        assert rest is not FAIL
-        last, values = rest
-        return last, [value] + values
-
-    return Parser(run)
+    return semantic_guard(many(p), bool)
 
 
 def and_pred(p: Parser[V]) -> Parser[tuple]:

@@ -46,6 +46,7 @@ from .engine import (
 )
 from .grammar import Grammar
 from .oracles import (
+    DEFAULT_CALL_BUDGET,
     CallBudgetExceeded,
     SamePositionCycle,
     UnsupportedConstruct,
@@ -66,7 +67,7 @@ class CheckConfig:
     seed: int = 0
     tier_cap: int = 10_000  # exhaustive mode: corpus cap (whole tiers)
     cfg_sample_cap: int = 800  # inputs per grammar cross-checked vs CFG
-    call_budget: int = 10**7  # naive-oracle guard per (rule, pos)
+    call_budget: int = DEFAULT_CALL_BUDGET  # naive-oracle guard per (rule, pos)
     list_limit: int = 5  # counterexamples printed per grammar
 
 

@@ -21,7 +21,9 @@ also bounded: sessions enforce a configurable logical depth limit and
 translate interpreter stack exhaustion into :class:`DepthExceeded`, so
 no input can crash the process.  CPython's default thread stack is far
 too small for deep parses, so :func:`parse_complete` transparently runs
-large inputs on a worker thread with a large stack (:func:`run_deep`).
+inputs of at least ``DEEP_INPUT_THRESHOLD`` characters on a worker
+thread with a ``DEEP_STACK_BYTES`` stack (:func:`run_deep`); threads
+may do so concurrently.
 
 Sessions are single-owner: no concurrent use, no reentrant callbacks.
 After LeftRecursion or DepthExceeded a session may hold InProgress
@@ -52,6 +54,7 @@ from .grammar import (
     Seq,
     Star,
     ValidationIssue,
+    _children,
     prepared,
     validation_errors,
     walk_exprs,
@@ -170,14 +173,12 @@ class EngineConfig:
     respects the running thread's interpreter frame budget: small-stack
     threads get a proportionally smaller effective limit so that deep
     parses fail with DepthExceeded instead of exhausting the C stack.
-    Inputs of at least ``deep_input_threshold`` characters are parsed by
+    Inputs of at least ``DEEP_INPUT_THRESHOLD`` characters are parsed by
     :func:`parse_complete` on a worker thread with a
-    ``deep_stack_bytes``-byte stack, which restores the full limit.
+    ``DEEP_STACK_BYTES``-byte stack, which restores the full limit.
     """
 
     depth_limit: int = DEFAULT_DEPTH_LIMIT
-    deep_input_threshold: int = DEEP_INPUT_THRESHOLD
-    deep_stack_bytes: int = DEEP_STACK_BYTES
 
 
 # Empirical CPython 3.10 numbers: one Python call consumes roughly
@@ -185,44 +186,68 @@ class EngineConfig:
 # little past 15k frames.  Budgets stay well inside both.
 _FRAME_STACK_BYTES = 1200
 _SAFE_INLINE_FRAMES = 8000
+_DEEP_FRAME_BUDGET = DEEP_STACK_BYTES // _FRAME_STACK_BYTES
+
+# The recursion limit and the thread stack size are process-wide, so
+# every run_deep caller changes them under this lock, and the limit is
+# lowered again only when no deep worker is left running.
+_deep_lock = threading.Lock()
+_deep_workers = 0
+_deep_saved_limit = 0
 
 
-def run_deep(fn, *args, stack_bytes: int = DEEP_STACK_BYTES, **kwargs):
+def run_deep(fn, *args, **kwargs):
     """Call ``fn`` on a worker thread provisioned for deep recursion.
 
-    The worker gets a large stack and a matching interpreter recursion
-    limit; exceptions propagate to the caller.  Nested calls from a
-    worker run inline.
+    The worker gets a ``DEEP_STACK_BYTES`` stack and a matching
+    interpreter recursion limit; exceptions propagate to the caller.
+    Nested calls from a worker run inline.  Concurrent callers are
+    safe: the limit stays raised until the last worker has finished.
     """
+    global _deep_workers, _deep_saved_limit
     if _frame_budget() > _SAFE_INLINE_FRAMES:
         return fn(*args, **kwargs)
     box: dict[str, object] = {}
 
     def runner() -> None:
-        budget = stack_bytes // _FRAME_STACK_BYTES
-        threading.current_thread()._pegkit_frame_budget = budget  # type: ignore[attr-defined]
-        if sys.getrecursionlimit() < budget + 2000:
-            sys.setrecursionlimit(budget + 2000)
+        threading.current_thread()._pegkit_frame_budget = _DEEP_FRAME_BUDGET  # type: ignore[attr-defined]
         try:
             box["value"] = fn(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - propagated below
             box["error"] = exc
+        finally:
+            with _deep_lock:
+                _leave_deep()
 
-    old_stack = threading.stack_size(stack_bytes)
-    old_limit = sys.getrecursionlimit()
-    try:
-        worker = threading.Thread(target=runner, name="pegkit-deep")
+    with _deep_lock:
+        if _deep_workers == 0:
+            _deep_saved_limit = sys.getrecursionlimit()
+        if sys.getrecursionlimit() < _DEEP_FRAME_BUDGET + 2000:
+            sys.setrecursionlimit(_DEEP_FRAME_BUDGET + 2000)
+        _deep_workers += 1
         # stack_size applies at start(); keep it in effect until then
-        worker.start()
-    finally:
-        threading.stack_size(old_stack)
+        old_stack = threading.stack_size(DEEP_STACK_BYTES)
+        try:
+            worker = threading.Thread(target=runner, name="pegkit-deep")
+            worker.start()
+        except BaseException:
+            _leave_deep()
+            raise
+        finally:
+            threading.stack_size(old_stack)
     worker.join()
-    # the interpreter limit is process-wide; give small-stack threads
-    # their overflow backstop back
-    sys.setrecursionlimit(max(old_limit, _SAFE_INLINE_FRAMES + 2000))
     if "error" in box:
         raise box["error"]  # type: ignore[misc]
     return box["value"]
+
+
+def _leave_deep() -> None:
+    # the caller holds _deep_lock
+    global _deep_workers
+    _deep_workers -= 1
+    if _deep_workers == 0:
+        # give small-stack threads their overflow backstop back
+        sys.setrecursionlimit(max(_deep_saved_limit, _SAFE_INLINE_FRAMES + 2000))
 
 
 def _frame_budget() -> int:
@@ -230,15 +255,7 @@ def _frame_budget() -> int:
 
 
 def _expr_height(e: PegExpr) -> int:
-    if isinstance(e, Seq):
-        kids = e.parts
-    elif isinstance(e, Choice):
-        kids = e.alts
-    elif isinstance(e, (Star, Plus, Opt, And, Not)):
-        kids = (e.body,)
-    else:
-        return 1
-    return 1 + max((_expr_height(k) for k in kids), default=0)
+    return 1 + max((_expr_height(k) for k in _children(e)), default=0)
 
 
 # Node types whose failure the engine records for diagnostics.
@@ -501,42 +518,20 @@ def _h_choice(s: ParseSession, e: Choice, pos: int):
     return FAIL
 
 
-def _h_star(s: ParseSession, e: Star, pos: int):
+def _h_repeat(s: ParseSession, e: Star | Plus, pos: int):
     kids: list[ParseTreeNode] = []
     p = pos
     while True:
         res = s._eval(e.body, p)
         if res is FAIL:
+            # every iteration consumes, so p == pos only after none matched
+            if p == pos and type(e) is Plus:
+                return FAIL
             return p, tuple(kids)
         newp, nodes = res
         if newp == p:
             raise RuntimeError(
-                "Star body matched without consuming input; "
-                "validation should have rejected this grammar"
-            )
-        kids.extend(nodes)
-        p = newp
-
-
-def _h_plus(s: ParseSession, e: Plus, pos: int):
-    res = s._eval(e.body, pos)
-    if res is FAIL:
-        return FAIL
-    p, nodes = res
-    if p == pos:
-        raise RuntimeError(
-            "Plus body matched without consuming input; "
-            "validation should have rejected this grammar"
-        )
-    kids = list(nodes)
-    while True:
-        res = s._eval(e.body, p)
-        if res is FAIL:
-            return p, tuple(kids)
-        newp, nodes = res
-        if newp == p:
-            raise RuntimeError(
-                "Plus body matched without consuming input; "
+                f"{type(e).__name__} body matched without consuming input; "
                 "validation should have rejected this grammar"
             )
         kids.extend(nodes)
@@ -579,8 +574,8 @@ _HANDLERS = {
     Literal: _h_literal,
     Seq: _h_seq,
     Choice: _h_choice,
-    Star: _h_star,
-    Plus: _h_plus,
+    Star: _h_repeat,
+    Plus: _h_repeat,
     Opt: _h_opt,
     And: _h_and,
     Not: _h_not,
@@ -606,8 +601,8 @@ def parse_complete(s: ParseSession) -> ParseTreeNode:
     the rightmost failure position and the labels attempted there.
     Large inputs run on a deep-stack worker thread automatically.
     """
-    if len(s.text) >= s.config.deep_input_threshold:
-        return run_deep(_parse_complete_inline, s, stack_bytes=s.config.deep_stack_bytes)
+    if len(s.text) >= DEEP_INPUT_THRESHOLD:
+        return run_deep(_parse_complete_inline, s)
     return _parse_complete_inline(s)
 
 

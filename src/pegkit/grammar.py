@@ -216,13 +216,18 @@ def _children(e: PegExpr) -> tuple[PegExpr, ...]:
     return ()
 
 
-def walk_exprs(g: Grammar) -> Iterator[PegExpr]:
-    """Every expression node in every rule body, preorder."""
-    stack = [r.body for r in reversed(g.rules)]
+def preorder(*roots: PegExpr) -> Iterator[PegExpr]:
+    """Every node under ``roots``, one root's tree after another, preorder."""
+    stack = list(reversed(roots))
     while stack:
         e = stack.pop()
         yield e
         stack.extend(reversed(_children(e)))
+
+
+def walk_exprs(g: Grammar) -> Iterator[PegExpr]:
+    """Every expression node in every rule body, preorder."""
+    return preorder(*(r.body for r in g.rules))
 
 
 def _resolve(e: PegExpr, index: dict[str, int]) -> PegExpr:
@@ -230,21 +235,11 @@ def _resolve(e: PegExpr, index: dict[str, int]) -> PegExpr:
         if isinstance(e.rule, str) and e.rule in index:
             return Ref(index[e.rule])
         return e
-    if isinstance(e, Seq):
-        return Seq(tuple(_resolve(p, index) for p in e.parts))
-    if isinstance(e, Choice):
-        return Choice(tuple(_resolve(a, index) for a in e.alts))
-    if isinstance(e, Star):
-        return Star(_resolve(e.body, index))
-    if isinstance(e, Plus):
-        return Plus(_resolve(e.body, index))
-    if isinstance(e, Opt):
-        return Opt(_resolve(e.body, index))
-    if isinstance(e, And):
-        return And(_resolve(e.body, index))
-    if isinstance(e, Not):
-        return Not(_resolve(e.body, index))
-    return e
+    kids = _children(e)
+    if not kids:
+        return e
+    kids = tuple(_resolve(k, index) for k in kids)
+    return type(e)(kids) if isinstance(e, (Seq, Choice)) else type(e)(*kids)
 
 
 def make_grammar(
@@ -383,52 +378,23 @@ def validate(g: Grammar) -> tuple[ValidationIssue, ...]:
     nrules = len(g.rules)
 
     def walk(rule_name: str, e: PegExpr, path: tuple[int, ...]) -> None:
+        def report(code: str, message: str) -> None:
+            issues.append(ValidationIssue("error", code, rule_name, path, message))
+
         if isinstance(e, Ref):
             target = e.rule
-            known = isinstance(target, int) and 0 <= target < nrules
-            if not known:
-                issues.append(
-                    ValidationIssue(
-                        "error",
-                        "UnknownRef",
-                        rule_name,
-                        path,
-                        f"reference to unknown rule {target!r}",
-                    )
-                )
-            return
-        if isinstance(e, (Seq, Choice)):
-            kids = _children(e)
-            if not kids:
-                kind = "Choice" if isinstance(e, Choice) else "Seq"
-                issues.append(
-                    ValidationIssue(
-                        "error",
-                        "EmptyChoice",
-                        rule_name,
-                        path,
-                        f"{kind} with no elements",
-                    )
-                )
-            for i, kid in enumerate(kids):
-                walk(rule_name, kid, path + (i,))
-            return
-        if isinstance(e, (Star, Plus)):
-            if nullable(g, e.body):
-                op = "Star" if isinstance(e, Star) else "Plus"
-                issues.append(
-                    ValidationIssue(
-                        "error",
-                        "NullableRepetition",
-                        rule_name,
-                        path,
-                        f"{op} body can match empty and would repeat forever",
-                    )
-                )
-            walk(rule_name, e.body, path + (0,))
-            return
-        if isinstance(e, (Opt, And, Not)):
-            walk(rule_name, e.body, path + (0,))
+            if not (isinstance(target, int) and 0 <= target < nrules):
+                report("UnknownRef", f"reference to unknown rule {target!r}")
+        kids = _children(e)
+        if isinstance(e, (Seq, Choice)) and not kids:
+            report("EmptyChoice", f"{type(e).__name__} with no elements")
+        if isinstance(e, (Star, Plus)) and nullable(g, e.body):
+            report(
+                "NullableRepetition",
+                f"{type(e).__name__} body can match empty and would repeat forever",
+            )
+        for i, kid in enumerate(kids):
+            walk(rule_name, kid, path + (i,))
 
     for rule in g.rules:
         walk(rule.name, rule.body, ())
@@ -436,17 +402,12 @@ def validate(g: Grammar) -> tuple[ValidationIssue, ...]:
     reachable = {g.start}
     frontier = [g.start]
     while frontier:
-        rid = frontier.pop()
-        stack = [g.rules[rid].body]
-        while stack:
-            e = stack.pop()
+        for e in preorder(g.rules[frontier.pop()].body):
             if isinstance(e, Ref):
                 t = e.rule
                 if isinstance(t, int) and 0 <= t < nrules and t not in reachable:
                     reachable.add(t)
                     frontier.append(t)
-            else:
-                stack.extend(_children(e))
     for rid, rule in enumerate(g.rules):
         if rid not in reachable:
             issues.append(

@@ -47,6 +47,7 @@ from .grammar import (
     Seq,
     Star,
     nullable,
+    preorder,
     prepared,
     validation_errors,
 )
@@ -171,21 +172,13 @@ def naive_parse(
                 if q is not None:
                     return q
             return None
-        if isinstance(e, Star):
+        if isinstance(e, (Star, Plus)):
             q = p
             while True:
                 step = walk(e.body, q)
                 if step is None:
-                    return q
-                q = step
-        if isinstance(e, Plus):
-            q = walk(e.body, p)
-            if q is None:
-                return None
-            while True:
-                step = walk(e.body, q)
-                if step is None:
-                    return q
+                    # every iteration consumes, so q == p only after none matched
+                    return None if q == p and isinstance(e, Plus) else q
                 q = step
         if isinstance(e, Opt):
             q = walk(e.body, p)
@@ -274,23 +267,11 @@ def _topological_rules(g: Grammar) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _has_repetition(e: PegExpr) -> bool:
-    if isinstance(e, (Star, Plus)):
-        return True
-    if isinstance(e, Seq):
-        return any(_has_repetition(p) for p in e.parts)
-    if isinstance(e, Choice):
-        return any(_has_repetition(a) for a in e.alts)
-    if isinstance(e, (Opt, And, Not)):
-        return _has_repetition(e.body)
-    return False
-
-
 def _tabular_schedule(g: Grammar) -> tuple[int, ...] | Callable[[], Exception]:
     """Rule order for :func:`tabular_parse`, or a factory for the
     exception that refuses ``g`` (a fresh one for every call)."""
     for rule in g.rules:
-        if _has_repetition(rule.body):
+        if any(isinstance(e, (Star, Plus)) for e in preorder(rule.body)):
             return functools.partial(
                 UnsupportedConstruct, "Star/Plus repetition", rule.name, "tabular_parse"
             )
@@ -367,27 +348,25 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
     )
 
 
-def _cfg_offence(e: PegExpr) -> str | None:
-    # the first construct outside the CFG fragment, preorder
-    if isinstance(e, (Star, Plus, Opt)):
-        return "repetition"
-    if isinstance(e, (And, Not)):
-        return "predicates"
-    if isinstance(e, (Class, AnyChar)):
-        return "character classes / wildcards"
-    if isinstance(e, (Seq, Choice)):
-        for kid in e.parts if isinstance(e, Seq) else e.alts:
-            what = _cfg_offence(kid)
-            if what is not None:
-                return what
-    return None
+# constructs outside the CFG fragment, by what the refusal calls them
+_CFG_OFFENCES = {
+    Star: "repetition",
+    Plus: "repetition",
+    Opt: "repetition",
+    And: "predicates",
+    Not: "predicates",
+    Class: "character classes / wildcards",
+    AnyChar: "character classes / wildcards",
+}
 
 
 def _cfg_refusal(g: Grammar) -> tuple[str, ...]:
+    # the first offending node in rule-then-preorder order
     for rule in g.rules:
-        what = _cfg_offence(rule.body)
-        if what is not None:
-            return (what, rule.name)
+        for e in preorder(rule.body):
+            what = _CFG_OFFENCES.get(type(e))
+            if what is not None:
+                return (what, rule.name)
     return ()
 
 

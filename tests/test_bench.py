@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pegkit
 from pegkit import charclass, make_grammar, plus
 from pegkit.bench import (
     CSV_HEADER,
@@ -175,3 +181,27 @@ class TestAffineFit:
     def test_requires_three_points(self):
         with pytest.raises(ValueError, match="at least 3"):
             affine_fit([1, 2], [1, 2])
+
+    def test_constant_xs_rejected(self):
+        with pytest.raises(ValueError, match="no line fits these points"):
+            affine_fit([3, 3, 3], [1, 2, 3])
+
+
+def test_every_module_imports_without_numpy():
+    # numpy is blocked in a fresh interpreter: the package is stdlib only
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import pegkit\n"
+        "for m in pkgutil.iter_modules(pegkit.__path__):\n"
+        "    importlib.import_module('pegkit.' + m.name)\n"
+        "from pegkit.bench import affine_fit\n"
+        "print(affine_fit([1, 2, 3], [3, 5, 7]).slope)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pegkit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2.0\n"

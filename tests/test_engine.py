@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pegkit
 from pegkit import (
     EMPTY,
     DepthExceeded,
@@ -13,6 +20,7 @@ from pegkit import (
     LeftRecursion,
     ParseFailed,
     Success,
+    and_,
     char,
     choice,
     dump_matrix,
@@ -22,6 +30,7 @@ from pegkit import (
     not_,
     opt,
     parse_complete,
+    plus,
     ref,
     run_deep,
     seq,
@@ -29,6 +38,7 @@ from pegkit import (
     stats,
 )
 from pegkit.engine import INPROGRESS, UNEVALUATED
+from pegkit.oracles import naive_parse
 
 FIGURE_INPUT = "2*(3+4)"
 
@@ -262,3 +272,62 @@ class TestRunDeep:
         s = new_session(entry.grammar, text)
         node = parse_complete(s)  # routes through the deep worker
         assert run_deep(entry.evaluator, node, text) == 3001
+
+    def test_concurrent_deep_parses_do_not_disturb_each_other(self):
+        # in a subprocess, since the race it guards against can abort the
+        # interpreter instead of raising
+        script = Path(__file__).with_name("two_deep_threads.py")
+        env = {**os.environ, "PYTHONPATH": str(Path(pegkit.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True,
+            text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("long parse ok")
+
+
+class TestRepetition:
+    """Star and Plus share one loop; no catalog grammar exercises them."""
+
+    GRAMMAR = make_grammar(
+        [
+            (
+                "S",
+                seq(star(ref("A")), plus(ref("B")), opt(char("c")), not_(char("a"))),
+            ),
+            ("A", seq(char("a"), opt(char("b")))),
+            (
+                "B",
+                choice(
+                    seq(and_(char("b")), char("b"), star(char("c"))),
+                    seq(char("c"), not_(char("c"))),
+                ),
+            ),
+            ("P", plus(choice(ref("A"), char("c")))),
+        ]
+    )
+    TEXTS = [
+        "".join(t) for n in range(7) for t in itertools.product("abc", repeat=n)
+    ]
+
+    def test_engine_matches_naive_at_every_cell(self):
+        g = self.GRAMMAR
+        for text in self.TEXTS:
+            s = new_session(g, text)
+            for rid in range(len(g.rules)):
+                for pos in range(len(text) + 1):
+                    out = s.apply(rid, pos)
+                    got = None if out is FAIL else out.end
+                    want = naive_parse(g, rid, pos, text).outcome
+                    assert got == want, (g.rule_name(rid), pos, text)
+
+    def test_plus_is_body_then_star(self):
+        g = self.GRAMMAR
+        body = choice(ref(g.rule_id("A")), char("c"))
+        for text in self.TEXTS:
+            for pos in range(len(text) + 1):
+                s1, s2 = new_session(g, text), new_session(g, text)
+                assert s1.eval_expr(plus(body), pos) == s2.eval_expr(
+                    seq(body, star(body)), pos
+                ), (text, pos)
+                assert furthest_failure(s1) == furthest_failure(s2), (text, pos)
