@@ -10,6 +10,17 @@ recognizer) exist for differential checking, plus a catalog of study
 grammars, a combinator layer, benchmark plumbing, and a CLI.
 """
 
+import sys
+
+if sys.version_info < (3, 11):
+    raise ImportError(
+        "pegkit requires Python 3.11 or newer: deep inputs are parsed by "
+        "recursion on the calling thread, and only since 3.11 does a "
+        "Python-to-Python call use no C stack (running {}.{})".format(
+            *sys.version_info[:2]
+        )
+    )
+
 from .catalog import CatalogEntry, grammar_text, registry
 from .combinators import (
     NoProgress,

@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass
 
 from .engine import (
-    DEEP_INPUT_THRESHOLD,
     DepthExceeded,
     EngineConfig,
     LeftRecursion,
@@ -181,14 +180,9 @@ def run_naive(
     t0 = time.perf_counter_ns()
     calls = 0
     try:
-        if n >= DEEP_INPUT_THRESHOLD:
-            report = run_deep(
-                naive_parse, grammar, grammar.start, 0, text, call_budget=call_budget
-            )
-        else:
-            report = naive_parse(
-                grammar, grammar.start, 0, text, call_budget=call_budget
-            )
+        report = run_deep(
+            naive_parse, grammar, grammar.start, 0, text, call_budget=call_budget
+        )
         calls = report.calls
         verdict = "accept" if report.outcome == n else "reject"
     except CallBudgetExceeded:

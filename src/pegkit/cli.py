@@ -20,7 +20,6 @@ from .bench import ENGINES, parse_sizes, run_bench, to_csv
 from .catalog import CatalogEntry, registry
 from .diffcheck import CheckConfig, run_check
 from .engine import (
-    DEEP_INPUT_THRESHOLD,
     DEFAULT_DEPTH_LIMIT,
     DepthExceeded,
     EngineConfig,
@@ -120,12 +119,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     if entry.evaluator is not None:
-        # evaluators recurse over the tree; deep trees need the big stack
-        if len(args.input) >= DEEP_INPUT_THRESHOLD:
-            value = run_deep(entry.evaluator, node, args.input)
-        else:
-            value = entry.evaluator(node, args.input)
-        print(value)
+        # evaluators recurse over the tree as deeply as the parse did
+        print(run_deep(entry.evaluator, node, args.input))
     else:
         print("accept")
     return EXIT_OK
@@ -313,10 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limits(args: argparse.Namespace) -> None:
+    for name in ("depth_limit", "call_budget"):
+        value = getattr(args, name, 1)
+        if value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,13 +17,15 @@ by the matrix size rather than by the backtracking structure.
 Hitting an InProgress cell means the rule re-entered itself at the same
 position with no input consumed, so the session raises a structured
 :class:`LeftRecursion` error instead of looping.  Recursion depth is
-also bounded: sessions enforce a configurable logical depth limit and
-translate interpreter stack exhaustion into :class:`DepthExceeded`, so
-no input can crash the process.  CPython's default thread stack is far
-too small for deep parses, so :func:`parse_complete` transparently runs
-inputs of at least ``DEEP_INPUT_THRESHOLD`` characters on a worker
-thread with a ``DEEP_STACK_BYTES`` stack (:func:`run_deep`); threads
-may do so concurrently.
+also bounded: ``EngineConfig.depth_limit`` is the exact number of
+nested rule applications a session allows, and interpreter stack
+exhaustion is translated into :class:`DepthExceeded` as a backstop, so
+no input can crash the process.  Parses run on the calling thread.
+Since CPython 3.11 a Python-to-Python call uses no C stack, so deep
+recursion needs only a higher interpreter recursion limit: the
+outermost rule application, and :func:`run_deep`, raise it to
+``DEEP_RECURSION_LIMIT`` while they run; threads may do so
+concurrently.
 
 Sessions are single-owner: no concurrent use, no reentrant callbacks.
 After LeftRecursion or DepthExceeded a session may hold InProgress
@@ -54,7 +56,6 @@ from .grammar import (
     Seq,
     Star,
     ValidationIssue,
-    _children,
     prepared,
     validation_errors,
     walk_exprs,
@@ -161,101 +162,70 @@ class DepthExceeded(Exception):
 
 
 DEFAULT_DEPTH_LIMIT = 100_000
-DEEP_INPUT_THRESHOLD = 128
-DEEP_STACK_BYTES = 1536 << 20
+#: Interpreter recursion limit while a parse or a :func:`run_deep` call
+#: is live: room for ``DEFAULT_DEPTH_LIMIT`` nested rule applications at
+#: up to 13 interpreter frames each.
+DEEP_RECURSION_LIMIT = 1_344_177
 
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
     """Tunables for a parse session.
 
-    ``depth_limit`` caps nested rule applications.  The engine also
-    respects the running thread's interpreter frame budget: small-stack
-    threads get a proportionally smaller effective limit so that deep
-    parses fail with DepthExceeded instead of exhausting the C stack.
-    Inputs of at least ``DEEP_INPUT_THRESHOLD`` characters are parsed by
-    :func:`parse_complete` on a worker thread with a
-    ``DEEP_STACK_BYTES``-byte stack, which restores the full limit.
+    ``depth_limit`` is the exact number of nested rule applications a
+    session allows: applying one more raises :class:`DepthExceeded`
+    with ``limit == depth_limit``.  It must be at least 1.
     """
 
     depth_limit: int = DEFAULT_DEPTH_LIMIT
 
+    def __post_init__(self) -> None:
+        if self.depth_limit < 1:
+            raise ValueError(
+                f"depth_limit must be at least 1, got {self.depth_limit}"
+            )
 
-# Empirical CPython 3.10 numbers: one Python call consumes roughly
-# 0.5-1 KiB of C stack, and the default 8 MiB main stack crashes a
-# little past 15k frames.  Budgets stay well inside both.
-_FRAME_STACK_BYTES = 1200
-_SAFE_INLINE_FRAMES = 8000
-_DEEP_FRAME_BUDGET = DEEP_STACK_BYTES // _FRAME_STACK_BYTES
 
-# The recursion limit and the thread stack size are process-wide, so
-# every run_deep caller changes them under this lock, and the limit is
-# lowered again only when no deep worker is left running.
+# The recursion limit is process-wide, so every deep caller raises it
+# under this lock, and the saved limit comes back only when no deep
+# caller is left on any thread.
 _deep_lock = threading.Lock()
-_deep_workers = 0
+_deep_callers = 0
 _deep_saved_limit = 0
 
 
-def run_deep(fn, *args, **kwargs):
-    """Call ``fn`` on a worker thread provisioned for deep recursion.
-
-    The worker gets a ``DEEP_STACK_BYTES`` stack and a matching
-    interpreter recursion limit; exceptions propagate to the caller.
-    Nested calls from a worker run inline.  Concurrent callers are
-    safe: the limit stays raised until the last worker has finished.
-    """
-    global _deep_workers, _deep_saved_limit
-    if _frame_budget() > _SAFE_INLINE_FRAMES:
-        return fn(*args, **kwargs)
-    box: dict[str, object] = {}
-
-    def runner() -> None:
-        threading.current_thread()._pegkit_frame_budget = _DEEP_FRAME_BUDGET  # type: ignore[attr-defined]
-        try:
-            box["value"] = fn(*args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - propagated below
-            box["error"] = exc
-        finally:
-            with _deep_lock:
-                _leave_deep()
-
+def _enter_deep() -> None:
+    global _deep_callers, _deep_saved_limit
     with _deep_lock:
-        if _deep_workers == 0:
-            _deep_saved_limit = sys.getrecursionlimit()
-        if sys.getrecursionlimit() < _DEEP_FRAME_BUDGET + 2000:
-            sys.setrecursionlimit(_DEEP_FRAME_BUDGET + 2000)
-        _deep_workers += 1
-        # stack_size applies at start(); keep it in effect until then
-        old_stack = threading.stack_size(DEEP_STACK_BYTES)
-        try:
-            worker = threading.Thread(target=runner, name="pegkit-deep")
-            worker.start()
-        except BaseException:
-            _leave_deep()
-            raise
-        finally:
-            threading.stack_size(old_stack)
-    worker.join()
-    if "error" in box:
-        raise box["error"]  # type: ignore[misc]
-    return box["value"]
+        limit = sys.getrecursionlimit()
+        if _deep_callers == 0:
+            _deep_saved_limit = limit
+        if limit < DEEP_RECURSION_LIMIT:
+            sys.setrecursionlimit(DEEP_RECURSION_LIMIT)
+        _deep_callers += 1
 
 
 def _leave_deep() -> None:
-    # the caller holds _deep_lock
-    global _deep_workers
-    _deep_workers -= 1
-    if _deep_workers == 0:
-        # give small-stack threads their overflow backstop back
-        sys.setrecursionlimit(max(_deep_saved_limit, _SAFE_INLINE_FRAMES + 2000))
+    global _deep_callers
+    with _deep_lock:
+        _deep_callers -= 1
+        if _deep_callers == 0:
+            sys.setrecursionlimit(_deep_saved_limit)
 
 
-def _frame_budget() -> int:
-    return getattr(threading.current_thread(), "_pegkit_frame_budget", _SAFE_INLINE_FRAMES)
+def run_deep(fn, *args, **kwargs):
+    """Call ``fn`` on this thread with the recursion limit raised.
 
-
-def _expr_height(e: PegExpr) -> int:
-    return 1 + max((_expr_height(k) for k in _children(e)), default=0)
+    The interpreter recursion limit is at least ``DEEP_RECURSION_LIMIT``
+    while ``fn`` runs and is restored when the last deep caller, on any
+    thread, has finished; nested and concurrent calls are safe.
+    Exceptions propagate to the caller.
+    """
+    _enter_deep()
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        _leave_deep()
 
 
 # Node types whose failure the engine records for diagnostics.
@@ -280,9 +250,6 @@ def _prepare(grammar: Grammar) -> PreparedGrammar:
     if prep.errors:
         raise InvalidGrammarError(prep.errors)
     if prep.labels is None:
-        prep.frames_per_apply = 4 + 2 * max(
-            _expr_height(r.body) for r in grammar.rules
-        )
         names = grammar.names
         prep.labels = {
             e: _failure_label(e, names)
@@ -346,16 +313,12 @@ class ParseSession:
         self.matrix: list[list] = [[UNEVALUATED] * n1 for _ in grammar.rules]
         self.char_row: list = [UNEVALUATED] * n1
         self._active: list[tuple[int, int]] = []
-        self._limit = 0
-        self._frames_per_apply = prep.frames_per_apply
         self._labels = prep.labels
         self._cells_evaluated = 0
         self._expr_steps = 0
         self._max_active_depth = 0
         self._fail_pos = -1
         self._fail_labels: set[str] = set()
-        if sys.getrecursionlimit() < _SAFE_INLINE_FRAMES + 2000:
-            sys.setrecursionlimit(_SAFE_INLINE_FRAMES + 2000)
 
     # -- memoized entry points ------------------------------------------
 
@@ -369,20 +332,15 @@ class ParseSession:
         cell = row[pos]
         if cell is UNEVALUATED:
             active = self._active
-            if not active:
-                self._limit = max(
-                    1,
-                    min(
-                        self.config.depth_limit,
-                        _frame_budget() // self._frames_per_apply,
-                    ),
-                )
-            if len(active) >= self._limit:
+            if len(active) >= self.config.depth_limit:
                 raise DepthExceeded(
-                    self._limit,
+                    self.config.depth_limit,
                     f"while applying rule {self.grammar.rule_name(rule)!r} at {pos}",
                 )
             row[pos] = INPROGRESS
+            outermost = not active
+            if outermost:
+                _enter_deep()
             active.append((rule, pos))
             if len(active) > self._max_active_depth:
                 self._max_active_depth = len(active)
@@ -390,10 +348,12 @@ class ParseSession:
                 res = self._eval(self.grammar.rules[rule].body, pos)
             except RecursionError:
                 raise DepthExceeded(
-                    self._limit, "interpreter frame budget exhausted"
+                    self.config.depth_limit, "interpreter frame budget exhausted"
                 ) from None
             finally:
                 active.pop()
+                if outermost:
+                    _leave_deep()
             if res is FAIL:
                 out: Outcome = FAIL
             else:
@@ -599,11 +559,8 @@ def parse_complete(s: ParseSession) -> ParseTreeNode:
     Success requires the start rule to consume every character.  On
     failure (or an incomplete match) raises :class:`ParseFailed` with
     the rightmost failure position and the labels attempted there.
-    Large inputs run on a deep-stack worker thread automatically.
     """
-    if len(s.text) >= DEEP_INPUT_THRESHOLD:
-        return run_deep(_parse_complete_inline, s)
-    return _parse_complete_inline(s)
+    return run_deep(_parse_complete_inline, s)
 
 
 def _parse_complete_inline(s: ParseSession) -> ParseTreeNode:

@@ -305,9 +305,8 @@ class PreparedGrammar:
 
     * ``errors``: the error-severity issues of :func:`validate`, filled
       by the engine or an oracle, whichever sees the grammar first;
-    * ``frames_per_apply`` and ``labels``: the engine's interpreter
-      frame cost per rule application, and the failure label of each
-      terminal and predicate node, keyed by the node itself;
+    * ``labels``: the engine's failure label of each terminal and
+      predicate node, keyed by the node itself;
     * ``tabular_schedule``: the callee-first rule order of the tabular
       oracle, or a factory for the exception that refuses the grammar;
     * ``cfg_refusal``: ``(construct, rule name)`` of the first node
@@ -317,7 +316,6 @@ class PreparedGrammar:
     __slots__ = (
         "nullability",
         "errors",
-        "frames_per_apply",
         "labels",
         "tabular_schedule",
         "cfg_refusal",
@@ -326,7 +324,6 @@ class PreparedGrammar:
     def __init__(self, nullability: tuple[bool, ...]):
         self.nullability = nullability
         self.errors: tuple[ValidationIssue, ...] | None = None
-        self.frames_per_apply: int | None = None
         self.labels: dict[PegExpr, str] | None = None
         self.tabular_schedule: tuple[int, ...] | Callable[[], Exception] | None = None
         self.cfg_refusal: tuple[str, ...] | None = None

@@ -362,9 +362,13 @@ def parse_grammar(text: str) -> Grammar:
     input; the result may still carry validation issues (see
     :func:`pegkit.grammar.validate`).
     """
-    tokens = _Scanner(text).tokens()
-    rules, start = _Parser(tokens).parse_file()
-    return make_grammar(rules, start=start)
+    parser = _Parser(_Scanner(text).tokens())
+    try:
+        rules, start = parser.parse_file()
+        return make_grammar(rules, start=start)
+    except RecursionError:
+        t = parser.tok
+        raise GrammarSyntaxError("expression nested too deeply", t.line, t.col) from None
 
 
 def load_grammar(text: str) -> Grammar:

@@ -13,6 +13,9 @@ Prod <- Atom ('*' Atom)* ;
 Atom <- [0-9] / '(' Sum ')' ;
 """
 
+# Parenthesised 400 deep: more nesting than the notation parser can recurse.
+DEEP_GRAMMAR = "S <- " + "(" * 400 + "'a'" + ")" * 400 + " ;\n"
+
 
 class TestEval:
     def test_evaluates_catalog_grammar(self, capsys):
@@ -47,6 +50,18 @@ class TestEval:
     def test_missing_grammar_file_is_a_usage_error(self, capsys):
         code = main(["eval", "--grammar-file", "/no/such.peg", "demo", "1"])
         assert code == EXIT_USAGE
+
+    def test_depth_limit_below_one_is_a_usage_error(self, capsys):
+        for bad in ("0", "-5"):
+            assert main(["eval", "arith", "1+2", "--depth-limit", bad]) == EXIT_USAGE
+            assert "--depth-limit must be at least 1" in capsys.readouterr().err
+
+    def test_too_deeply_nested_grammar_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.peg"
+        path.write_text(DEEP_GRAMMAR, encoding="utf-8")
+        code = main(["eval", "--grammar-file", str(path), "deep", "a"])
+        assert code == EXIT_USAGE
+        assert "nested too deeply" in capsys.readouterr().err
 
 
 class TestMatrix:
@@ -120,6 +135,12 @@ class TestCheck:
         assert main(["check", "blowup", "6", "sometimes"]) == EXIT_USAGE
         assert main(["check", "blowup", "6", "-3"]) == EXIT_USAGE
 
+    def test_call_budget_below_one_is_a_usage_error(self, capsys):
+        assert main(["check", "arith", "4", "3", "--call-budget", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--call-budget must be at least 1" in captured.err
+        assert captured.out == ""
+
     def test_fixed_seed_reports_are_identical(self, capsys):
         args = ["check", "blowup", "8", "100", "--seed", "5"]
         assert main(args) == EXIT_OK
@@ -165,3 +186,11 @@ class TestGrammarTools:
         assert main(["grammar", "validate", str(path)]) == EXIT_FAILURE
         out = capsys.readouterr().out
         assert "error: NullableRepetition" in out
+
+    def test_validate_reports_too_deep_nesting_as_a_syntax_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.peg"
+        path.write_text(DEEP_GRAMMAR, encoding="utf-8")
+        assert main(["grammar", "validate", str(path)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("syntax error:")
+        assert "expression nested too deeply" in err

@@ -37,6 +37,7 @@ from pegkit import (
     star,
     stats,
 )
+from pegkit import engine
 from pegkit.engine import INPROGRESS, UNEVALUATED
 from pegkit.oracles import naive_parse
 
@@ -247,6 +248,11 @@ class TestErrors:
             parse_complete(new_session(arith.grammar, deep, config=config))
         assert exc.value.limit == 20
 
+    def test_depth_limit_below_one_is_rejected(self):
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="depth_limit"):
+                EngineConfig(depth_limit=bad)
+
     def test_star_over_nullable_is_unreachable_at_runtime(self):
         # the validator refuses it, so the engine guard stays internal
         g = make_grammar([("S", star(opt(char("a"))))])
@@ -270,7 +276,7 @@ class TestRunDeep:
         entry = entries["arith_lexed"]
         text = "1" + "+1" * 3000
         s = new_session(entry.grammar, text)
-        node = parse_complete(s)  # routes through the deep worker
+        node = parse_complete(s)
         assert run_deep(entry.evaluator, node, text) == 3001
 
     def test_concurrent_deep_parses_do_not_disturb_each_other(self):
@@ -284,6 +290,63 @@ class TestRunDeep:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.startswith("long parse ok")
+
+
+class TestDeepInputs:
+    """Deep parses run on the calling thread, with an exact depth limit."""
+
+    CHAIN = "1" + "+1" * 10_000
+
+    @pytest.fixture
+    def lexed(self, entries):
+        return entries["arith_lexed"].grammar
+
+    def test_direct_apply_parses_a_deep_chain(self, lexed):
+        s = new_session(lexed, self.CHAIN)
+        out = s.apply(lexed.start, 0)
+        assert out is not FAIL and out.end == len(self.CHAIN)
+
+    def test_depth_limit_is_an_exact_count(self, lexed):
+        s = new_session(lexed, self.CHAIN)
+        parse_complete(s)
+        k = stats(s).max_active_depth
+
+        def via_parse_complete(s):
+            return parse_complete(s).end
+
+        def via_apply(s):
+            return s.apply(lexed.start, 0).end
+
+        for parse in (via_parse_complete, via_apply):
+            config = EngineConfig(depth_limit=k)
+            assert parse(new_session(lexed, self.CHAIN, config=config)) == len(self.CHAIN)
+            config = EngineConfig(depth_limit=k - 1)
+            with pytest.raises(DepthExceeded) as exc:
+                parse(new_session(lexed, self.CHAIN, config=config))
+            assert exc.value.limit == k - 1
+
+    def test_recursion_limit_is_restored(self, lexed):
+        before = sys.getrecursionlimit()
+        s = new_session(lexed, self.CHAIN)
+        assert sys.getrecursionlimit() == before
+        parse_complete(s)
+        assert sys.getrecursionlimit() == before
+        new_session(lexed, self.CHAIN).apply(lexed.start, 0)
+        assert sys.getrecursionlimit() == before
+        with pytest.raises(KeyError):
+            run_deep(lambda: (_ for _ in ()).throw(KeyError("boom")))
+        assert sys.getrecursionlimit() == before
+
+    def test_interpreter_limit_is_a_backstop(self, lexed, monkeypatch):
+        monkeypatch.setattr(engine, "DEEP_RECURSION_LIMIT", 5000)
+        before = sys.getrecursionlimit()
+        assert before < 5000
+        config = EngineConfig(depth_limit=10**9)
+        s = new_session(lexed, "1" + "+1" * 2000, config=config)
+        with pytest.raises(DepthExceeded) as exc:
+            parse_complete(s)
+        assert exc.value.limit == 10**9
+        assert sys.getrecursionlimit() == before
 
 
 class TestRepetition:

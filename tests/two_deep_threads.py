@@ -1,12 +1,16 @@
-"""Two threads run deep parses at once; exit status 0 only if both succeed.
+"""Three threads run deep parses at once; exit status 0 only if all succeed.
 
-One thread loops over 201-character ``arith_lexed`` inputs, each of which
-``parse_complete`` hands to its own deep-stack worker.  Meanwhile a second
-thread parses one 40001-character chain, which recurses far past the
-inline recursion limit.  A worker that restores the process-wide limit
-while the other is still deep makes the long parse fail with
-``DepthExceeded``, or aborts the interpreter outright, so run this as a
-separate process:
+Every parse runs on its own thread and raises the process-wide recursion
+limit for as long as it is deep; the limit comes back only when the last
+deep caller has left.  One thread loops over 201-character
+``arith_lexed`` inputs through ``parse_complete``, whose every call
+raises and restores the limit.  Meanwhile a second thread parses one
+40001-character chain with ``parse_complete``, and a third forces the
+cells of 20001-character chains with direct ``session.apply`` calls,
+which raise the limit only by being the outermost application.  A caller
+that restores the limit while another is still deep makes that parse
+fail with ``DepthExceeded``, or aborts the interpreter outright, so run
+this as a separate process:
 
     PYTHONPATH=src python tests/two_deep_threads.py
 """
@@ -17,16 +21,18 @@ import sys
 import threading
 
 from pegkit.catalog import registry
-from pegkit.engine import new_session, parse_complete
+from pegkit.engine import FAIL, new_session, parse_complete
 
 
 def main() -> int:
     grammar = registry()["arith_lexed"].grammar
     long_text = "1" + "+1" * 20000
+    apply_text = "1" + "+1" * 10000
     short_text = "1" + "+1" * 100
     long_done = threading.Event()
     errors: list[str] = []
     short_parses = 0
+    apply_parses = 0
 
     def long_parse() -> None:
         try:
@@ -37,6 +43,20 @@ def main() -> int:
             errors.append(f"long parse: {exc!r}")
         finally:
             long_done.set()
+
+    def apply_loop() -> None:
+        nonlocal apply_parses
+        try:
+            while True:
+                out = new_session(grammar, apply_text).apply(grammar.start, 0)
+                if out is FAIL or out.end != len(apply_text):
+                    errors.append(f"direct apply returned {out!r}")
+                    return
+                apply_parses += 1
+                if long_done.is_set():
+                    return
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(f"direct apply: {exc!r}")
 
     def short_parse_loop() -> None:
         nonlocal short_parses
@@ -51,6 +71,7 @@ def main() -> int:
     threads = [
         threading.Thread(target=short_parse_loop, daemon=True),
         threading.Thread(target=long_parse, daemon=True),
+        threading.Thread(target=apply_loop, daemon=True),
     ]
     for t in threads:
         t.start()
@@ -60,7 +81,10 @@ def main() -> int:
         errors.append("a thread did not finish within 300 s")
     for line in errors:
         print(line, file=sys.stderr)
-    print(f"long parse {'failed' if errors else 'ok'}; {short_parses} short parses")
+    print(
+        f"long parse {'failed' if errors else 'ok'}; {short_parses} short parses; "
+        f"{apply_parses} direct applies"
+    )
     return 1 if errors else 0
 
 
