@@ -178,6 +178,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.max_len < 0:
+        raise UsageError(f"max_len must be at least 0, got {args.max_len}")
     if args.trials == "exhaustive":
         mode, trials = "exhaustive", 0
     else:

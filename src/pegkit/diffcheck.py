@@ -70,6 +70,20 @@ class CheckConfig:
     call_budget: int = DEFAULT_CALL_BUDGET  # naive-oracle guard per (rule, pos)
     list_limit: int = 5  # counterexamples printed per grammar
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("exhaustive", "random"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.max_len < 0:
+            raise ValueError(f"max_len must be at least 0, got {self.max_len}")
+        if self.mode == "random" and self.trials < 1:
+            raise ValueError(
+                f"random mode needs at least 1 trial, got {self.trials}"
+            )
+        if self.call_budget < 1:
+            raise ValueError(
+                f"call_budget must be at least 1, got {self.call_budget}"
+            )
+
 
 @dataclass
 class GrammarCheck:
@@ -137,15 +151,13 @@ def _corpus(entry: CatalogEntry, cfg: CheckConfig) -> tuple[list[str], str]:
             f"exhaustive lengths 0..{covered} over {entry.exhaustive_alphabet!r}"
         )
         return inputs, desc
-    if cfg.mode == "random":
-        rng = random.Random(f"{cfg.seed}:{entry.name}")
-        inputs = random_inputs(entry.alphabet, cfg.max_len, cfg.trials, rng)
-        desc = (
-            f"{cfg.trials} random length<={cfg.max_len} over "
-            f"{entry.alphabet!r} seed={cfg.seed}"
-        )
-        return inputs, desc
-    raise ValueError(f"unknown mode {cfg.mode!r}")
+    rng = random.Random(f"{cfg.seed}:{entry.name}")
+    inputs = random_inputs(entry.alphabet, cfg.max_len, cfg.trials, rng)
+    desc = (
+        f"{cfg.trials} random length<={cfg.max_len} over "
+        f"{entry.alphabet!r} seed={cfg.seed}"
+    )
+    return inputs, desc
 
 
 _UNSEEN = object()

@@ -307,6 +307,8 @@ class PreparedGrammar:
       by the engine or an oracle, whichever sees the grammar first;
     * ``labels``: the engine's failure label of each terminal and
       predicate node, keyed by the node itself;
+    * ``code``: the engine's compiled evaluator of each rule body, a
+      closure ``run(session, pos)`` per rule, in rule order;
     * ``tabular_schedule``: the callee-first rule order of the tabular
       oracle, or a factory for the exception that refuses the grammar;
     * ``cfg_refusal``: ``(construct, rule name)`` of the first node
@@ -317,6 +319,7 @@ class PreparedGrammar:
         "nullability",
         "errors",
         "labels",
+        "code",
         "tabular_schedule",
         "cfg_refusal",
     )
@@ -325,6 +328,7 @@ class PreparedGrammar:
         self.nullability = nullability
         self.errors: tuple[ValidationIssue, ...] | None = None
         self.labels: dict[PegExpr, str] | None = None
+        self.code: tuple[Callable, ...] | None = None
         self.tabular_schedule: tuple[int, ...] | Callable[[], Exception] | None = None
         self.cfg_refusal: tuple[str, ...] | None = None
 

@@ -116,8 +116,11 @@ def naive_parse(
 
     Verdict-identical to the engine on any grammar both accept; left
     recursion is cut off by an active-call cycle guard and reported as
-    :class:`LeftRecursion` rather than looping.
+    :class:`LeftRecursion` rather than looping.  ``call_budget`` must be
+    at least 1.
     """
+    if call_budget < 1:
+        raise ValueError(f"call_budget must be at least 1, got {call_budget}")
     _require_valid(g)
     n = len(text)
     state = {"calls": 0, "max_depth": 0}

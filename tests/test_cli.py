@@ -141,6 +141,17 @@ class TestCheck:
         assert "--call-budget must be at least 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["arith", "-1", "5"], ["arith", "--", "-3", "exhaustive"]],
+        ids=["random", "exhaustive"],
+    )
+    def test_negative_max_len_is_a_usage_error(self, capsys, argv):
+        assert main(["check", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "max_len must be at least 0, got -" in captured.err
+        assert captured.out == ""
+
     def test_fixed_seed_reports_are_identical(self, capsys):
         args = ["check", "blowup", "8", "100", "--seed", "5"]
         assert main(args) == EXIT_OK

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import re
+
+import pytest
 
 from pegkit.catalog import CatalogEntry, registry
 from pegkit.diffcheck import (
@@ -39,6 +42,22 @@ class TestCorpora:
         assert a == b
         assert all(len(t) <= 8 for t in a)
         assert all(set(t) <= set("abc") for t in a)
+
+
+class TestCheckConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"call_budget": 0}, "call_budget must be at least 1, got 0"),
+            ({"max_len": -1}, "max_len must be at least 0, got -1"),
+            ({"mode": "random", "trials": 0}, "at least 1 trial, got 0"),
+            ({"mode": "random", "trials": -2}, "at least 1 trial, got -2"),
+            ({"mode": "fuzz"}, "unknown mode 'fuzz'"),
+        ],
+    )
+    def test_bad_settings_are_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CheckConfig(**kwargs)
 
 
 class TestRunCheck:

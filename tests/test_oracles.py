@@ -65,6 +65,11 @@ class TestNaiveParse:
                 entry.grammar, 0, 0, entry.input_generator(30), call_budget=1000
             )
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_call_budget_below_one_is_rejected(self, arith, budget):
+        with pytest.raises(ValueError, match="call_budget must be at least 1"):
+            naive_parse(arith.grammar, 0, 0, "2", call_budget=budget)
+
     def test_left_recursion_cut_by_cycle_guard(self, entries):
         g = entries["left_recursive_arith"].grammar
         with pytest.raises(LeftRecursion):
