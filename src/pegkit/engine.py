@@ -35,6 +35,15 @@ outermost rule application, and :func:`run_deep`, raise it to
 ``DEEP_RECURSION_LIMIT`` while they run; threads may do so
 concurrently.
 
+The same counted section also pauses the cyclic garbage collector,
+process-wide, until the last live parse on any thread has left.  A
+finished memo matrix is acyclic, and a parse leaves no cyclic garbage
+(everything it drops is freed by reference counting), so the collector
+would only rescan the growing matrix again and again.  A caller that
+had already disabled the collector finds it still disabled afterwards;
+cyclic garbage made by other threads meanwhile waits until the last
+parse leaves.
+
 Sessions are single-owner: no concurrent use, no reentrant callbacks.
 After LeftRecursion or DepthExceeded a session may hold InProgress
 cells and should be discarded.
@@ -42,6 +51,7 @@ cells and should be discarded.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 from dataclasses import dataclass
@@ -66,7 +76,6 @@ from .grammar import (
     ValidationIssue,
     prepared,
     validation_errors,
-    walk_exprs,
 )
 from .notation import render_expr
 
@@ -225,20 +234,24 @@ class EngineConfig:
             )
 
 
-# The recursion limit is process-wide, so every deep caller raises it
-# under this lock, and the saved limit comes back only when no deep
-# caller is left on any thread.
+# The recursion limit and the collector switch are process-wide, so
+# every deep caller raises the one and pauses the other under this lock,
+# and the saved state comes back only when no deep caller is left on any
+# thread.
 _deep_lock = threading.Lock()
 _deep_callers = 0
 _deep_saved_limit = 0
+_deep_saved_gc = False
 
 
 def _enter_deep() -> None:
-    global _deep_callers, _deep_saved_limit
+    global _deep_callers, _deep_saved_limit, _deep_saved_gc
     with _deep_lock:
         limit = sys.getrecursionlimit()
         if _deep_callers == 0:
             _deep_saved_limit = limit
+            _deep_saved_gc = gc.isenabled()
+            gc.disable()
         if limit < DEEP_RECURSION_LIMIT:
             sys.setrecursionlimit(DEEP_RECURSION_LIMIT)
         _deep_callers += 1
@@ -250,14 +263,22 @@ def _leave_deep() -> None:
         _deep_callers -= 1
         if _deep_callers == 0:
             sys.setrecursionlimit(_deep_saved_limit)
+            if _deep_saved_gc:
+                gc.enable()
 
 
 def run_deep(fn, *args, **kwargs):
-    """Call ``fn`` on this thread with the recursion limit raised.
+    """Call ``fn`` on this thread with the recursion limit raised and
+    the cyclic garbage collector paused.
 
     The interpreter recursion limit is at least ``DEEP_RECURSION_LIMIT``
-    while ``fn`` runs and is restored when the last deep caller, on any
-    thread, has finished; nested and concurrent calls are safe.
+    while ``fn`` runs, and the collector is disabled process-wide.  Both
+    are restored when the last deep caller, on any thread, has finished;
+    nested and concurrent calls are safe.  The collector is re-enabled
+    only if it was enabled when the first of those callers entered, so
+    a caller's own ``gc.disable()`` is kept; cyclic garbage made on any
+    thread meanwhile is collected only after the last caller leaves.
+    ``fn`` should make little cyclic garbage: a parse makes none.
     Exceptions propagate to the caller.
     """
     _enter_deep()
@@ -289,29 +310,20 @@ def _prepare(grammar: Grammar) -> PreparedGrammar:
         prep.errors = validation_errors(grammar)
     if prep.errors:
         raise InvalidGrammarError(prep.errors)
-    if prep.labels is None:
-        names = grammar.names
-        prep.labels = {
-            e: _failure_label(e, names)
-            for e in walk_exprs(grammar)
-            if isinstance(e, _LABELLED)
-        }
     if prep.code is None:
-        prep.code = tuple(
-            _compile(r.body, prep.labels, grammar.names) for r in grammar.rules
-        )
+        names = grammar.names
+        prep.code = tuple(_compile(r.body, names) for r in grammar.rules)
     return prep
 
 
-def _compile(e: PegExpr, labels: dict[PegExpr, str], names: tuple[str, ...]):
+def _compile(e: PegExpr, names: tuple[str, ...]):
     """Closure ``run(session, pos)`` that evaluates ``e`` at ``pos``.
 
     ``run`` returns ``FAIL`` or ``(end, kids)``, where ``kids`` is the
     tuple of nodes the match contributes to its parent, and adds 1 to
     the session's expression steps; each subexpression is a closure of
     its own.  Terminals and ``Not`` record their failure label for
-    diagnostics, taken from ``labels`` (rendered here for an expression
-    from outside the grammar).
+    diagnostics, rendered here once with the grammar's rule ``names``.
     """
     t = type(e)
     if t is Ref:
@@ -327,7 +339,7 @@ def _compile(e: PegExpr, labels: dict[PegExpr, str], names: tuple[str, ...]):
         return run
 
     if t is Seq:
-        parts = tuple(_compile(p, labels, names) for p in e.parts)
+        parts = tuple(_compile(p, names) for p in e.parts)
 
         def run(s, pos):
             s._expr_steps += 1
@@ -344,7 +356,7 @@ def _compile(e: PegExpr, labels: dict[PegExpr, str], names: tuple[str, ...]):
         return run
 
     if t is Choice:
-        alts = tuple(_compile(a, labels, names) for a in e.alts)
+        alts = tuple(_compile(a, names) for a in e.alts)
 
         def run(s, pos):
             s._expr_steps += 1
@@ -357,7 +369,7 @@ def _compile(e: PegExpr, labels: dict[PegExpr, str], names: tuple[str, ...]):
         return run
 
     if t is Star or t is Plus:
-        body = _compile(e.body, labels, names)
+        body = _compile(e.body, names)
         at_least_one = t is Plus
         kind = t.__name__
 
@@ -384,7 +396,7 @@ def _compile(e: PegExpr, labels: dict[PegExpr, str], names: tuple[str, ...]):
         return run
 
     if t is Opt:
-        body = _compile(e.body, labels, names)
+        body = _compile(e.body, names)
 
         def run(s, pos):
             s._expr_steps += 1
@@ -396,7 +408,7 @@ def _compile(e: PegExpr, labels: dict[PegExpr, str], names: tuple[str, ...]):
         return run
 
     if t is And:
-        body = _compile(e.body, labels, names)
+        body = _compile(e.body, names)
 
         def run(s, pos):
             s._expr_steps += 1
@@ -416,12 +428,10 @@ def _compile(e: PegExpr, labels: dict[PegExpr, str], names: tuple[str, ...]):
 
     if t not in _LABELLED:
         raise TypeError(f"not a PegExpr: {e!r}")
-    label = labels.get(e)
-    if label is None:  # an expression from outside the grammar
-        label = _failure_label(e, names)
+    label = _failure_label(e, names)
 
     if t is Not:
-        body = _compile(e.body, labels, names)
+        body = _compile(e.body, names)
 
         def run(s, pos):
             s._expr_steps += 1
@@ -536,7 +546,6 @@ class ParseSession:
         self.char_row: list = [UNEVALUATED] * n1
         self._active: list[tuple[int, int]] = []
         self._code = prep.code
-        self._labels = prep.labels
         self._cells_evaluated = 0
         self._char_cells = 0
         self._memo_bytes = _SLOT_BYTES * (len(grammar.rules) + 1) * n1
@@ -603,7 +612,7 @@ class ParseSession:
         wrapped in an anonymous node so the outcome always carries a
         single tree.
         """
-        res = _compile(e, self._labels, self.grammar.names)(self, pos)
+        res = _compile(e, self.grammar.names)(self, pos)
         if res is FAIL:
             return FAIL
         end, kids = res

@@ -305,8 +305,6 @@ class PreparedGrammar:
 
     * ``errors``: the error-severity issues of :func:`validate`, filled
       by the engine or an oracle, whichever sees the grammar first;
-    * ``labels``: the engine's failure label of each terminal and
-      predicate node, keyed by the node itself;
     * ``code``: the engine's compiled evaluator of each rule body, a
       closure ``run(session, pos)`` per rule, in rule order;
     * ``tabular_schedule``: the callee-first rule order of the tabular
@@ -318,7 +316,6 @@ class PreparedGrammar:
     __slots__ = (
         "nullability",
         "errors",
-        "labels",
         "code",
         "tabular_schedule",
         "cfg_refusal",
@@ -327,7 +324,6 @@ class PreparedGrammar:
     def __init__(self, nullability: tuple[bool, ...]):
         self.nullability = nullability
         self.errors: tuple[ValidationIssue, ...] | None = None
-        self.labels: dict[PegExpr, str] | None = None
         self.code: tuple[Callable, ...] | None = None
         self.tabular_schedule: tuple[int, ...] | Callable[[], Exception] | None = None
         self.cfg_refusal: tuple[str, ...] | None = None
@@ -397,8 +393,13 @@ def validate(g: Grammar) -> tuple[ValidationIssue, ...]:
         for i, kid in enumerate(kids):
             walk(rule_name, kid, path + (i,))
 
-    for rule in g.rules:
-        walk(rule.name, rule.body, ())
+    try:
+        for rule in g.rules:
+            walk(rule.name, rule.body, ())
+    finally:
+        # walk refers to itself; unbound here, it is freed at once
+        # instead of by the cyclic collector.
+        del walk
 
     reachable = {g.start}
     frontier = [g.start]

@@ -265,8 +265,11 @@ def _topological_rules(g: Grammar) -> tuple[int, ...]:
         color[r] = 2
         order.append(r)
 
-    for r in range(len(g.rules)):
-        visit(r, [])
+    try:
+        for r in range(len(g.rules)):
+            visit(r, [])
+    finally:
+        del visit  # it refers to itself; see naive_parse
     return tuple(order)
 
 
@@ -341,10 +344,13 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
             return p if walk(e.body, p) is None else None
         raise TypeError(f"unexpected construct in tabular walk: {e!r}")
 
-    for pos in range(n, -1, -1):
-        for rid in order:
-            table[rid][pos] = walk(g.rules[rid].body, pos)
-            fill_order.append((rid, pos))
+    try:
+        for pos in range(n, -1, -1):
+            for rid in order:
+                table[rid][pos] = walk(g.rules[rid].body, pos)
+                fill_order.append((rid, pos))
+    finally:
+        del walk  # it refers to itself and holds the table; see naive_parse
 
     return TabularMatrix(
         tuple(tuple(row) for row in table), tuple(fill_order)
@@ -423,15 +429,18 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
         raise TypeError(f"unexpected construct in CFG walk: {e!r}")
 
     changed = True
-    while changed:
-        changed = False
-        for rid in range(nrules):
-            body = g.rules[rid].body
-            for p in range(n + 1):
-                new = ends(body, p)
-                if not new <= table[rid][p]:
-                    table[rid][p] |= new
-                    changed = True
+    try:
+        while changed:
+            changed = False
+            for rid in range(nrules):
+                body = g.rules[rid].body
+                for p in range(n + 1):
+                    new = ends(body, p)
+                    if not new <= table[rid][p]:
+                        table[rid][p] |= new
+                        changed = True
+    finally:
+        del ends  # it refers to itself and holds the table; see naive_parse
 
     return {
         (rid, p): frozenset(table[rid][p])

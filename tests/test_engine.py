@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import subprocess
@@ -19,12 +20,17 @@ from pegkit import (
     InvalidGrammarError,
     LeftRecursion,
     ParseFailed,
+    SamePositionCycle,
     Success,
+    UnsupportedConstruct,
     and_,
+    cfg_end_table,
     char,
     choice,
     dump_matrix,
     furthest_failure,
+    grammar_text,
+    load_grammar,
     make_grammar,
     new_session,
     not_,
@@ -32,10 +38,13 @@ from pegkit import (
     parse_complete,
     plus,
     ref,
+    registry,
     run_deep,
     seq,
     star,
     stats,
+    tabular_parse,
+    validate,
 )
 from pegkit import engine
 from pegkit.engine import INPROGRESS, UNEVALUATED
@@ -326,16 +335,46 @@ class TestDeepInputs:
             assert exc.value.limit == k - 1
 
     def test_recursion_limit_is_restored(self, lexed):
-        before = sys.getrecursionlimit()
+        def state():
+            return sys.getrecursionlimit(), gc.isenabled()
+
+        before = state()
         s = new_session(lexed, self.CHAIN)
-        assert sys.getrecursionlimit() == before
+        assert state() == before
         parse_complete(s)
-        assert sys.getrecursionlimit() == before
+        assert state() == before
         new_session(lexed, self.CHAIN).apply(lexed.start, 0)
-        assert sys.getrecursionlimit() == before
+        assert state() == before
         with pytest.raises(KeyError):
             run_deep(lambda: (_ for _ in ()).throw(KeyError("boom")))
-        assert sys.getrecursionlimit() == before
+        assert state() == before
+
+    def test_collector_is_paused_while_deep(self):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            assert run_deep(gc.isenabled) is False
+            assert gc.isenabled()
+        finally:
+            if not was_enabled:
+                gc.disable()
+
+    def test_a_callers_collector_pause_is_kept(self, lexed, entries):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            parse_complete(new_session(lexed, self.CHAIN))
+            assert not gc.isenabled()
+            with pytest.raises(KeyError):
+                run_deep(lambda: (_ for _ in ()).throw(KeyError("boom")))
+            assert not gc.isenabled()
+            lra = entries["left_recursive_arith"].grammar
+            with pytest.raises(LeftRecursion):
+                parse_complete(new_session(lra, "1+2"))
+            assert not gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_interpreter_limit_is_a_backstop(self, lexed, monkeypatch):
         monkeypatch.setattr(engine, "DEEP_RECURSION_LIMIT", 5000)
@@ -347,6 +386,54 @@ class TestDeepInputs:
             parse_complete(s)
         assert exc.value.limit == 10**9
         assert sys.getrecursionlimit() == before
+
+
+#: An accepted and a rejected input of each catalog grammar.  Both end
+#: in LeftRecursion on left_recursive_arith, as every input does.
+SAMPLE_INPUTS = {
+    "arith": ("2*(7+2)", "2*("),
+    "arith_left_assoc": ("7-2-2", "7-"),
+    "arith_lexed": ("27 + 2*(7)", "2 +"),
+    "lookahead_ab": ("xzy", "xzz"),
+    "composition_assign": ("a=(a)", "a=("),
+    "composition_lvalue": ("a[a]=a", "a[="),
+    "peg_limitation": ("xxx", "xx"),
+    "left_recursive_arith": ("2-7", "2-"),
+    "blowup": ("aab", "ba"),
+}
+
+
+@pytest.mark.parametrize("name", list(registry()))
+def test_no_step_leaves_cyclic_garbage(name, entries):
+    """Everything a parse, a validation or an oracle drops is freed by
+    reference counting, which is what makes pausing the collector during
+    a parse leak nothing."""
+    g = load_grammar(grammar_text(name))
+    accepted, rejected = SAMPLE_INPUTS[name]
+    left = "left_recursive" in entries[name].traits
+    gc.collect()
+    validate(g)
+    assert gc.collect() == 0, "validate"
+    new_session(g, accepted)
+    assert gc.collect() == 0, "new_session"
+    for text, config, expected in (
+        (accepted, None, LeftRecursion if left else None),
+        (rejected, None, LeftRecursion if left else ParseFailed),
+        (accepted, EngineConfig(depth_limit=1), LeftRecursion if left else DepthExceeded),
+    ):
+        try:
+            parse_complete(new_session(g, text, config=config))
+            got = None
+        except (ParseFailed, LeftRecursion, DepthExceeded) as exc:
+            got = type(exc)
+        assert got is expected, text
+        assert gc.collect() == 0, (text, expected)
+    for oracle in (tabular_parse, cfg_end_table):
+        try:
+            oracle(g, accepted)
+        except (UnsupportedConstruct, SamePositionCycle):
+            pass
+        assert gc.collect() == 0, oracle.__name__
 
 
 class TestRepetition:

@@ -1,27 +1,30 @@
 """Three threads run deep parses at once; exit status 0 only if all succeed.
 
 Every parse runs on its own thread and raises the process-wide recursion
-limit for as long as it is deep; the limit comes back only when the last
-deep caller has left.  One thread loops over 201-character
-``arith_lexed`` inputs through ``parse_complete``, whose every call
-raises and restores the limit.  Meanwhile a second thread parses one
-40001-character chain with ``parse_complete``, and a third forces the
-cells of 20001-character chains with direct ``session.apply`` calls,
-which raise the limit only by being the outermost application.  A caller
-that restores the limit while another is still deep makes that parse
-fail with ``DepthExceeded``, or aborts the interpreter outright, so run
-this as a separate process:
+limit, and pauses the cyclic garbage collector, for as long as it is
+deep; both come back only when the last deep caller has left.  One
+thread loops over 201-character ``arith_lexed`` inputs through
+``parse_complete``, whose every call raises and restores the limit, and
+checks inside a ``run_deep`` body that the collector is off.  Meanwhile
+a second thread parses one 40001-character chain with
+``parse_complete``, and a third forces the cells of 20001-character
+chains with direct ``session.apply`` calls, which raise the limit only
+by being the outermost application.  A caller that restores the limit
+while another is still deep makes that parse fail with
+``DepthExceeded``, or aborts the interpreter outright, so run this as a
+separate process:
 
     PYTHONPATH=src python tests/two_deep_threads.py
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 
 from pegkit.catalog import registry
-from pegkit.engine import FAIL, new_session, parse_complete
+from pegkit.engine import FAIL, new_session, parse_complete, run_deep
 
 
 def main() -> int:
@@ -58,12 +61,19 @@ def main() -> int:
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(f"direct apply: {exc!r}")
 
+    def short_parse_then_collector_state() -> bool:
+        parse_complete(new_session(grammar, short_text))
+        return gc.isenabled()
+
     def short_parse_loop() -> None:
         nonlocal short_parses
         try:
             while not long_done.is_set():
                 parse_complete(new_session(grammar, short_text))
-                short_parses += 1
+                if run_deep(short_parse_then_collector_state):
+                    errors.append("collector enabled inside a run_deep body")
+                    break
+                short_parses += 2
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(f"short parse: {exc!r}")
             long_done.wait()
@@ -79,6 +89,8 @@ def main() -> int:
         t.join(timeout=300)
     if any(t.is_alive() for t in threads):
         errors.append("a thread did not finish within 300 s")
+    elif not gc.isenabled():
+        errors.append("collector still disabled after every thread joined")
     for line in errors:
         print(line, file=sys.stderr)
     print(
