@@ -51,7 +51,6 @@ from .engine import (
     ParseSession,
     ParseTreeNode,
     Stats,
-    Success,
     dump_matrix,
     furthest_failure,
     new_session,

@@ -257,6 +257,6 @@ def rule(slot: RuleSlot[V]) -> Parser[V]:
         out = s.apply(slot.rule_id, pos)
         if out is FAIL:
             return FAIL
-        return out.end, slot.decoder(out.node, s.text)
+        return out.end, slot.decoder(out, s.text)
 
     return Parser(run)

@@ -322,12 +322,11 @@ def _check_entry(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck:
 
 def run_check(entries: list[CatalogEntry], cfg: CheckConfig) -> CheckReport:
     results = tuple(_check_entry(entry, cfg) for entry in entries)
+    # trials and seed shape only a random corpus
+    drawn = f"trials={cfg.trials} seed={cfg.seed} " if cfg.mode == "random" else ""
     lines = [
         "pegkit differential check",
-        (
-            f"mode={cfg.mode} max_len={cfg.max_len} trials={cfg.trials} "
-            f"seed={cfg.seed} tier_cap={cfg.tier_cap}"
-        ),
+        f"mode={cfg.mode} max_len={cfg.max_len} {drawn}tier_cap={cfg.tier_cap}",
     ]
     total_counter = 0
     total_div = 0

@@ -7,12 +7,15 @@ character row.  Every cell moves through the lifecycle
 
     Unevaluated -> InProgress -> Done(Outcome)
 
-exactly once.  :meth:`ParseSession.apply` forces the cell for a (rule,
-position) pair: the first request evaluates the rule body and stores
-the outcome; later requests return the stored outcome without
-re-evaluating anything.  Because evaluation is demand-driven, cells
-never touched by the parse stay Unevaluated, and total work is bounded
-by the matrix size rather than by the backtracking structure.
+exactly once.  An outcome is the shared ``FAIL`` or, for a success,
+the :class:`ParseTreeNode` that the match built: the cell is the node,
+and its ``end`` is where the match stopped.
+:meth:`ParseSession.apply` forces the cell for a (rule, position) pair:
+the first request evaluates the rule body and stores the outcome; later
+requests return the stored outcome without re-evaluating anything.
+Because evaluation is demand-driven, cells never touched by the parse
+stay Unevaluated, and total work is bounded by the matrix size rather
+than by the backtracking structure.
 
 Rule bodies are compiled once per grammar, at the first session on it,
 into a tree of closures ``run(session, pos)``, one per expression node
@@ -116,6 +119,10 @@ class ParseTreeNode:
     anonymous wrapper nodes.  Children tile the node's span: they are
     ordered, non-overlapping, contiguous, and contained in it.
     Predicate subexpressions contribute no children.
+
+    A Done success cell of the memo matrix is a node: rule row ``r`` at
+    position ``p`` holds a node with ``rule == r`` and ``start == p``,
+    and the character row holds one leaf per input character.
     """
 
     rule: int | None
@@ -128,40 +135,30 @@ class ParseTreeNode:
         return (self.start, self.end)
 
 
-@dataclass(frozen=True, slots=True)
-class Success:
-    end: int
-    node: ParseTreeNode
-
-
-Outcome = Success | _Fail
+#: What a Done cell holds: the node of a success, or ``FAIL``.
+Outcome = ParseTreeNode | _Fail
 
 _new = object.__new__
 _set_rule = ParseTreeNode.rule.__set__
 _set_start = ParseTreeNode.start.__set__
 _set_end = ParseTreeNode.end.__set__
 _set_children = ParseTreeNode.children.__set__
-_set_out_end = Success.end.__set__
-_set_out_node = Success.node.__set__
 
 
 def _success(
     rule: int | None, start: int, end: int, kids: tuple[ParseTreeNode, ...]
-) -> Success:
-    """``Success(end, ParseTreeNode(rule, start, end, kids))``, built
-    through the slot descriptors rather than the frozen dataclasses'
-    ``__init__``, which sets each field by ``object.__setattr__``: about
-    1.3 µs per memo cell instead of 2.3 µs (CPython 3.11.7, Xeon).  The
-    result is an ordinary, equal, immutable instance."""
+) -> ParseTreeNode:
+    """``ParseTreeNode(rule, start, end, kids)``, built through the slot
+    descriptors rather than the frozen dataclass's ``__init__``, which
+    sets each field by ``object.__setattr__``: about 0.6 µs per memo
+    cell instead of 1.2 µs (CPython 3.11.7, Xeon).  The result is an
+    ordinary, equal, immutable instance."""
     node = _new(ParseTreeNode)
     _set_rule(node, rule)
     _set_start(node, start)
     _set_end(node, end)
     _set_children(node, kids)
-    out = _new(Success)
-    _set_out_end(out, end)
-    _set_out_node(out, node)
-    return out
+    return node
 
 
 class InvalidGrammarError(Exception):
@@ -288,16 +285,6 @@ def run_deep(fn, *args, **kwargs):
         _leave_deep()
 
 
-# Node types whose failure the engine records for diagnostics.
-_LABELLED = (AnyChar, Char, Class, Literal, Not)
-
-
-def _failure_label(e: PegExpr, names: tuple[str, ...]) -> str:
-    if isinstance(e, AnyChar):
-        return "any character"
-    return render_expr(e, names)
-
-
 def _prepare(grammar: Grammar) -> PreparedGrammar:
     """The grammar's handle, validated and with the engine's fields set.
 
@@ -323,7 +310,8 @@ def _compile(e: PegExpr, names: tuple[str, ...]):
     tuple of nodes the match contributes to its parent, and adds 1 to
     the session's expression steps; each subexpression is a closure of
     its own.  Terminals and ``Not`` record their failure label for
-    diagnostics, rendered here once with the grammar's rule ``names``.
+    diagnostics: "any character" for ``AnyChar``, otherwise the node
+    rendered here once with the grammar's rule ``names``.
     """
     t = type(e)
     if t is Ref:
@@ -334,7 +322,7 @@ def _compile(e: PegExpr, names: tuple[str, ...]):
             out = s.apply(rule, pos)
             if out is FAIL:
                 return FAIL
-            return out.end, (out.node,)
+            return out.end, (out,)
 
         return run
 
@@ -426,12 +414,9 @@ def _compile(e: PegExpr, names: tuple[str, ...]):
 
         return run
 
-    if t not in _LABELLED:
-        raise TypeError(f"not a PegExpr: {e!r}")
-    label = _failure_label(e, names)
-
     if t is Not:
         body = _compile(e.body, names)
+        label = render_expr(e, names)
 
         def run(s, pos):
             s._expr_steps += 1
@@ -444,6 +429,7 @@ def _compile(e: PegExpr, names: tuple[str, ...]):
         return run
 
     if t is AnyChar:
+        label = "any character"
 
         def run(s, pos):
             s._expr_steps += 1
@@ -452,26 +438,30 @@ def _compile(e: PegExpr, names: tuple[str, ...]):
                 if pos >= s._fail_pos:
                     s.record_failure(pos, label)
                 return FAIL
-            return out.end, (out.node,)
+            return out.end, (out,)
 
         return run
 
     if t is Char or t is Class:
         # a one-character string is "in" a Class's set and "in" itself
         accepted = e.chars if t is Class else e.char
+        label = render_expr(e, names)
 
         def run(s, pos):
             s._expr_steps += 1
             out = s.char_outcome(pos)
             if out is not FAIL and s.text[pos] in accepted:
-                return out.end, (out.node,)
+                return out.end, (out,)
             if pos >= s._fail_pos:
                 s.record_failure(pos, label)
             return FAIL
 
         return run
 
-    expected = e.text  # a Literal
+    if t is not Literal:
+        raise TypeError(f"not a PegExpr: {e!r}")
+    expected = e.text
+    label = render_expr(e, names)
 
     def run(s, pos):
         s._expr_steps += 1
@@ -483,7 +473,7 @@ def _compile(e: PegExpr, names: tuple[str, ...]):
                 if pos >= s._fail_pos:
                     s.record_failure(pos, label)
                 return FAIL
-            kids.append(out.node)
+            kids.append(out)
             p = out.end
         return p, tuple(kids)
 
@@ -495,11 +485,14 @@ class Stats:
     """Monotone session counters plus a memory estimate.
 
     ``memo_bytes_estimate`` charges 8 bytes per matrix slot (including
-    the character row) and, for each Done Success cell, 56 bytes for
-    the outcome record, 72 bytes for its retained node, and 8 bytes per
-    child pointer.  Shared Fail outcomes and sub-rule nodes owned by
-    other cells cost nothing extra, so the estimate counts only what
-    the memo table keeps alive.
+    the character row) and, for each Done success cell, 64 bytes for
+    its node.  A rule cell with ``k >= 1`` children adds its children
+    tuple, 40 + 8·k bytes; a cell without children shares the empty
+    tuple.  A character cell adds 32 bytes for the int object of its end
+    position, which later cells starting there share.  These are the
+    sizes ``tracemalloc`` sees on CPython 3.11.  Shared Fail outcomes
+    and sub-rule nodes owned by other cells cost nothing extra, so the
+    estimate counts only what the memo table keeps alive.
     """
 
     cells_evaluated: int
@@ -515,10 +508,10 @@ class Stats:
 
 
 _SLOT_BYTES = 8
-_OUTCOME_BYTES = 56
-_NODE_BYTES = 72
+_NODE_BYTES = 64
+_TUPLE_BYTES = 40
 _PTR_BYTES = 8
-_CELL_BYTES = _OUTCOME_BYTES + _NODE_BYTES
+_CHAR_CELL_BYTES = _NODE_BYTES + 32
 
 
 class ParseSession:
@@ -595,7 +588,11 @@ class ParseSession:
             else:
                 end, kids = res
                 out = _success(rule, pos, end, kids)
-                self._memo_bytes += _CELL_BYTES + _PTR_BYTES * len(kids)
+                self._memo_bytes += (
+                    _NODE_BYTES + _TUPLE_BYTES + _PTR_BYTES * len(kids)
+                    if kids
+                    else _NODE_BYTES
+                )
             row[pos] = out
             self._cells_evaluated += 1
             return out
@@ -608,17 +605,17 @@ class ParseSession:
     def eval_expr(self, e: PegExpr, pos: int) -> Outcome:
         """Evaluate one expression structurally at ``pos``.
 
-        Consumed terminals become leaf nodes; multi-part matches are
-        wrapped in an anonymous node so the outcome always carries a
-        single tree.
+        A match that contributes exactly one node returns that node;
+        any other match is wrapped in an anonymous node spanning it, so
+        a success is always a single tree.
         """
         res = _compile(e, self.grammar.names)(self, pos)
         if res is FAIL:
             return FAIL
         end, kids = res
         if len(kids) == 1:
-            return Success(end, kids[0])
-        return Success(end, ParseTreeNode(None, pos, end, kids))
+            return kids[0]
+        return ParseTreeNode(None, pos, end, kids)
 
     def char_outcome(self, pos: int) -> Outcome:
         """Memoized character-row cell: one leaf per input position."""
@@ -626,7 +623,7 @@ class ParseSession:
         if cell is UNEVALUATED:
             if pos < len(self.text):
                 cell = _success(None, pos, pos + 1, ())
-                self._memo_bytes += _CELL_BYTES
+                self._memo_bytes += _CHAR_CELL_BYTES
             else:
                 cell = FAIL
             self.char_row[pos] = cell
@@ -668,7 +665,7 @@ def _parse_complete_inline(s: ParseSession) -> ParseTreeNode:
     out = s.apply(s.grammar.start, 0)
     n = len(s.text)
     if out is not FAIL and out.end == n:
-        return out.node
+        return out
     pos, expected = furthest_failure(s)
     if out is not FAIL:
         reason = f"input not fully consumed (matched up to position {out.end})"
@@ -709,13 +706,13 @@ def _cell_text(s: ParseSession, cell, char_cell: bool) -> str:
         return "?"
     if cell is FAIL:
         return "X"
-    assert isinstance(cell, Success)
+    assert isinstance(cell, ParseTreeNode)
     if char_cell:
-        value: object = s.text[cell.node.start]
+        value: object = s.text[cell.start]
     elif s.evaluator is not None:
-        value = s.evaluator(cell.node, s.text)
+        value = s.evaluator(cell, s.text)
     else:
-        value = cell.node.end - cell.node.start
+        value = cell.end - cell.start
     return f"({value},C{cell.end + 1})"
 
 

@@ -111,14 +111,14 @@ class TestArithLexed:
         g = entry.grammar
         s = new_session(g, "  1")
         out = s.apply(g.rule_id("Whitespace"), 0)
-        assert entry.evaluator(out.node, "  1") == ()
+        assert entry.evaluator(out, "  1") == ()
 
     def test_digits_value_carries_digit_count(self, entries):
         entry = entries["arith_lexed"]
         g = entry.grammar
         s = new_session(g, "042")
         out = s.apply(g.rule_id("Digits"), 0)
-        assert entry.evaluator(out.node, "042") == (42, 3)
+        assert entry.evaluator(out, "042") == (42, 3)
 
 
 class TestLookaheadAb:

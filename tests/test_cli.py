@@ -6,6 +6,7 @@ import pytest
 
 from pegkit.bench import CSV_HEADER
 from pegkit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from pegkit.diffcheck import CheckConfig, run_check
 
 DEMO_GRAMMAR = """
 Sum  <- Prod ('+' Prod)* ;
@@ -124,6 +125,14 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "expected divergence" in out
         assert "RESULT: ok" in out
+
+    def test_exhaustive_report_matches_the_library_report(self, capsys, entries):
+        # the CLI passes trials=0 and any --seed; neither shapes an exhaustive corpus
+        assert main(["check", "all", "3", "exhaustive", "--seed", "5"]) == EXIT_OK
+        cfg = CheckConfig(max_len=3, mode="exhaustive")
+        library = run_check(list(entries.values()), cfg).text
+        assert capsys.readouterr().out == library
+        assert library.splitlines()[1] == "mode=exhaustive max_len=3 tier_cap=10000"
 
     def test_random_mode_with_trial_count(self, capsys):
         assert main(["check", "blowup", "6", "64"]) == EXIT_OK

@@ -179,4 +179,4 @@ class TestRuleSlots:
         assert (end, value) == (1, 5)
         memoized = s.matrix[0][0]
         # the matrix keeps the parse-tree outcome, not the decoded value
-        assert memoized.node.span == (0, 1)
+        assert memoized.span == (0, 1)

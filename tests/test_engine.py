@@ -20,8 +20,8 @@ from pegkit import (
     InvalidGrammarError,
     LeftRecursion,
     ParseFailed,
+    ParseTreeNode,
     SamePositionCycle,
-    Success,
     UnsupportedConstruct,
     and_,
     cfg_end_table,
@@ -77,12 +77,12 @@ class TestMemoMatrix:
         primary = arith.grammar.rule_id("Primary")
         # "3+4" inside the parentheses: value 7, remainder starts at ')'
         out = s.matrix[additive][3]
-        assert isinstance(out, Success) and out.end == 6
-        assert arith.evaluator(out.node, FIGURE_INPUT) == 7
+        assert isinstance(out, ParseTreeNode) and out.end == 6
+        assert arith.evaluator(out, FIGURE_INPUT) == 7
         # "(3+4)" as a parenthesized primary: value 7, remainder is EOF
         out = s.matrix[primary][2]
-        assert isinstance(out, Success) and out.end == 7
-        assert arith.evaluator(out.node, FIGURE_INPUT) == 7
+        assert isinstance(out, ParseTreeNode) and out.end == 7
+        assert arith.evaluator(out, FIGURE_INPUT) == 7
 
     def test_reference_parse_cell_counts(self, arith):
         s = new_session(arith.grammar, FIGURE_INPUT)
@@ -214,13 +214,13 @@ class TestParseOutcomes:
         s = new_session(arith.grammar, "2*2")
         out = s.eval_expr(seq(char("2"), char("*")), 0)
         assert out.end == 2
-        assert out.node.rule is None and out.node.span == (0, 2)
+        assert out.rule is None and out.span == (0, 2)
         assert s.eval_expr(char("x"), 0) is FAIL
 
     def test_predicates_are_zero_width(self, arith):
         s = new_session(arith.grammar, "2*2")
         out = s.eval_expr(not_(char("x")), 1)
-        assert out.end == 1 and out.node.span == (1, 1)
+        assert out.end == 1 and out.span == (1, 1)
 
     def test_empty_input_parses_when_grammar_allows(self):
         g = make_grammar([("S", star(char("a")))])
