@@ -17,13 +17,17 @@ Because evaluation is demand-driven, cells never touched by the parse
 stay Unevaluated, and total work is bounded by the matrix size rather
 than by the backtracking structure.
 
-Rule bodies are compiled once per grammar, at the first session on it,
-into a tree of closures ``run(session, pos)``, one per expression node
-(see :func:`_compile`), kept on the grammar's
-:class:`~pegkit.grammar.PreparedGrammar` handle.  A ``Ref`` closure
-calls :meth:`ParseSession.apply`, the single entry point for rule
-cells; the session's counters (``stats``) are kept up to date as each
-cell becomes Done.
+Each rule body becomes one generated Python function, written and
+compiled once per grammar at the first session on it (see
+:func:`_generate`) and kept on the grammar's
+:class:`~pegkit.grammar.PreparedGrammar` handle.  Inside it every
+subexpression is straight-line code on local variables, so a rule
+application costs two interpreter frames: ``apply`` and the rule's
+function.  A ``Ref`` calls :meth:`ParseSession.apply`, the single entry
+point for rule cells, and a terminal calls
+:meth:`ParseSession.char_outcome`, the single entry point for the
+character row; the session's counters (``stats``) are kept up to date
+as each cell becomes Done.
 
 Hitting an InProgress cell means the rule re-entered itself at the same
 position with no input consumed, so the session raises a structured
@@ -77,6 +81,7 @@ from .grammar import (
     Seq,
     Star,
     ValidationIssue,
+    _children,
     prepared,
     validation_errors,
 )
@@ -138,27 +143,20 @@ class ParseTreeNode:
 #: What a Done cell holds: the node of a success, or ``FAIL``.
 Outcome = ParseTreeNode | _Fail
 
-_new = object.__new__
-_set_rule = ParseTreeNode.rule.__set__
-_set_start = ParseTreeNode.start.__set__
-_set_end = ParseTreeNode.end.__set__
-_set_children = ParseTreeNode.children.__set__
+class _Unfrozen:
+    """A memo cell while it is being filled in.
 
+    It has :class:`ParseTreeNode`'s slots without the frozen
+    dataclass's ``__setattr__``, so the engine sets each field by a
+    plain attribute store and then turns the cell into a
+    ``ParseTreeNode`` by assigning ``__class__``, which CPython allows
+    only between classes of identical layout.  That takes about 0.35 µs
+    per cell, against 0.7 µs through the slot descriptors and 1.4 µs
+    through ``__init__`` (CPython 3.11.7).  The result is an ordinary,
+    equal, immutable ``ParseTreeNode``.
+    """
 
-def _success(
-    rule: int | None, start: int, end: int, kids: tuple[ParseTreeNode, ...]
-) -> ParseTreeNode:
-    """``ParseTreeNode(rule, start, end, kids)``, built through the slot
-    descriptors rather than the frozen dataclass's ``__init__``, which
-    sets each field by ``object.__setattr__``: about 0.6 µs per memo
-    cell instead of 1.2 µs (CPython 3.11.7, Xeon).  The result is an
-    ordinary, equal, immutable instance."""
-    node = _new(ParseTreeNode)
-    _set_rule(node, rule)
-    _set_start(node, start)
-    _set_end(node, end)
-    _set_children(node, kids)
-    return node
+    __slots__ = ("rule", "start", "end", "children")
 
 
 class InvalidGrammarError(Exception):
@@ -205,11 +203,11 @@ class DepthExceeded(Exception):
 DEFAULT_DEPTH_LIMIT = 100_000
 #: Interpreter recursion limit while a parse or a :func:`run_deep` call
 #: is live: room for ``DEFAULT_DEPTH_LIMIT`` nested rule applications at
-#: up to 13 interpreter frames each.  One application costs the
-#: ``apply`` frame plus one closure frame per expression level between
-#: the rule body and the ``Ref`` that applies the next rule, so 13
-#: frames allow Refs nested 12 levels deep; the catalog grammars nest
-#: theirs at most 3 deep.
+#: up to 13 interpreter frames each.  One application costs two frames,
+#: ``apply`` and the rule's generated function, plus one per outlined
+#: chunk (see ``_MAX_NESTING``) between the rule body and the ``Ref``
+#: that applies the next rule, so 13 frames allow 11 such chunks; the
+#: catalog grammars have none.
 DEEP_RECURSION_LIMIT = 1_344_177
 
 
@@ -288,7 +286,7 @@ def run_deep(fn, *args, **kwargs):
 def _prepare(grammar: Grammar) -> PreparedGrammar:
     """The grammar's handle, validated and with the engine's fields set.
 
-    Validation, labelling and compilation run once per grammar object;
+    Validation and code generation run once per grammar object;
     an invalid grammar raises :class:`InvalidGrammarError` on every
     call.
     """
@@ -298,186 +296,303 @@ def _prepare(grammar: Grammar) -> PreparedGrammar:
     if prep.errors:
         raise InvalidGrammarError(prep.errors)
     if prep.code is None:
-        names = grammar.names
-        prep.code = tuple(_compile(r.body, names) for r in grammar.rules)
+        prep.code = _generate([r.body for r in grammar.rules], grammar.names)
+        prep.expr_code = {}
     return prep
 
 
-def _compile(e: PegExpr, names: tuple[str, ...]):
-    """Closure ``run(session, pos)`` that evaluates ``e`` at ``pos``.
+#: Deepest indentation that the generated code of one function may
+#: reach.  A subexpression whose inline code would go deeper becomes a
+#: generated function of its own (an outlined chunk).  Python allows 100
+#: indentation levels and 20 nested loops, and every loop the generator
+#: writes opens an indentation level, so this bounds both.
+_MAX_NESTING = 16
 
-    ``run`` returns ``FAIL`` or ``(end, kids)``, where ``kids`` is the
-    tuple of nodes the match contributes to its parent, and adds 1 to
-    the session's expression steps; each subexpression is a closure of
-    its own.  Terminals and ``Not`` record their failure label for
-    diagnostics: "any character" for ``AnyChar``, otherwise the node
-    rendered here once with the grammar's rule ``names``.
+
+def _generate(bodies, names: tuple[str, ...]) -> tuple:
+    """One generated function ``run(s, pos, kids)`` per expression.
+
+    ``run`` evaluates its expression at ``pos`` in session ``s``.  It
+    returns the end position or ``FAIL``, and it appends the nodes the
+    match contributes to its parent to ``kids``; on ``FAIL``, ``kids``
+    is left as it was.  It adds to ``s._expr_steps`` one step per
+    expression node visited, as an interpreter of the tree would, and
+    flushes them before each call that can raise.  Terminals and ``Not``
+    record their failure label for diagnostics: "any character" for
+    ``AnyChar``, otherwise the node rendered once here with the
+    grammar's rule ``names``.
     """
+    # the generator recurses a few frames deep per nesting level
+    _enter_deep()
+    try:
+        src = _Source(names)
+        for i, e in enumerate(bodies):
+            _Function(src, f"_f{i}", e)
+        return src.build(len(bodies))
+    finally:
+        _leave_deep()
+
+
+class _Source:
+    """Source text of generated functions that share one namespace.
+
+    The source holds only template text, identifiers made here and
+    integers; every value taken from the grammar (character sets,
+    literal text, failure labels, messages) is a global constant of the
+    namespace.  The functions are taken out of the namespace after
+    ``exec``, so no function and its globals form a reference cycle.
+    """
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        self.lines: list[str] = []
+        self.ns: dict = {"FAIL": FAIL}
+        self._consts: dict = {}
+        self._heights: dict[int, int] = {}
+
+    def const(self, value) -> str:
+        key = (type(value), value)
+        name = self._consts.get(key)
+        if name is None:
+            name = self._consts[key] = f"K{len(self._consts)}"
+            self.ns[name] = value
+        return name
+
+    def label(self, e: PegExpr) -> str:
+        return self.const(render_expr(e, self.names))
+
+    def height(self, e: PegExpr) -> int:
+        """At least as many indentation levels as ``e``'s inline code
+        opens below its own, as :class:`_Function` writes it."""
+        h = self._heights.get(id(e))
+        if h is None:
+            h = max(map(self.height, _children(e)), default=0)
+            if type(e) is not Seq:
+                h += 2
+            self._heights[id(e)] = h
+        return h
+
+    def build(self, count: int) -> tuple:
+        code = compile("\n".join(self.lines) + "\n", "<pegkit generated>", "exec")
+        ns = self.ns
+        exec(code, ns)
+        return tuple(ns.pop(f"_f{i}") for i in range(count))
+
+
+def _produces(e: PegExpr) -> bool:
+    """Can a match of ``e`` append nodes to its parent's children?"""
     t = type(e)
-    if t is Ref:
-        rule = e.rule
+    if t in (Ref, AnyChar, Char, Class):
+        return True
+    if t is Literal:
+        return bool(e.text)
+    if t in (And, Not, Empty):
+        return False
+    return any(map(_produces, _children(e)))
 
-        def run(s, pos):
-            s._expr_steps += 1
-            out = s.apply(rule, pos)
-            if out is FAIL:
-                return FAIL
-            return out.end, (out,)
 
-        return run
+class _Function:
+    """Writes one generated function into a :class:`_Source`.
 
-    if t is Seq:
-        parts = tuple(_compile(p, names) for p in e.parts)
+    Code is written in failure-continuation style: the code of a
+    subexpression falls through on success, with its end position in a
+    local variable, and runs its ``fail`` continuation otherwise.  A
+    continuation is ``(jump, mark)``: the statement that leaves for the
+    failure target, and the local holding ``len(kids)`` as the target
+    expects it (None when nothing can have been appended since).
+    Expression steps are counted at generation time in ``pending`` and
+    written to the session before every ``apply`` or chunk call, at every
+    failure exit and wherever control flow merges.
+    """
 
-        def run(s, pos):
-            s._expr_steps += 1
-            kids: list[ParseTreeNode] = []
-            p = pos
-            for part in parts:
-                res = part(s, p)
-                if res is FAIL:
-                    return FAIL
-                p, nodes = res
-                kids.extend(nodes)
-            return p, tuple(kids)
+    def __init__(self, src: _Source, name: str, e: PegExpr):
+        self.src = src
+        self.body: list[str] = []
+        self.pending = 0
+        self.nvars = 0
+        self.uses_text = False
+        end = self.expr(e, "pos", ("return FAIL", None), 1, True)
+        self.flush(1)
+        self.line(1, f"return {end}")
+        src.lines.append(f"def {name}(s, pos, kids):")
+        if self.uses_text:
+            src.lines.append("    text = s.text")
+        src.lines.extend(self.body)
 
-        return run
+    def line(self, ind: int, text: str) -> None:
+        self.body.append("    " * ind + text)
 
-    if t is Choice:
-        alts = tuple(_compile(a, names) for a in e.alts)
+    def var(self) -> str:
+        self.nvars += 1
+        return f"v{self.nvars}"
 
-        def run(s, pos):
-            s._expr_steps += 1
-            for alt in alts:
-                res = alt(s, pos)
-                if res is not FAIL:
-                    return res
-            return FAIL
+    def flush(self, ind: int) -> None:
+        if self.pending:
+            self.line(ind, f"s._expr_steps += {self.pending}")
+            self.pending = 0
 
-        return run
+    def fail(self, ind: int, fail, pops: int = 0) -> None:
+        """Write ``fail`` at ``ind``; ``pops`` nodes were appended since
+        the continuation was made, if it has no mark."""
+        jump, mark = fail
+        if self.pending:
+            self.line(ind, f"s._expr_steps += {self.pending}")
+        if mark is not None:
+            self.line(ind, f"del kids[{mark}:]")
+        elif pops:
+            self.line(ind, f"del kids[-{pops}:]")
+        self.line(ind, jump)
 
-    if t is Star or t is Plus:
-        body = _compile(e.body, names)
-        at_least_one = t is Plus
-        kind = t.__name__
-
-        def run(s, pos):
-            s._expr_steps += 1
-            kids: list[ParseTreeNode] = []
-            p = pos
-            while True:
-                res = body(s, p)
-                if res is FAIL:
-                    # every iteration consumes, so p == pos only after none matched
-                    if p == pos and at_least_one:
-                        return FAIL
-                    return p, tuple(kids)
-                newp, nodes = res
-                if newp == p:
-                    raise RuntimeError(
-                        f"{kind} body matched without consuming input; "
-                        "validation should have rejected this grammar"
-                    )
-                kids.extend(nodes)
-                p = newp
-
-        return run
-
-    if t is Opt:
-        body = _compile(e.body, names)
-
-        def run(s, pos):
-            s._expr_steps += 1
-            res = body(s, pos)
-            if res is FAIL:
-                return pos, ()
-            return res
-
-        return run
-
-    if t is And:
-        body = _compile(e.body, names)
-
-        def run(s, pos):
-            s._expr_steps += 1
-            if body(s, pos) is FAIL:
-                return FAIL
-            return pos, ()
-
-        return run
-
-    if t is Empty:
-
-        def run(s, pos):
-            s._expr_steps += 1
-            return pos, ()
-
-        return run
-
-    if t is Not:
-        body = _compile(e.body, names)
-        label = render_expr(e, names)
-
-        def run(s, pos):
-            s._expr_steps += 1
-            if body(s, pos) is FAIL:
-                return pos, ()
-            if pos >= s._fail_pos:
-                s.record_failure(pos, label)
-            return FAIL
-
-        return run
-
-    if t is AnyChar:
-        label = "any character"
-
-        def run(s, pos):
-            s._expr_steps += 1
-            out = s.char_outcome(pos)
-            if out is FAIL:
-                if pos >= s._fail_pos:
-                    s.record_failure(pos, label)
-                return FAIL
-            return out.end, (out,)
-
-        return run
-
-    if t is Char or t is Class:
-        # a one-character string is "in" a Class's set and "in" itself
-        accepted = e.chars if t is Class else e.char
-        label = render_expr(e, names)
-
-        def run(s, pos):
-            s._expr_steps += 1
-            out = s.char_outcome(pos)
-            if out is not FAIL and s.text[pos] in accepted:
-                return out.end, (out,)
-            if pos >= s._fail_pos:
-                s.record_failure(pos, label)
-            return FAIL
-
-        return run
-
-    if t is not Literal:
+    def expr(self, e: PegExpr, pos: str, fail, ind: int, root: bool = False) -> str:
+        """Write ``e`` at ``pos`` and return the local of its end."""
+        src = self.src
+        t = type(e)
+        if not root and t is not Seq and ind + src.height(e) > _MAX_NESTING:
+            chunk = src.const(_generate((e,), src.names)[0])
+            self.flush(ind)
+            end = self.var()
+            self.line(ind, f"{end} = {chunk}(s, {pos}, kids)")
+            self.line(ind, f"if {end} is FAIL:")
+            self.fail(ind + 1, fail)
+            return end
+        self.pending += 1
+        if t is Ref:
+            rule = e.rule if type(e.rule) is int else src.const(e.rule)
+            self.flush(ind)
+            self.line(ind, f"x = s.apply({rule}, {pos})")
+            self.line(ind, "if x is FAIL:")
+            self.fail(ind + 1, fail)
+            return self.append(ind, "x.end")
+        if t is AnyChar:
+            return self.terminal(ind, pos, None, pos, src.const("any character"), fail)
+        if t is Char or t is Class:
+            # a one-character string is "in" a Class's set and "in" itself
+            accepted = e.chars if t is Class else e.char
+            return self.terminal(ind, pos, accepted, pos, src.label(e), fail)
+        if t is Literal:
+            label = src.label(e) if e.text else None
+            end = pos
+            for i, ch in enumerate(e.text):
+                end = self.terminal(ind, end, ch, pos, label, fail, i)
+            return end
+        if t is Empty:
+            return pos
+        if t is Seq:
+            return self.seq(e.parts, pos, fail, ind)
+        if t is Choice:
+            return self.choice(e.alts, pos, fail, ind)
+        if t is Star or t is Plus:
+            return self.repeat(e, pos, fail, ind)
+        if t is Opt:
+            end = self.var()
+            self.line(ind, f"{end} = {pos}")
+            self.attempt(e.body, pos, end, ind)
+            return end
+        if t is And or t is Not:
+            return self.predicate(e, pos, fail, ind)
         raise TypeError(f"not a PegExpr: {e!r}")
-    expected = e.text
-    label = render_expr(e, names)
 
-    def run(s, pos):
-        s._expr_steps += 1
-        kids = []
-        p = pos
-        for ch in expected:
-            out = s.char_outcome(p)
-            if out is FAIL or s.text[p] != ch:
-                if pos >= s._fail_pos:
-                    s.record_failure(pos, label)
-                return FAIL
-            kids.append(out)
-            p = out.end
-        return p, tuple(kids)
+    def append(self, ind: int, end: str) -> str:
+        var = self.var()
+        self.line(ind, "kids.append(x)")
+        self.line(ind, f"{var} = {end}")
+        return var
 
-    return run
+    def terminal(self, ind, pos, accepted, at, label, fail, pops=0) -> str:
+        """One character-row test at ``pos``: the character must be in
+        ``accepted`` (any character when it is None).  On failure,
+        record ``label`` at ``at`` and leave by ``fail``."""
+        test = "x is FAIL"
+        if accepted is not None:
+            self.uses_text = True
+            test += f" or text[{pos}] not in {self.src.const(accepted)}"
+        self.line(ind, f"x = s.char_outcome({pos})")
+        self.line(ind, f"if {test}:")
+        self.line(ind + 1, f"if {at} >= s._fail_pos:")
+        self.line(ind + 2, f"s.record_failure({at}, {label})")
+        self.fail(ind + 1, fail, pops)
+        # the cell's own end, so that nodes ending here share its int
+        return self.append(ind, "x.end")
+
+    def seq(self, parts, pos: str, fail, ind: int) -> str:
+        jump, mark = fail
+        producing = [_produces(p) for p in parts]
+        if mark is None and any(producing[:-1]):
+            mark = self.var()
+            self.line(ind, f"{mark} = len(kids)")
+        later = False
+        end = pos
+        for part, produces in zip(parts, producing):
+            # once a part may have appended, a failure must truncate
+            end = self.expr(part, end, (jump, mark) if later else fail, ind)
+            later = later or produces
+        return end
+
+    def choice(self, alts, pos: str, fail, ind: int) -> str:
+        if len(alts) == 1:
+            return self.expr(alts[0], pos, fail, ind)
+        end = self.var()
+        self.line(ind, f"{end} = FAIL")
+        self.line(ind, "while True:")
+        for alt in alts:
+            self.attempt(alt, pos, end, ind + 1)
+            self.line(ind + 1, f"if {end} is not FAIL:")
+            self.line(ind + 2, "break")
+        self.line(ind + 1, "break")
+        self.line(ind, f"if {end} is FAIL:")
+        self.fail(ind + 1, fail)
+        return end
+
+    def attempt(self, e: PegExpr, pos: str, end: str, ind: int) -> None:
+        """Try ``e`` at ``pos``: on success ``end`` becomes its end; on
+        failure ``end`` keeps its value.  Steps are flushed either way."""
+        self.line(ind, "while True:")
+        alt_end = self.expr(e, pos, ("break", None), ind + 1)
+        self.flush(ind + 1)
+        self.line(ind + 1, f"{end} = {alt_end}")
+        self.line(ind + 1, "break")
+
+    def repeat(self, e, pos: str, fail, ind: int) -> str:
+        self.flush(ind)
+        end = self.var()
+        self.line(ind, f"{end} = {pos}")
+        self.line(ind, "while True:")
+        body_end = self.expr(e.body, end, ("break", None), ind + 1)
+        self.flush(ind + 1)
+        self.line(ind + 1, f"if {body_end} == {end}:")
+        message = (
+            f"{type(e).__name__} body matched without consuming input; "
+            "validation should have rejected this grammar"
+        )
+        self.line(ind + 2, f"raise RuntimeError({self.src.const(message)})")
+        self.line(ind + 1, f"{end} = {body_end}")
+        if type(e) is Plus:
+            # every iteration consumes, so end == pos only after none matched
+            self.line(ind, f"if {end} == {pos}:")
+            self.fail(ind + 1, fail)
+        return end
+
+    def predicate(self, e, pos: str, fail, ind: int) -> str:
+        mark = None
+        if _produces(e.body):
+            mark = self.var()
+            self.line(ind, f"{mark} = len(kids)")
+        matched = self.var()
+        self.line(ind, f"{matched} = FAIL")
+        self.attempt(e.body, pos, matched, ind)
+        if type(e) is And:
+            self.line(ind, f"if {matched} is FAIL:")
+            self.fail(ind + 1, fail)
+            if mark is not None:
+                self.line(ind, f"del kids[{mark}:]")
+        else:
+            self.line(ind, f"if {matched} is not FAIL:")
+            if mark is not None:
+                self.line(ind + 1, f"del kids[{mark}:]")
+            self.line(ind + 1, f"if {pos} >= s._fail_pos:")
+            self.line(ind + 2, f"s.record_failure({pos}, {self.src.label(e)})")
+            self.fail(ind + 1, fail)
+        return pos
 
 
 @dataclass(frozen=True, slots=True)
@@ -539,6 +654,8 @@ class ParseSession:
         self.char_row: list = [UNEVALUATED] * n1
         self._active: list[tuple[int, int]] = []
         self._code = prep.code
+        self._expr_code = prep.expr_code
+        self._depth_limit = self.config.depth_limit
         self._cells_evaluated = 0
         self._char_cells = 0
         self._memo_bytes = _SLOT_BYTES * (len(grammar.rules) + 1) * n1
@@ -547,52 +664,70 @@ class ParseSession:
         self._fail_pos = -1
         self._fail_labels: set[str] = set()
 
+    def _bad_position(self, pos) -> ValueError:
+        return ValueError(
+            f"position {pos} is outside the input (0..{len(self.text)})"
+        )
+
     # -- memoized entry points ------------------------------------------
 
     def apply(self, rule: int, pos: int) -> Outcome:
         """Force the memo cell for (rule, pos) and return its outcome.
 
         At most one evaluation per cell ever happens; an InProgress hit
-        raises LeftRecursion with the offending cycle.
+        raises LeftRecursion with the offending cycle.  A position
+        outside ``0..len(text)`` raises ValueError.
         """
         row = self.matrix[rule]
-        cell = row[pos]
+        if pos < 0:
+            raise self._bad_position(pos)
+        try:
+            cell = row[pos]
+        except IndexError:
+            raise self._bad_position(pos) from None
         if cell is UNEVALUATED:
             active = self._active
-            if len(active) >= self.config.depth_limit:
+            depth = len(active)
+            if depth >= self._depth_limit:
                 raise DepthExceeded(
-                    self.config.depth_limit,
+                    self._depth_limit,
                     f"while applying rule {self.grammar.rule_name(rule)!r} at {pos}",
                 )
             row[pos] = INPROGRESS
-            outermost = not active
-            if outermost:
+            if not depth:
                 _enter_deep()
             active.append((rule, pos))
-            if len(active) > self._max_active_depth:
-                self._max_active_depth = len(active)
+            if depth >= self._max_active_depth:
+                self._max_active_depth = depth + 1
+            kids: list = []
             try:
-                res = self._code[rule](self, pos)
+                end = self._code[rule](self, pos, kids)
             except RecursionError:
                 raise DepthExceeded(
-                    self.config.depth_limit, "interpreter frame budget exhausted"
+                    self._depth_limit, "interpreter frame budget exhausted"
                 ) from None
             finally:
                 active.pop()
-                if outermost:
+                if not depth:
                     _leave_deep()
             if row[pos] is not INPROGRESS:
                 raise RuntimeError(f"memo cell ({rule}, {pos}) evaluated twice")
-            if res is FAIL:
+            if end is FAIL:
                 out: Outcome = FAIL
             else:
-                end, kids = res
-                out = _success(rule, pos, end, kids)
-                self._memo_bytes += (
-                    _NODE_BYTES + _TUPLE_BYTES + _PTR_BYTES * len(kids)
-                    if kids
-                    else _NODE_BYTES
-                )
+                out = _Unfrozen()
+                out.rule = rule
+                out.start = pos
+                out.end = end
+                if kids:
+                    out.children = tuple(kids)
+                    self._memo_bytes += (
+                        _NODE_BYTES + _TUPLE_BYTES + _PTR_BYTES * len(kids)
+                    )
+                else:
+                    out.children = ()
+                    self._memo_bytes += _NODE_BYTES
+                out.__class__ = ParseTreeNode
             row[pos] = out
             self._cells_evaluated += 1
             return out
@@ -607,22 +742,40 @@ class ParseSession:
 
         A match that contributes exactly one node returns that node;
         any other match is wrapped in an anonymous node spanning it, so
-        a success is always a single tree.
+        a success is always a single tree.  The expression's code is
+        generated on its first evaluation and kept on the grammar.  A
+        position outside ``0..len(text)`` raises ValueError.
         """
-        res = _compile(e, self.grammar.names)(self, pos)
-        if res is FAIL:
+        if not 0 <= pos <= len(self.text):
+            raise self._bad_position(pos)
+        run = self._expr_code.get(e)
+        if run is None:
+            run = self._expr_code[e] = _generate((e,), self.grammar.names)[0]
+        kids: list[ParseTreeNode] = []
+        end = run(self, pos, kids)
+        if end is FAIL:
             return FAIL
-        end, kids = res
         if len(kids) == 1:
             return kids[0]
-        return ParseTreeNode(None, pos, end, kids)
+        return ParseTreeNode(None, pos, end, tuple(kids))
 
     def char_outcome(self, pos: int) -> Outcome:
-        """Memoized character-row cell: one leaf per input position."""
-        cell = self.char_row[pos]
+        """Memoized character-row cell: one leaf per input position.  A
+        position outside ``0..len(text)`` raises ValueError."""
+        if pos < 0:
+            raise self._bad_position(pos)
+        try:
+            cell = self.char_row[pos]
+        except IndexError:
+            raise self._bad_position(pos) from None
         if cell is UNEVALUATED:
             if pos < len(self.text):
-                cell = _success(None, pos, pos + 1, ())
+                cell = _Unfrozen()
+                cell.rule = None
+                cell.start = pos
+                cell.end = pos + 1
+                cell.children = ()
+                cell.__class__ = ParseTreeNode
                 self._memo_bytes += _CHAR_CELL_BYTES
             else:
                 cell = FAIL

@@ -305,8 +305,11 @@ class PreparedGrammar:
 
     * ``errors``: the error-severity issues of :func:`validate`, filled
       by the engine or an oracle, whichever sees the grammar first;
-    * ``code``: the engine's compiled evaluator of each rule body, a
-      closure ``run(session, pos)`` per rule, in rule order;
+    * ``code``: the engine's generated function of each rule body,
+      ``run(session, pos, kids)``, in rule order;
+    * ``expr_code``: the engine's generated function of each expression
+      that ``ParseSession.eval_expr`` has evaluated, keyed by the
+      expression;
     * ``tabular_schedule``: the callee-first rule order of the tabular
       oracle, or a factory for the exception that refuses the grammar;
     * ``cfg_refusal``: ``(construct, rule name)`` of the first node
@@ -317,6 +320,7 @@ class PreparedGrammar:
         "nullability",
         "errors",
         "code",
+        "expr_code",
         "tabular_schedule",
         "cfg_refusal",
     )
@@ -325,6 +329,7 @@ class PreparedGrammar:
         self.nullability = nullability
         self.errors: tuple[ValidationIssue, ...] | None = None
         self.code: tuple[Callable, ...] | None = None
+        self.expr_code: dict[PegExpr, Callable] | None = None
         self.tabular_schedule: tuple[int, ...] | Callable[[], Exception] | None = None
         self.cfg_refusal: tuple[str, ...] | None = None
 

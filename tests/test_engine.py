@@ -228,6 +228,23 @@ class TestParseOutcomes:
         assert node.span == (0, 0)
 
 
+@pytest.mark.parametrize("pos", [-1, -3, 3, 10])
+def test_out_of_range_positions_are_rejected(entries, pos):
+    g = entries["arith_lexed"].grammar
+    digit = g.rule_id("Digit")
+    s = new_session(g, "12")
+    fresh = ([list(row) for row in s.matrix], list(s.char_row), stats(s))
+    with pytest.raises(ValueError, match="outside the input"):
+        s.apply(digit, pos)
+    with pytest.raises(ValueError, match="outside the input"):
+        s.char_outcome(pos)
+    with pytest.raises(ValueError, match="outside the input"):
+        s.eval_expr(ref(digit), pos)
+    assert ([list(row) for row in s.matrix], list(s.char_row), stats(s)) == fresh
+    # -1 used to wrap to the end-of-input cell and leave a node there
+    assert s.apply(digit, 2) is FAIL
+
+
 class TestErrors:
     def test_invalid_grammar_rejected_at_session_creation(self):
         g = make_grammar([("S", star(EMPTY))])
@@ -381,7 +398,10 @@ class TestDeepInputs:
         before = sys.getrecursionlimit()
         assert before < 5000
         config = EngineConfig(depth_limit=10**9)
-        s = new_session(lexed, "1" + "+1" * 2000, config=config)
+        # each "+1" nests one more Additive application, and every
+        # application takes at least two interpreter frames
+        chain = "1" + "+1" * engine.DEEP_RECURSION_LIMIT
+        s = new_session(lexed, chain, config=config)
         with pytest.raises(DepthExceeded) as exc:
             parse_complete(s)
         assert exc.value.limit == 10**9

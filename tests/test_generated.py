@@ -1,0 +1,176 @@
+"""The engine's generated rule functions: outlining, grammar text kept out
+of the source, frames per rule application and the eval_expr cache."""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import sys
+import weakref
+
+import pytest
+
+from pegkit import (
+    ParseFailed,
+    char,
+    charclass,
+    choice,
+    furthest_failure,
+    grammar_text,
+    lit,
+    load_grammar,
+    make_grammar,
+    new_session,
+    not_,
+    parse_complete,
+    plus,
+    ref,
+    seq,
+    stats,
+)
+from pegkit import engine
+from pegkit.engine import ParseSession
+from pegkit.grammar import Grammar, prepared
+
+
+# Recorded with the closure compiler that the generator replaced: the
+# tree's leaves, stats() and the furthest failure of "aba", and the
+# message for "abba".
+@pytest.mark.parametrize("depth, steps", [(30, 533), (120, 7508)])
+def test_deeply_nested_repetitions_parse(depth, steps):
+    # Without outlining, the inline code of 30 levels has too many
+    # nested loops for Python and that of 120 too many indentation levels.
+    g = load_grammar("S <- " + "(" * depth + "'a' 'b'?" + ")+" * depth + " ;")
+    s = new_session(g, "aba")
+    tree = parse_complete(s)
+    assert [k.span for k in tree.children] == [(0, 1), (1, 2), (2, 3)]
+    assert dataclasses.astuple(stats(s)) == (1, 4, steps, 1, 480)
+    assert furthest_failure(s) == (3, frozenset({"'a'", "'b'"}))
+    with pytest.raises(ParseFailed) as exc:
+        parse_complete(new_session(g, "abba"))
+    assert str(exc.value) == (
+        "input not fully consumed (matched up to position 2) at position 2 "
+        "(column 3); expected one of: 'a'"
+    )
+
+
+def test_three_hundred_nested_predicates():
+    # the generator recurses a few frames deep per nesting level
+    g = load_grammar("S <- " + "!" * 301 + "'a' 'b' ;")
+    s = new_session(g, "b")
+    assert parse_complete(s).span == (0, 1)
+    assert stats(s).expr_steps == 304
+
+
+def test_generated_code_is_freed_with_its_grammar():
+    g = load_grammar("S <- " + "(" * 120 + "'a' 'b'?" + ")+" * 120 + " ;")
+    parse_complete(new_session(g, "ab"))
+    functions = [weakref.ref(f) for f in prepared(g).code]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del g
+        # freed by reference counting: no function and its globals,
+        # nor an outlined chunk and its caller, form a cycle
+        assert [f() for f in functions] == [None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+START = "q\"uote's"
+TOKEN = 'back\\slash\n{name}"""'
+BANG = '__import__("os").system("exit 1")'
+HOSTILE = make_grammar(
+    [
+        (START, seq(plus(ref(TOKEN)), not_(ref(BANG)))),
+        (
+            TOKEN,
+            choice(
+                lit('"""'),
+                lit("'''"),
+                lit("{0}"),
+                lit('"); raise SystemExit("'),
+                lit("\\n"),
+                charclass("\\\n'\"{}"),
+            ),
+        ),
+        (BANG, seq(char("!"), lit("#{x}"))),
+    ]
+)
+# (input, (rule, start, end, child count) of each child of the tree, or
+# the ParseFailed message), recorded with the closure compiler.
+HOSTILE_CASES = [
+    ('"""\'\'\'{0}', [(1, 0, 3, 3), (1, 3, 6, 3), (1, 6, 9, 3)]),
+    ('\\\n\'"{}', [(1, 0, 1, 1), (1, 1, 2, 1), (1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1), (1, 5, 6, 1)]),
+    ('"); raise SystemExit("\\n', [(1, 0, 22, 22), (1, 22, 24, 2)]),
+    ('{0}!', 'input not fully consumed (matched up to position 3) at position 4 (column 5); expected one of: "#{x}"'),
+    ('{0}!#{x}', 'parse failed at position 3 (column 4); expected one of: !__import__("os").system("exit 1"), "\'\'\'", "\\"); raise SystemExit(\\"", "\\"\\"\\"", "\\\\n", "{0}", [\\n"\'\\\\{}]'),
+    ('', 'parse failed at position 0 (column 1); expected one of: "\'\'\'", "\\"); raise SystemExit(\\"", "\\"\\"\\"", "\\\\n", "{0}", [\\n"\'\\\\{}]'),
+]
+
+
+@pytest.mark.parametrize("text, expected", HOSTILE_CASES)
+def test_grammar_text_that_looks_like_code(text, expected):
+    s = new_session(HOSTILE, text)
+    try:
+        tree = parse_complete(s)
+        got = [(k.rule, k.start, k.end, len(k.children)) for k in tree.children]
+    except ParseFailed as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_generated_source_holds_no_grammar_text(monkeypatch):
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(engine, "compile", spy, raising=False)
+    g = Grammar(HOSTILE.rules)  # a fresh object, not yet generated
+    s = new_session(g, "{0}")
+    parse_complete(s)
+    s.eval_expr(not_(lit("'''")), 0)
+    assert len(sources) == 2
+    for source in sources:
+        # no string literal, escape, f-string field or comment
+        assert not set(source) & set("'\"\\{}#"), source
+
+
+def test_a_rule_application_costs_two_frames():
+    g = load_grammar("A <- 'x' A / 'y' ;")
+    depths: dict[int, int] = {}
+
+    class Probe(ParseSession):
+        def char_outcome(self, pos):
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            depths.setdefault(pos, depth)
+            return super().char_outcome(pos)
+
+    parse_complete(Probe(g, "xxxy"))
+    # the first character test at each position is made by A applied
+    # there, one application deeper than at the previous position
+    assert [depths[p + 1] - depths[p] for p in range(3)] == [2, 2, 2]
+
+
+def test_eval_expr_generates_each_expression_once(monkeypatch):
+    generated = []
+    real = engine._generate
+
+    def counting(bodies, names):
+        generated.append(tuple(bodies))
+        return real(bodies, names)
+
+    monkeypatch.setattr(engine, "_generate", counting)
+    g = load_grammar(grammar_text("arith"))
+    for text in ("2*", "2*3", "x"):
+        s = new_session(g, text)
+        for pos in range(len(text) + 1):
+            s.eval_expr(seq(char("2"), char("*")), pos)
+            s.eval_expr(not_(char("x")), pos)
+    rules = tuple(r.body for r in g.rules)
+    assert generated == [rules, (seq(char("2"), char("*")),), (not_(char("x")),)]
