@@ -20,7 +20,10 @@ than by the backtracking structure.
 Each rule body becomes one generated Python function, written and
 compiled once per grammar at the first session on it (see
 :func:`_generate`) and kept on the grammar's
-:class:`~pegkit.grammar.PreparedGrammar` handle.  Inside it every
+:class:`~pegkit.grammar.PreparedGrammar` handle.  As in the paper,
+where a nonterminal's parsing function returns the result that fills
+its memo field, the function returns the rule's cell: ``FAIL`` or the
+node it built from the locals that hold the children.  Inside it every
 subexpression is straight-line code on local variables, so a rule
 application costs two interpreter frames: ``apply`` and the rule's
 function.  A ``Ref`` calls :meth:`ParseSession.apply`, the single entry
@@ -147,13 +150,13 @@ class _Unfrozen:
     """A memo cell while it is being filled in.
 
     It has :class:`ParseTreeNode`'s slots without the frozen
-    dataclass's ``__setattr__``, so the engine sets each field by a
-    plain attribute store and then turns the cell into a
-    ``ParseTreeNode`` by assigning ``__class__``, which CPython allows
-    only between classes of identical layout.  That takes about 0.35 µs
-    per cell, against 0.7 µs through the slot descriptors and 1.4 µs
-    through ``__init__`` (CPython 3.11.7).  The result is an ordinary,
-    equal, immutable ``ParseTreeNode``.
+    dataclass's ``__setattr__``, so the generated rule functions and
+    ``char_outcome`` set each field by a plain attribute store and then
+    turn the cell into a ``ParseTreeNode`` by assigning ``__class__``,
+    which CPython allows only between classes of identical layout.  That
+    takes about 0.35 µs per cell, against 0.7 µs through the slot
+    descriptors and 1.4 µs through ``__init__`` (CPython 3.11.7).  The
+    result is an ordinary, equal, immutable ``ParseTreeNode``.
     """
 
     __slots__ = ("rule", "start", "end", "children")
@@ -296,7 +299,9 @@ def _prepare(grammar: Grammar) -> PreparedGrammar:
     if prep.errors:
         raise InvalidGrammarError(prep.errors)
     if prep.code is None:
-        prep.code = _generate([r.body for r in grammar.rules], grammar.names)
+        prep.code = _generate(
+            [r.body for r in grammar.rules], grammar.names, rules=True
+        )
         prep.expr_code = {}
     return prep
 
@@ -309,25 +314,28 @@ def _prepare(grammar: Grammar) -> PreparedGrammar:
 _MAX_NESTING = 16
 
 
-def _generate(bodies, names: tuple[str, ...]) -> tuple:
-    """One generated function ``run(s, pos, kids)`` per expression.
+def _generate(bodies, names: tuple[str, ...], rules: bool = False) -> tuple:
+    """One generated function ``run(s, pos)`` per expression.
 
-    ``run`` evaluates its expression at ``pos`` in session ``s``.  It
-    returns the end position or ``FAIL``, and it appends the nodes the
-    match contributes to its parent to ``kids``; on ``FAIL``, ``kids``
-    is left as it was.  It adds to ``s._expr_steps`` one step per
-    expression node visited, as an interpreter of the tree would, and
-    flushes them before each call that can raise.  Terminals and ``Not``
-    record their failure label for diagnostics: "any character" for
-    ``AnyChar``, otherwise the node rendered once here with the
-    grammar's rule ``names``.
+    ``run`` evaluates its expression at ``pos`` in session ``s`` and
+    returns ``FAIL`` or the node of the match, built where the match
+    succeeds from the locals that hold its children.  With ``rules``,
+    function ``i`` is the body of rule ``i``: its node is the rule's
+    memo cell, labelled ``i``, and it adds the node's bytes to
+    ``s._memo_bytes``.  Otherwise the node is anonymous (``rule`` is
+    None) and its caller takes the children.  ``run`` adds to
+    ``s._expr_steps`` one step per expression node visited, as an
+    interpreter of the tree would, and flushes them before each call
+    that can raise.  Terminals and ``Not`` record their failure label
+    for diagnostics: "any character" for ``AnyChar``, otherwise the node
+    rendered once here with the grammar's rule ``names``.
     """
     # the generator recurses a few frames deep per nesting level
     _enter_deep()
     try:
         src = _Source(names)
         for i, e in enumerate(bodies):
-            _Function(src, f"_f{i}", e)
+            _Function(src, f"_f{i}", e, i if rules else None)
         return src.build(len(bodies))
     finally:
         _leave_deep()
@@ -346,7 +354,11 @@ class _Source:
     def __init__(self, names: tuple[str, ...]):
         self.names = names
         self.lines: list[str] = []
-        self.ns: dict = {"FAIL": FAIL}
+        self.ns: dict = {
+            "FAIL": FAIL,
+            "ParseTreeNode": ParseTreeNode,
+            "_Unfrozen": _Unfrozen,
+        }
         self._consts: dict = {}
         self._heights: dict[int, int] = {}
 
@@ -379,48 +391,54 @@ class _Source:
         return tuple(ns.pop(f"_f{i}") for i in range(count))
 
 
-def _produces(e: PegExpr) -> bool:
-    """Can a match of ``e`` append nodes to its parent's children?"""
-    t = type(e)
-    if t in (Ref, AnyChar, Char, Class):
-        return True
-    if t is Literal:
-        return bool(e.text)
-    if t in (And, Not, Empty):
-        return False
-    return any(map(_produces, _children(e)))
+def _fixed(kids: list[str]) -> bool:
+    """Is the number of children in ``kids`` known here?"""
+    return not any(k.startswith("*") for k in kids)
+
+
+def _tuple(kids: list[str]) -> str:
+    """A tuple display of ``kids``."""
+    return "(" + ", ".join(kids) + ("," if len(kids) == 1 else "") + ")"
 
 
 class _Function:
     """Writes one generated function into a :class:`_Source`.
 
     Code is written in failure-continuation style: the code of a
-    subexpression falls through on success, with its end position in a
-    local variable, and runs its ``fail`` continuation otherwise.  A
-    continuation is ``(jump, mark)``: the statement that leaves for the
-    failure target, and the local holding ``len(kids)`` as the target
-    expects it (None when nothing can have been appended since).
-    Expression steps are counted at generation time in ``pending`` and
-    written to the session before every ``apply`` or chunk call, at every
-    failure exit and wherever control flow merges.
+    subexpression falls through on success and runs its ``fail``
+    statement, which leaves for the failure target, otherwise.  A
+    subexpression written by :meth:`expr` leaves the expression of its
+    end position and its children: a list of locals that each hold one
+    node, and starred locals (``*v3``) that hold a sequence of nodes
+    where their number varies.  A subexpression written by :meth:`tail`
+    ends the function instead: every path on which it matches returns
+    the function's node, so a choice there needs no merge.  Expression
+    steps are counted at generation time in ``pending`` and written to
+    the session before every ``apply`` or chunk call, at every exit and
+    wherever control flow merges.
     """
 
-    def __init__(self, src: _Source, name: str, e: PegExpr):
+    def __init__(self, src: _Source, name: str, e: PegExpr, rule: int | None):
         self.src = src
+        self.rule = rule
         self.body: list[str] = []
         self.pending = 0
         self.nvars = 0
         self.uses_text = False
-        end = self.expr(e, "pos", ("return FAIL", None), 1, True)
-        self.flush(1)
-        self.line(1, f"return {end}")
-        src.lines.append(f"def {name}(s, pos, kids):")
+        self.tail(e, "pos", "return FAIL", 1, [], True)
+        src.lines.append(f"def {name}(s, pos):")
         if self.uses_text:
             src.lines.append("    text = s.text")
-        src.lines.extend(self.body)
+        # a slot left unfilled is blank
+        src.lines.extend(line for line in self.body if line.strip())
 
     def line(self, ind: int, text: str) -> None:
         self.body.append("    " * ind + text)
+
+    def slot(self, ind: int) -> int:
+        """Reserve a line at ``ind``, for :meth:`merge` to fill."""
+        self.body.append("    " * ind)
+        return len(self.body) - 1
 
     def var(self) -> str:
         self.nvars += 1
@@ -431,52 +449,104 @@ class _Function:
             self.line(ind, f"s._expr_steps += {self.pending}")
             self.pending = 0
 
-    def fail(self, ind: int, fail, pops: int = 0) -> None:
-        """Write ``fail`` at ``ind``; ``pops`` nodes were appended since
-        the continuation was made, if it has no mark."""
-        jump, mark = fail
+    def fail(self, ind: int, fail: str) -> None:
         if self.pending:
             self.line(ind, f"s._expr_steps += {self.pending}")
-        if mark is not None:
-            self.line(ind, f"del kids[{mark}:]")
-        elif pops:
-            self.line(ind, f"del kids[-{pops}:]")
-        self.line(ind, jump)
+        self.line(ind, fail)
 
-    def expr(self, e: PegExpr, pos: str, fail, ind: int, root: bool = False) -> str:
-        """Write ``e`` at ``pos`` and return the local of its end."""
+    def exit(self, ind: int, end: str, kids: list[str]) -> None:
+        """Return the function's node: ``pos`` to ``end``, with ``kids``.
+
+        The node is built as :class:`_Unfrozen` and becomes a
+        :class:`ParseTreeNode` by ``__class__`` assignment.  A rule's
+        node is its memo cell, so its bytes are charged here, by the
+        model of :class:`Stats`: a constant when the number of children
+        is known here.
+        """
+        self.flush(ind)
+        self.line(ind, "n = _Unfrozen()")
+        self.line(ind, f"n.rule = {self.rule}")
+        self.line(ind, "n.start = pos")
+        self.line(ind, f"n.end = {end}")
+        if self.rule is None:
+            self.line(ind, f"n.children = {_tuple(kids)}")
+        elif _fixed(kids):
+            self.line(ind, f"n.children = {_tuple(kids)}")
+            size = _NODE_BYTES + (_TUPLE_BYTES + _PTR_BYTES * len(kids) if kids else 0)
+            self.line(ind, f"s._memo_bytes += {size}")
+        else:
+            self.line(ind, f"n.children = c = {_tuple(kids)}")
+            self.line(
+                ind,
+                f"s._memo_bytes += {_NODE_BYTES + _TUPLE_BYTES} + {_PTR_BYTES} * len(c)"
+                f" if c else {_NODE_BYTES}",
+            )
+        self.line(ind, "n.__class__ = ParseTreeNode")
+        self.line(ind, "return n")
+
+    def tail(self, e: PegExpr, pos: str, fail: str, ind: int, kids: list[str],
+             root: bool = False) -> None:
+        """Write ``e`` at ``pos`` to end the function, after ``kids``."""
+        t = type(e)
+        if t is Seq:
+            self.pending += 1
+            pos, more = self.seq(e.parts[:-1], pos, fail, ind)
+            self.tail(e.parts[-1], pos, fail, ind, kids + more)
+        elif t in (Choice, Opt) and (root or ind + self.src.height(e) <= _MAX_NESTING):
+            # each alternative but the last fails by leaving its loop
+            self.pending += 1
+            if t is Opt:
+                self.line(ind, "while True:")
+                self.tail(e.body, pos, "break", ind + 1, kids)
+                self.exit(ind, pos, kids)
+            else:
+                for alt in e.alts[:-1]:
+                    self.line(ind, "while True:")
+                    self.tail(alt, pos, "break", ind + 1, kids)
+                self.tail(e.alts[-1], pos, fail, ind, kids)
+        else:
+            end, more = self.expr(e, pos, fail, ind, root)
+            self.exit(ind, end, kids + more)
+
+    def expr(self, e: PegExpr, pos: str, fail: str, ind: int, root: bool = False):
+        """Write ``e`` at ``pos``; return its end and its children."""
         src = self.src
         t = type(e)
         if not root and t is not Seq and ind + src.height(e) > _MAX_NESTING:
             chunk = src.const(_generate((e,), src.names)[0])
             self.flush(ind)
-            end = self.var()
-            self.line(ind, f"{end} = {chunk}(s, {pos}, kids)")
-            self.line(ind, f"if {end} is FAIL:")
+            node = self.var()
+            self.line(ind, f"{node} = {chunk}(s, {pos})")
+            self.line(ind, f"if {node} is FAIL:")
             self.fail(ind + 1, fail)
-            return end
+            return f"{node}.end", [f"*{node}.children"]
         self.pending += 1
         if t is Ref:
             rule = e.rule if type(e.rule) is int else src.const(e.rule)
             self.flush(ind)
-            self.line(ind, f"x = s.apply({rule}, {pos})")
-            self.line(ind, "if x is FAIL:")
+            node = self.var()
+            self.line(ind, f"{node} = s.apply({rule}, {pos})")
+            self.line(ind, f"if {node} is FAIL:")
             self.fail(ind + 1, fail)
-            return self.append(ind, "x.end")
+            return f"{node}.end", [node]
         if t is AnyChar:
-            return self.terminal(ind, pos, None, pos, src.const("any character"), fail)
+            node = self.terminal(ind, pos, None, pos, src.const("any character"), fail)
+            return f"{node}.end", [node]
         if t is Char or t is Class:
             # a one-character string is "in" a Class's set and "in" itself
             accepted = e.chars if t is Class else e.char
-            return self.terminal(ind, pos, accepted, pos, src.label(e), fail)
+            node = self.terminal(ind, pos, accepted, pos, src.label(e), fail)
+            return f"{node}.end", [node]
         if t is Literal:
             label = src.label(e) if e.text else None
-            end = pos
-            for i, ch in enumerate(e.text):
-                end = self.terminal(ind, end, ch, pos, label, fail, i)
-            return end
+            end, kids = pos, []
+            for ch in e.text:
+                node = self.terminal(ind, end, ch, pos, label, fail)
+                end = f"{node}.end"
+                kids.append(node)
+            return end, kids
         if t is Empty:
-            return pos
+            return pos, []
         if t is Seq:
             return self.seq(e.parts, pos, fail, ind)
         if t is Choice:
@@ -486,78 +556,92 @@ class _Function:
         if t is Opt:
             end = self.var()
             self.line(ind, f"{end} = {pos}")
-            self.attempt(e.body, pos, end, ind)
-            return end
+            missing = self.slot(ind)
+            present = self.attempt(e.body, pos, end, ind)
+            return end, self.merge([(missing, []), present])
         if t is And or t is Not:
-            return self.predicate(e, pos, fail, ind)
+            return self.predicate(e, pos, fail, ind), []
         raise TypeError(f"not a PegExpr: {e!r}")
 
-    def append(self, ind: int, end: str) -> str:
-        var = self.var()
-        self.line(ind, "kids.append(x)")
-        self.line(ind, f"{var} = {end}")
-        return var
-
-    def terminal(self, ind, pos, accepted, at, label, fail, pops=0) -> str:
+    def terminal(self, ind, pos, accepted, at, label, fail) -> str:
         """One character-row test at ``pos``: the character must be in
         ``accepted`` (any character when it is None).  On failure,
-        record ``label`` at ``at`` and leave by ``fail``."""
-        test = "x is FAIL"
+        record ``label`` at ``at`` and leave by ``fail``.  Returns the
+        local holding the character's node, whose ``end`` is the cell's
+        own, so that nodes ending there share its int."""
+        node = self.var()
+        test = f"{node} is FAIL"
         if accepted is not None:
             self.uses_text = True
             test += f" or text[{pos}] not in {self.src.const(accepted)}"
-        self.line(ind, f"x = s.char_outcome({pos})")
+        self.line(ind, f"{node} = s.char_outcome({pos})")
         self.line(ind, f"if {test}:")
         self.line(ind + 1, f"if {at} >= s._fail_pos:")
         self.line(ind + 2, f"s.record_failure({at}, {label})")
-        self.fail(ind + 1, fail, pops)
-        # the cell's own end, so that nodes ending here share its int
-        return self.append(ind, "x.end")
+        self.fail(ind + 1, fail)
+        return node
 
-    def seq(self, parts, pos: str, fail, ind: int) -> str:
-        jump, mark = fail
-        producing = [_produces(p) for p in parts]
-        if mark is None and any(producing[:-1]):
-            mark = self.var()
-            self.line(ind, f"{mark} = len(kids)")
-        later = False
-        end = pos
-        for part, produces in zip(parts, producing):
-            # once a part may have appended, a failure must truncate
-            end = self.expr(part, end, (jump, mark) if later else fail, ind)
-            later = later or produces
-        return end
+    def seq(self, parts, pos: str, fail: str, ind: int):
+        kids: list[str] = []
+        for part in parts:
+            pos, more = self.expr(part, pos, fail, ind)
+            kids += more
+        return pos, kids
 
-    def choice(self, alts, pos: str, fail, ind: int) -> str:
+    def choice(self, alts, pos: str, fail: str, ind: int):
         if len(alts) == 1:
             return self.expr(alts[0], pos, fail, ind)
         end = self.var()
         self.line(ind, f"{end} = FAIL")
         self.line(ind, "while True:")
+        attempts = []
         for alt in alts:
-            self.attempt(alt, pos, end, ind + 1)
+            attempts.append(self.attempt(alt, pos, end, ind + 1))
             self.line(ind + 1, f"if {end} is not FAIL:")
             self.line(ind + 2, "break")
         self.line(ind + 1, "break")
         self.line(ind, f"if {end} is FAIL:")
         self.fail(ind + 1, fail)
-        return end
+        return end, self.merge(attempts)
 
-    def attempt(self, e: PegExpr, pos: str, end: str, ind: int) -> None:
+    def attempt(self, e: PegExpr, pos: str, end: str, ind: int):
         """Try ``e`` at ``pos``: on success ``end`` becomes its end; on
-        failure ``end`` keeps its value.  Steps are flushed either way."""
+        failure ``end`` keeps its value.  Steps are flushed either way.
+        Returns the slot for the merge on success and ``e``'s children."""
         self.line(ind, "while True:")
-        alt_end = self.expr(e, pos, ("break", None), ind + 1)
+        alt_end, kids = self.expr(e, pos, "break", ind + 1)
         self.flush(ind + 1)
         self.line(ind + 1, f"{end} = {alt_end}")
+        slot = self.slot(ind + 1)
         self.line(ind + 1, "break")
+        return slot, kids
 
-    def repeat(self, e, pos: str, fail, ind: int) -> str:
+    def merge(self, attempts) -> list[str]:
+        """Fill the slot of each ``(slot, kids)`` attempt so that the
+        children of the attempt that matched end up in the same locals,
+        and return those: one local per child when every attempt has the
+        same known number of children, or else one tuple."""
+        counts = {len(kids) if _fixed(kids) else None for _, kids in attempts}
+        if counts == {0}:
+            return []
+        if len(counts) == 1 and None not in counts:
+            merged = [self.var() for _ in attempts[0][1]]
+            for slot, kids in attempts:
+                self.body[slot] += f"{', '.join(merged)} = {', '.join(kids)}"
+            return merged
+        merged = self.var()
+        for slot, kids in attempts:
+            self.body[slot] += f"{merged} = {_tuple(kids)}"
+        return [f"*{merged}"]
+
+    def repeat(self, e, pos: str, fail: str, ind: int):
         self.flush(ind)
         end = self.var()
+        kids = self.var()
         self.line(ind, f"{end} = {pos}")
+        self.line(ind, f"{kids} = []")
         self.line(ind, "while True:")
-        body_end = self.expr(e.body, end, ("break", None), ind + 1)
+        body_end, more = self.expr(e.body, end, "break", ind + 1)
         self.flush(ind + 1)
         self.line(ind + 1, f"if {body_end} == {end}:")
         message = (
@@ -566,29 +650,27 @@ class _Function:
         )
         self.line(ind + 2, f"raise RuntimeError({self.src.const(message)})")
         self.line(ind + 1, f"{end} = {body_end}")
+        if len(more) == 1 and _fixed(more):
+            self.line(ind + 1, f"{kids}.append({more[0]})")
+        elif len(more) == 1:
+            self.line(ind + 1, f"{kids} += {more[0][1:]}")
+        elif more:
+            self.line(ind + 1, f"{kids} += {_tuple(more)}")
         if type(e) is Plus:
             # every iteration consumes, so end == pos only after none matched
             self.line(ind, f"if {end} == {pos}:")
             self.fail(ind + 1, fail)
-        return end
+        return end, [f"*{kids}"]
 
-    def predicate(self, e, pos: str, fail, ind: int) -> str:
-        mark = None
-        if _produces(e.body):
-            mark = self.var()
-            self.line(ind, f"{mark} = len(kids)")
+    def predicate(self, e, pos: str, fail: str, ind: int) -> str:
         matched = self.var()
         self.line(ind, f"{matched} = FAIL")
         self.attempt(e.body, pos, matched, ind)
         if type(e) is And:
             self.line(ind, f"if {matched} is FAIL:")
             self.fail(ind + 1, fail)
-            if mark is not None:
-                self.line(ind, f"del kids[{mark}:]")
         else:
             self.line(ind, f"if {matched} is not FAIL:")
-            if mark is not None:
-                self.line(ind + 1, f"del kids[{mark}:]")
             self.line(ind + 1, f"if {pos} >= s._fail_pos:")
             self.line(ind + 2, f"s.record_failure({pos}, {self.src.label(e)})")
             self.fail(ind + 1, fail)
@@ -669,22 +751,30 @@ class ParseSession:
             f"position {pos} is outside the input (0..{len(self.text)})"
         )
 
+    def _bad_cell(self, rule, pos) -> ValueError:
+        if 0 <= rule < len(self.matrix):
+            return self._bad_position(pos)
+        return ValueError(
+            f"rule {rule} is outside the grammar (0..{len(self.matrix) - 1})"
+        )
+
     # -- memoized entry points ------------------------------------------
 
     def apply(self, rule: int, pos: int) -> Outcome:
         """Force the memo cell for (rule, pos) and return its outcome.
 
         At most one evaluation per cell ever happens; an InProgress hit
-        raises LeftRecursion with the offending cycle.  A position
-        outside ``0..len(text)`` raises ValueError.
+        raises LeftRecursion with the offending cycle.  A rule outside
+        ``0..len(rules) - 1`` or a position outside ``0..len(text)``
+        raises ValueError.
         """
-        row = self.matrix[rule]
-        if pos < 0:
-            raise self._bad_position(pos)
+        if rule < 0 or pos < 0:
+            raise self._bad_cell(rule, pos)
         try:
+            row = self.matrix[rule]
             cell = row[pos]
         except IndexError:
-            raise self._bad_position(pos) from None
+            raise self._bad_cell(rule, pos) from None
         if cell is UNEVALUATED:
             active = self._active
             depth = len(active)
@@ -699,9 +789,8 @@ class ParseSession:
             active.append((rule, pos))
             if depth >= self._max_active_depth:
                 self._max_active_depth = depth + 1
-            kids: list = []
             try:
-                end = self._code[rule](self, pos, kids)
+                out = self._code[rule](self, pos)
             except RecursionError:
                 raise DepthExceeded(
                     self._depth_limit, "interpreter frame budget exhausted"
@@ -712,22 +801,6 @@ class ParseSession:
                     _leave_deep()
             if row[pos] is not INPROGRESS:
                 raise RuntimeError(f"memo cell ({rule}, {pos}) evaluated twice")
-            if end is FAIL:
-                out: Outcome = FAIL
-            else:
-                out = _Unfrozen()
-                out.rule = rule
-                out.start = pos
-                out.end = end
-                if kids:
-                    out.children = tuple(kids)
-                    self._memo_bytes += (
-                        _NODE_BYTES + _TUPLE_BYTES + _PTR_BYTES * len(kids)
-                    )
-                else:
-                    out.children = ()
-                    self._memo_bytes += _NODE_BYTES
-                out.__class__ = ParseTreeNode
             row[pos] = out
             self._cells_evaluated += 1
             return out
@@ -751,13 +824,10 @@ class ParseSession:
         run = self._expr_code.get(e)
         if run is None:
             run = self._expr_code[e] = _generate((e,), self.grammar.names)[0]
-        kids: list[ParseTreeNode] = []
-        end = run(self, pos, kids)
-        if end is FAIL:
-            return FAIL
-        if len(kids) == 1:
-            return kids[0]
-        return ParseTreeNode(None, pos, end, tuple(kids))
+        out = run(self, pos)
+        if out is not FAIL and len(out.children) == 1:
+            return out.children[0]
+        return out
 
     def char_outcome(self, pos: int) -> Outcome:
         """Memoized character-row cell: one leaf per input position.  A

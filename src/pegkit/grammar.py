@@ -306,7 +306,8 @@ class PreparedGrammar:
     * ``errors``: the error-severity issues of :func:`validate`, filled
       by the engine or an oracle, whichever sees the grammar first;
     * ``code``: the engine's generated function of each rule body,
-      ``run(session, pos, kids)``, in rule order;
+      ``run(session, pos)``, which returns the rule's memo cell, in
+      rule order;
     * ``expr_code``: the engine's generated function of each expression
       that ``ParseSession.eval_expr`` has evaluated, keyed by the
       expression;

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from pegkit import (
+    EngineConfig,
     LeftRecursion,
     grammar_text,
     load_grammar,
@@ -24,6 +28,78 @@ EXPECTED_NAMES = {
     "left_recursive_arith",
     "blowup",
 }
+
+
+def short_texts(alphabet: str, max_len: int) -> list[str]:
+    return [
+        "".join(t)
+        for n in range(max_len + 1)
+        for t in itertools.product(alphabet, repeat=n)
+    ]
+
+
+# Recorded on the engine whose rule functions appended to a children
+# list: per catalog grammar, the digest of its parses (inputs up to
+# length 3 from the exhaustive alphabet and 30 random ones of length 4
+# to 16, default and depth_limit=3) and of its cells forced one by one
+# (inputs up to length 2).
+PINNED = {
+    "arith": (
+        "759968c11989a2f58cdf8c665c92b44b",
+        "9c6244ea176d51c5635d8770d3f03347",
+    ),
+    "arith_left_assoc": (
+        "3ed8799fca2707af4ea7245bea25742c",
+        "ec2508dc49aa023623e78e2726c44603",
+    ),
+    "arith_lexed": (
+        "317fd5cd6e7c6abb2dc2d00f3d396dee",
+        "1854889898af21cdd737822091137ecb",
+    ),
+    "blowup": (
+        "87b7e735b4a2af8d2ba58a4d4d1d98f6",
+        "41c83c5632a9770518191e600f0c04fa",
+    ),
+    "composition_assign": (
+        "d1828de1c94e0491375cfd0f43041441",
+        "d4b76952315d85296d085922d65cacc5",
+    ),
+    "composition_lvalue": (
+        "5d66a5b5ad9d220ae09833ea4ce491ba",
+        "037a52ec92d95b1e0f89224b2e4e469b",
+    ),
+    "left_recursive_arith": (
+        "146704b059b5da17fe5c307dfca09854",
+        "6d42c0bc506365ff4938a344f55ce4ba",
+    ),
+    "lookahead_ab": (
+        "c93fe2ad8fbd558fe1c5e307f1e44ba8",
+        "29a731fa1c45be8791cb622d8a8b2411",
+    ),
+    "peg_limitation": (
+        "f462dd3b577d8e3a76839658da46c8a0",
+        "58d61de247bc371735022d5f9279961d",
+    ),
+}
+
+
+def test_catalog_outputs_are_pinned(entries, parses_digest, cells_digest):
+    rng = random.Random(0)
+    got = {}
+    for name in sorted(entries):
+        entry = entries[name]
+        texts = short_texts(entry.exhaustive_alphabet, 3) + [
+            "".join(rng.choices(entry.alphabet, k=rng.randint(4, 16)))
+            for _ in range(30)
+        ]
+        configs = (None, EngineConfig(depth_limit=3))
+        got[name] = (
+            parses_digest(entry.grammar, texts, configs),
+            cells_digest(
+                entry.grammar, short_texts(entry.exhaustive_alphabet, 2)
+            ),
+        )
+    assert got == PINNED
 
 
 def evaluate(entry, text):

@@ -245,6 +245,20 @@ def test_out_of_range_positions_are_rejected(entries, pos):
     assert s.apply(digit, 2) is FAIL
 
 
+@pytest.mark.parametrize("rule", [-1, -12, 12, 40])
+def test_out_of_range_rules_are_rejected(entries, rule):
+    g = entries["arith_lexed"].grammar
+    s = new_session(g, "12 ")
+    fresh = ([list(row) for row in s.matrix], list(s.char_row), stats(s))
+    for pos in (0, 2, 5):
+        with pytest.raises(ValueError, match="outside the grammar"):
+            s.apply(rule, pos)
+    assert ([list(row) for row in s.matrix], list(s.char_row), stats(s)) == fresh
+    # -1 used to wrap to Whitespace's row and leave a node labelled -1 there
+    whitespace = g.rule_id("Whitespace")
+    assert s.apply(whitespace, 2).rule == whitespace
+
+
 class TestErrors:
     def test_invalid_grammar_rejected_at_session_creation(self):
         g = make_grammar([("S", star(EMPTY))])
@@ -479,6 +493,11 @@ class TestRepetition:
     TEXTS = [
         "".join(t) for n in range(7) for t in itertools.product("abc", repeat=n)
     ]
+
+    def test_every_cell_tree_is_pinned(self, cells_digest):
+        # recorded on the engine whose rule functions appended to a
+        # children list
+        assert cells_digest(self.GRAMMAR, self.TEXTS) == "d1399248f553bb022d2a1d7e014d0088"
 
     def test_engine_matches_naive_at_every_cell(self):
         g = self.GRAMMAR
