@@ -764,7 +764,9 @@ class ParseSession:
         """Force the memo cell for (rule, pos) and return its outcome.
 
         At most one evaluation per cell ever happens; an InProgress hit
-        raises LeftRecursion with the offending cycle.  A rule outside
+        raises LeftRecursion with the offending cycle.  A cell left
+        InProgress by a parse that an error aborted raises RuntimeError:
+        such a session must be discarded.  A rule outside
         ``0..len(rules) - 1`` or a position outside ``0..len(text)``
         raises ValueError.
         """
@@ -805,7 +807,14 @@ class ParseSession:
             self._cells_evaluated += 1
             return out
         if cell is INPROGRESS:
-            first = self._active.index((rule, pos))
+            try:
+                first = self._active.index((rule, pos))
+            except ValueError:
+                raise RuntimeError(
+                    f"memo cell ({rule}, {pos}) is InProgress with no active "
+                    "call: an earlier parse in this session was aborted by an "
+                    "error and left it InProgress; discard the session"
+                ) from None
             cycle = tuple(self._active[first:]) + ((rule, pos),)
             raise LeftRecursion(cycle, self.grammar.names)
         return cell

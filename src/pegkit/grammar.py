@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Union, get_args
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,6 +112,9 @@ class Ref:
 PegExpr = Union[
     Empty, AnyChar, Char, Class, Literal, Seq, Choice, Star, Plus, Opt, And, Not, Ref
 ]
+
+# the interpreters dispatch on exact type, so validation refuses the rest
+_NODE_TYPES = frozenset(get_args(PegExpr))
 
 EMPTY = Empty()
 ANY = AnyChar()
@@ -277,8 +280,7 @@ def _expr_nullable(e: PegExpr, table: Sequence[bool]) -> bool:
     if isinstance(e, Ref):
         if isinstance(e.rule, int) and 0 <= e.rule < len(table):
             return table[e.rule]
-        return False
-    raise TypeError(f"not a PegExpr: {e!r}")
+    return False
 
 
 def _rule_nullability(g: Grammar) -> tuple[bool, ...]:
@@ -348,8 +350,9 @@ def nullable(g: Grammar, e: PegExpr) -> bool:
     """Can ``e`` succeed while consuming zero characters?
 
     Predicates count as nullable: when they succeed they consume
-    nothing.  Unresolved refs are treated as non-nullable so the
-    analysis stays total on grammars that have not validated yet.
+    nothing.  Unresolved refs, and objects that are not expression
+    nodes, are treated as non-nullable so the analysis stays total on
+    grammars that have not validated yet.
     """
     return _expr_nullable(e, prepared(g).nullability)
 
@@ -372,7 +375,9 @@ class ValidationIssue:
 def validate(g: Grammar) -> tuple[ValidationIssue, ...]:
     """Structural checks, in deterministic rule-then-preorder order.
 
-    Errors: UnknownRef (ref to a missing rule), EmptyChoice (Choice or
+    Errors: UnknownNode (an object whose type is not exactly one of the
+    13 expression node classes, a subclass included; its subtree is not
+    checked), UnknownRef (ref to a missing rule), EmptyChoice (Choice or
     Seq with no elements), NullableRepetition (Star/Plus whose body can
     match empty, which would loop without consuming).  Warnings:
     UnreachableRule (never reachable from the start rule).
@@ -384,6 +389,9 @@ def validate(g: Grammar) -> tuple[ValidationIssue, ...]:
         def report(code: str, message: str) -> None:
             issues.append(ValidationIssue("error", code, rule_name, path, message))
 
+        if type(e) not in _NODE_TYPES:
+            report("UnknownNode", f"{type(e).__name__} is not an expression node type")
+            return
         if isinstance(e, Ref):
             target = e.rule
             if not (isinstance(target, int) and 0 <= target < nrules):

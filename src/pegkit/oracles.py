@@ -18,8 +18,10 @@ from the engine and from each other:
   Seq/Choice/Char/Literal/Ref/Empty are meaningful under CFG reading;
   everything else is rejected.
 
-Verdicts are end positions (int) or None for failure; oracle results
-carry no parse trees.
+Each is a plain interpreter that picks a case by the node's exact type,
+most frequent first; validation refuses any other type, a subclass of a
+node class included.  Verdicts are end positions (int) or None for
+failure; oracle results carry no parse trees.
 """
 
 from __future__ import annotations
@@ -116,80 +118,87 @@ def naive_parse(
 
     Verdict-identical to the engine on any grammar both accept; left
     recursion is cut off by an active-call cycle guard and reported as
-    :class:`LeftRecursion` rather than looping.  ``call_budget`` must be
-    at least 1.
+    :class:`LeftRecursion` rather than looping.  ``call_budget`` and
+    ``depth_limit`` must each be at least 1; a call that would make
+    more than ``depth_limit`` rule calls active at once raises
+    :class:`DepthExceeded`.
     """
     if call_budget < 1:
         raise ValueError(f"call_budget must be at least 1, got {call_budget}")
+    if depth_limit < 1:
+        raise ValueError(f"depth_limit must be at least 1, got {depth_limit}")
     _require_valid(g)
     n = len(text)
-    state = {"calls": 0, "max_depth": 0}
+    # a list: tuple() sizes a generator's result by resizing, so it never
+    # takes from the tuple free list that each call's tuple would fill
+    bodies = [r.body for r in g.rules]
+    calls = max_depth = 0
     by_cell: dict[tuple[int, int], int] = {}
-    active: list[tuple[int, int]] = []
-    active_set: set[tuple[int, int]] = set()
+    # the active calls, outermost first: insertion order is the stack
+    active: dict[tuple[int, int], None] = {}
 
     def call_rule(r: int, p: int) -> int | None:
-        state["calls"] += 1
+        nonlocal calls, max_depth
+        calls += 1
         key = (r, p)
         by_cell[key] = by_cell.get(key, 0) + 1
-        if state["calls"] > call_budget:
+        if calls > call_budget:
             raise CallBudgetExceeded(call_budget)
-        if key in active_set:
-            first = active.index(key)
-            raise LeftRecursion(tuple(active[first:]) + (key,), g.names)
-        if len(active) >= depth_limit:
+        if key in active:
+            stack = list(active)
+            raise LeftRecursion(tuple(stack[stack.index(key):]) + (key,), g.names)
+        depth = len(active)
+        if depth >= depth_limit:
             raise DepthExceeded(depth_limit, f"naive interpreter at rule {r}, pos {p}")
-        active.append(key)
-        active_set.add(key)
-        if len(active) > state["max_depth"]:
-            state["max_depth"] = len(active)
+        active[key] = None
+        if depth >= max_depth:
+            max_depth = depth + 1
         try:
-            return walk(g.rules[r].body, p)
+            return walk(bodies[r], p)
         finally:
-            active.pop()
-            active_set.discard(key)
+            active.popitem()
 
     def walk(e: PegExpr, p: int) -> int | None:
-        if isinstance(e, Ref):
+        t = type(e)
+        if t is Ref:
             return call_rule(e.rule, p)
-        if isinstance(e, Char):
-            return p + 1 if p < n and text[p] == e.char else None
-        if isinstance(e, Class):
-            return p + 1 if p < n and text[p] in e.chars else None
-        if isinstance(e, AnyChar):
-            return p + 1 if p < n else None
-        if isinstance(e, Literal):
-            return p + len(e.text) if text.startswith(e.text, p) else None
-        if isinstance(e, Empty):
-            return p
-        if isinstance(e, Seq):
-            q: int | None = p
+        if t is Seq:
             for part in e.parts:
-                q = walk(part, q)
-                if q is None:
+                p = walk(part, p)
+                if p is None:
                     return None
-            return q
-        if isinstance(e, Choice):
+            return p
+        if t is Choice:
             for alt in e.alts:
                 q = walk(alt, p)
                 if q is not None:
                     return q
             return None
-        if isinstance(e, (Star, Plus)):
+        if t is Char:
+            return p + 1 if p < n and text[p] == e.char else None
+        if t is Class:
+            return p + 1 if p < n and text[p] in e.chars else None
+        if t is Literal:
+            return p + len(e.text) if text.startswith(e.text, p) else None
+        if t is AnyChar:
+            return p + 1 if p < n else None
+        if t is Empty:
+            return p
+        if t is Star or t is Plus:
             q = p
             while True:
                 step = walk(e.body, q)
                 if step is None:
                     # every iteration consumes, so q == p only after none matched
-                    return None if q == p and isinstance(e, Plus) else q
+                    return None if q == p and t is Plus else q
                 q = step
-        if isinstance(e, Opt):
+        if t is Opt:
             q = walk(e.body, p)
             return p if q is None else q
-        if isinstance(e, And):
-            return p if walk(e.body, p) is not None else None
-        if isinstance(e, Not):
+        if t is Not:
             return p if walk(e.body, p) is None else None
+        if t is And:
+            return p if walk(e.body, p) is not None else None
         raise TypeError(f"not a PegExpr: {e!r}")
 
     try:
@@ -200,7 +209,7 @@ def naive_parse(
         # The two closures refer to each other and walk to itself; unbound
         # here, they are freed at once instead of by the cyclic collector.
         del walk, call_rule
-    return NaiveReport(outcome, state["calls"], state["max_depth"], by_cell)
+    return NaiveReport(outcome, calls, max_depth, by_cell)
 
 
 _UNFILLED = object()
@@ -305,43 +314,43 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
     fill_order: list[tuple[int, int]] = []
 
     def walk(e: PegExpr, p: int) -> int | None:
-        if isinstance(e, Ref):
+        t = type(e)
+        if t is Ref:
             cell = table[e.rule][p]
             if cell is _UNFILLED:
                 raise RuntimeError(
                     f"tabular fill order violated: rule {e.rule} at {p} unfilled"
                 )
             return cell
-        if isinstance(e, Char):
-            return p + 1 if p < n and text[p] == e.char else None
-        if isinstance(e, Class):
-            return p + 1 if p < n and text[p] in e.chars else None
-        if isinstance(e, AnyChar):
-            return p + 1 if p < n else None
-        if isinstance(e, Literal):
-            return p + len(e.text) if text.startswith(e.text, p) else None
-        if isinstance(e, Empty):
-            return p
-        if isinstance(e, Seq):
-            q: int | None = p
+        if t is Seq:
             for part in e.parts:
-                q = walk(part, q)
-                if q is None:
+                p = walk(part, p)
+                if p is None:
                     return None
-            return q
-        if isinstance(e, Choice):
+            return p
+        if t is Choice:
             for alt in e.alts:
                 q = walk(alt, p)
                 if q is not None:
                     return q
             return None
-        if isinstance(e, Opt):
+        if t is Char:
+            return p + 1 if p < n and text[p] == e.char else None
+        if t is Class:
+            return p + 1 if p < n and text[p] in e.chars else None
+        if t is Literal:
+            return p + len(e.text) if text.startswith(e.text, p) else None
+        if t is AnyChar:
+            return p + 1 if p < n else None
+        if t is Empty:
+            return p
+        if t is Opt:
             q = walk(e.body, p)
             return p if q is None else q
-        if isinstance(e, And):
-            return p if walk(e.body, p) is not None else None
-        if isinstance(e, Not):
+        if t is Not:
             return p if walk(e.body, p) is None else None
+        if t is And:
+            return p if walk(e.body, p) is not None else None
         raise TypeError(f"unexpected construct in tabular walk: {e!r}")
 
     try:
@@ -403,15 +412,10 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
     table: list[list[set[int]]] = [[set() for _ in range(n + 1)] for _ in range(nrules)]
 
     def ends(e: PegExpr, p: int) -> set[int]:
-        if isinstance(e, Ref):
+        t = type(e)
+        if t is Ref:
             return set(table[e.rule][p])
-        if isinstance(e, Char):
-            return {p + 1} if p < n and text[p] == e.char else set()
-        if isinstance(e, Literal):
-            return {p + len(e.text)} if text.startswith(e.text, p) else set()
-        if isinstance(e, Empty):
-            return {p}
-        if isinstance(e, Seq):
+        if t is Seq:
             front = {p}
             for part in e.parts:
                 nxt: set[int] = set()
@@ -421,11 +425,17 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
                     return set()
                 front = nxt
             return front
-        if isinstance(e, Choice):
+        if t is Choice:
             out: set[int] = set()
             for alt in e.alts:
                 out |= ends(alt, p)
             return out
+        if t is Char:
+            return {p + 1} if p < n and text[p] == e.char else set()
+        if t is Literal:
+            return {p + len(e.text)} if text.startswith(e.text, p) else set()
+        if t is Empty:
+            return {p}
         raise TypeError(f"unexpected construct in CFG walk: {e!r}")
 
     changed = True

@@ -21,6 +21,14 @@ from pegkit import (
     stats,
 )
 from pegkit.engine import UNEVALUATED, ParseSession
+from pegkit.oracles import (
+    CallBudgetExceeded,
+    SamePositionCycle,
+    UnsupportedConstruct,
+    cfg_end_table,
+    naive_parse,
+    tabular_parse,
+)
 
 
 class CountingSession(ParseSession):
@@ -128,6 +136,60 @@ def parses_digest():
                     out = f"{type(exc).__name__}: {exc}"
                 h.update(f"{text!r} {config} {out} {session_text(s)}\n".encode())
                 h.update(dump_matrix(s).encode())
+        return h.hexdigest()
+
+    return digest
+
+
+def _error_text(exc: Exception) -> str:
+    cycle = getattr(exc, "cycle", None)
+    return f"{type(exc).__name__}: {exc} {cycle}"
+
+
+@pytest.fixture(scope="session")
+def oracles_digest():
+    """Callable: md5 of every oracle output of ``grammar`` on ``texts``.
+
+    Per text: for every (rule, pos), the naive report (outcome, calls,
+    max_depth, sorted calls_by_cell) or its error with the
+    LeftRecursion cycle, then the naive outcome or error under each of
+    ``limits`` (keyword arguments of ``naive_parse``); the tabular
+    ``ends`` and ``fill_order`` or the refusal; the CFG end table or
+    the refusal.
+    """
+
+    def naive_text(grammar, rule, pos, text, **limits) -> str:
+        try:
+            r = naive_parse(grammar, rule, pos, text, **limits)
+        except (CallBudgetExceeded, DepthExceeded, LeftRecursion) as exc:
+            return _error_text(exc)
+        if limits:
+            return str(r.outcome)
+        by_cell = sorted(r.calls_by_cell.items())
+        return f"{r.outcome} {r.calls} {r.max_depth} {by_cell}"
+
+    def digest(grammar, texts, limits) -> str:
+        h = hashlib.md5()
+        for text in texts:
+            for rule in range(len(grammar.rules)):
+                for pos in range(len(text) + 1):
+                    out = naive_text(grammar, rule, pos, text)
+                    h.update(f"{text!r} {rule} {pos} {out}\n".encode())
+                    for lim in limits:
+                        out = naive_text(grammar, rule, pos, text, **lim)
+                        h.update(f" {lim} {out}\n".encode())
+            try:
+                tab = tabular_parse(grammar, text)
+                out = f"{tab.ends} {tab.fill_order}"
+            except (UnsupportedConstruct, SamePositionCycle) as exc:
+                out = _error_text(exc)
+            h.update(f"{text!r} tabular {out}\n".encode())
+            try:
+                table = cfg_end_table(grammar, text)
+                out = str(sorted((cell, sorted(ends)) for cell, ends in table.items()))
+            except UnsupportedConstruct as exc:
+                out = _error_text(exc)
+            h.update(f"{text!r} cfg {out}\n".encode())
         return h.hexdigest()
 
     return digest

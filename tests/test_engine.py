@@ -293,6 +293,26 @@ class TestErrors:
             with pytest.raises(ValueError, match="depth_limit"):
                 EngineConfig(depth_limit=bad)
 
+    @pytest.mark.parametrize(
+        "name, text, depth_limit, error",
+        [
+            ("left_recursive_arith", "1+2", 100, LeftRecursion),
+            ("arith", "(" * 30 + "1" + ")" * 30, 20, DepthExceeded),
+        ],
+    )
+    def test_session_aborted_by_an_error_refuses_reuse(
+        self, entries, name, text, depth_limit, error
+    ):
+        g = entries[name].grammar
+        s = new_session(g, text, config=EngineConfig(depth_limit=depth_limit))
+        with pytest.raises(error):
+            parse_complete(s)
+        for _ in range(2):
+            with pytest.raises(
+                RuntimeError, match=rf"\({g.start}, 0\) .*discard the session"
+            ):
+                parse_complete(s)
+
     def test_star_over_nullable_is_unreachable_at_runtime(self):
         # the validator refuses it, so the engine guard stays internal
         g = make_grammar([("S", star(opt(char("a"))))])

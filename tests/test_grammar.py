@@ -7,8 +7,10 @@ import pytest
 from pegkit import (
     ANY,
     EMPTY,
+    Char,
     Choice,
     Grammar,
+    InvalidGrammarError,
     Ref,
     Rule,
     and_,
@@ -17,6 +19,7 @@ from pegkit import (
     choice,
     lit,
     make_grammar,
+    new_session,
     not_,
     nullable,
     opt,
@@ -180,6 +183,19 @@ class TestValidate:
         g = make_grammar([("S", seq(char("a"), star(EMPTY)))])
         issue = next(i for i in validate(g) if i.code == "NullableRepetition")
         assert issue.path == (1,)
+
+    def test_node_of_a_subclass_or_foreign_type_reported(self):
+        class MyChar(Char):
+            pass
+
+        g = one_rule(choice(seq(char("a"), MyChar("b")), "c"))
+        issues = [(i.code, i.path, i.message) for i in validate(g)]
+        assert issues == [
+            ("UnknownNode", (0, 1), "MyChar is not an expression node type"),
+            ("UnknownNode", (1,), "str is not an expression node type"),
+        ]
+        with pytest.raises(InvalidGrammarError, match="UnknownNode"):
+            new_session(g, "ab")
 
     def test_validate_is_deterministic(self):
         g = make_grammar(

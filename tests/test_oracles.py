@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from pegkit import (
@@ -28,6 +31,14 @@ from pegkit.oracles import (
     naive_parse,
     tabular_parse,
 )
+
+
+def short_texts(alphabet: str, max_len: int) -> list[str]:
+    return [
+        "".join(t)
+        for n in range(max_len + 1)
+        for t in itertools.product(alphabet, repeat=n)
+    ]
 
 
 @pytest.fixture
@@ -69,6 +80,13 @@ class TestNaiveParse:
     def test_call_budget_below_one_is_rejected(self, arith, budget):
         with pytest.raises(ValueError, match="call_budget must be at least 1"):
             naive_parse(arith.grammar, 0, 0, "2", call_budget=budget)
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_depth_limit_below_one_is_rejected(self, arith, limit):
+        with pytest.raises(
+            ValueError, match=f"depth_limit must be at least 1, got {limit}"
+        ):
+            naive_parse(arith.grammar, 0, 0, "2", depth_limit=limit)
 
     def test_left_recursion_cut_by_cycle_guard(self, entries):
         g = entries["left_recursive_arith"].grammar
@@ -177,3 +195,76 @@ class TestCfgOracle:
     def test_empty_alternatives_contribute_zero_width_ends(self):
         g = make_grammar([("S", choice(seq(char("a"), ref("S")), EMPTY))])
         assert cfg_all_ends(g, 0, 0, "aaa") == frozenset({0, 1, 2, 3})
+
+
+# Recorded on the isinstance-ladder oracles: per catalog grammar, the
+# digests of every oracle output (see conftest.oracles_digest) on inputs
+# up to length 3 from the exhaustive alphabet, and on inputs up to
+# length 2 plus 12 random ones of length 4 to 9 with the naive oracle
+# also run under each of LIMITS.
+LIMITS = (
+    {"call_budget": 1},
+    {"call_budget": 4},
+    {"depth_limit": 1},
+    {"call_budget": 9, "depth_limit": 2},
+)
+PINNED = {
+    "arith": (
+        "1060b6d4b37fbf186b5a83cb1397bf0b",
+        "5f1cdebdbb234e610abde8439ed94b6e",
+    ),
+    "arith_left_assoc": (
+        "2c93cdd226f70c37699ad81d9f7fd79d",
+        "31d5bc48b1dd0243b631119bb46e26c8",
+    ),
+    "arith_lexed": (
+        "8466fa711051640b97ffdb97c930d366",
+        "2931319467abe731eae0fe1e4627c062",
+    ),
+    "blowup": (
+        "11fb69b58f9b1920eea4b244203aaf56",
+        "b3c0770b26a5e93b5d15853cd10ccaeb",
+    ),
+    "composition_assign": (
+        "c9473fd5026ad27b07000c259c7360d3",
+        "3c747e5200cc7fb00a3bc31b2fb165ca",
+    ),
+    "composition_lvalue": (
+        "47c0747ca297deab646773652f993447",
+        "2d881ecaa72f9a163477199cf62e8d3a",
+    ),
+    "left_recursive_arith": (
+        "cbfe1ba2f8188a4f0df87f3f89d20db1",
+        "5c580a1e64ffb1809f1f69f1ecd828a5",
+    ),
+    "lookahead_ab": (
+        "677dc0181d9c14110cbf168ad8ae7a22",
+        "794244784eb489c9dddb82b6788ce4ac",
+    ),
+    "peg_limitation": (
+        "36717674d3389baac17320d0590a18e9",
+        "42104bd4feb97d8b0f48e38ffbcadadb",
+    ),
+}
+
+
+def test_oracle_outputs_are_pinned(entries, oracles_digest):
+    rng = random.Random(0)
+    got = {}
+    for name in sorted(entries):
+        entry = entries[name]
+        randoms = [
+            "".join(rng.choices(entry.alphabet, k=rng.randint(4, 9)))
+            for _ in range(12)
+        ]
+        got[name] = (
+            oracles_digest(
+                entry.grammar, short_texts(entry.exhaustive_alphabet, 3), ()
+            ),
+            oracles_digest(
+                entry.grammar,
+                short_texts(entry.exhaustive_alphabet, 2) + randoms,
+                LIMITS,
+            ),
+        )
+    assert got == PINNED

@@ -11,6 +11,7 @@ import pegkit.grammar
 from pegkit import (
     InvalidGrammarError,
     ParseSession,
+    Char,
     SamePositionCycle,
     UnsupportedConstruct,
     cfg_end_table,
@@ -63,7 +64,12 @@ def test_sessions_share_one_validation(validations):
     assert validations == Counter({id(g): 1})
 
 
+class MyChar(Char):
+    """Not one of the expression node types, though it behaves as one."""
+
+
 INVALID = {
+    "UnknownNode": lambda: make_grammar([("S", seq(MyChar("a"), char("b")))]),
     "NullableRepetition": lambda: make_grammar([("S", star(opt(char("a"))))]),
     "UnknownRef": lambda: make_grammar([("S", seq(char("a"), ref("Missing")))]),
 }
