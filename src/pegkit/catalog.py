@@ -1,9 +1,13 @@
 """Catalog of study grammars with evaluators and expected traits.
 
-Each entry bundles a grammar, an optional semantic evaluator (a pure
-function from rule-labelled parse-tree node and input text to a value:
+Each grammar is defined once, by its shipped ``.peg`` file under
+``pegkit/grammars/`` (:func:`grammar_text` reads it); the file's
+comments say why the grammar has its shape.  This module adds one row
+of metadata per file: an optional semantic evaluator (a pure function
+from rule-labelled parse-tree node and input text to a value:
 integers, characters, pairs, the unit value ``()``, ...), alphabets for
-input generation, and trait flags used by the differential checker:
+input generation, an optional input generator, and trait flags used by
+the differential checker:
 
 * ``left_recursive`` - every engine must terminate with a structured
   left-recursion error rather than loop;
@@ -12,14 +16,7 @@ input generation, and trait flags used by the differential checker:
 * ``non_lr_k`` - needs unbounded lookahead (no LR(k) parser exists),
   yet parses fine top-down with backtracking.
 
-The same grammars ship as ``.peg`` files under ``pegkit/grammars/``;
-:func:`grammar_text` loads their source and the test suite pins the
-files to these constructors structurally.
-
-Where the original notation for these grammars uses unordered ``|``
-alternation, the ordered-choice transliteration here puts longer or
-recursive alternatives first (longest-match order), which preserves the
-intended sentences under first-match semantics.
+Adding a grammar takes one ``.peg`` file and one row of ``_TABLE``.
 """
 
 from __future__ import annotations
@@ -29,19 +26,8 @@ from importlib import resources
 from typing import Callable
 
 from .engine import ParseTreeNode
-from .grammar import (
-    ANY,
-    EMPTY,
-    Grammar,
-    char,
-    charclass,
-    choice,
-    lit,
-    make_grammar,
-    not_,
-    ref,
-    seq,
-)
+from .grammar import Grammar
+from .notation import parse_grammar
 
 Evaluator = Callable[[ParseTreeNode, str], object]
 
@@ -54,7 +40,6 @@ class CatalogEntry:
     alphabet: str
     exhaustive_alphabet: str
     traits: frozenset[str] = frozenset()
-    description: str = ""
     input_generator: Callable[[int], str] | None = None
 
 
@@ -65,10 +50,6 @@ def grammar_text(name: str) -> str:
         .joinpath("grammars", f"{name}.peg")
         .read_text(encoding="utf-8")
     )
-
-
-def _digit_choice():
-    return choice(*(char(str(d)) for d in range(10)))
 
 
 def _dispatch_evaluator(g: Grammar, handlers: dict[str, Callable]) -> Evaluator:
@@ -97,427 +78,106 @@ def _paren_or_first(node: ParseTreeNode, text: str, ev) -> object:
     return ev(kids[0], text)
 
 
-def arith_basic() -> CatalogEntry:
-    """Right-recursive arithmetic with single-digit numbers.
-
-    Four rules plus the character row; ``'+'`` binds looser than
-    ``'*'``, parentheses group, Decimal is one digit.
-    """
-    g = make_grammar(
-        [
-            (
-                "Additive",
-                choice(seq(ref("Multitive"), char("+"), ref("Additive")), ref("Multitive")),
-            ),
-            (
-                "Multitive",
-                choice(seq(ref("Primary"), char("*"), ref("Multitive")), ref("Primary")),
-            ),
-            (
-                "Primary",
-                choice(seq(char("("), ref("Additive"), char(")")), ref("Decimal")),
-            ),
-            ("Decimal", _digit_choice()),
-        ]
-    )
-    evaluator = _dispatch_evaluator(
-        g,
-        {
-            "Additive": _binop_int,
-            "Multitive": _binop_int,
-            "Primary": _paren_or_first,
-            "Decimal": lambda node, text, ev: int(text[node.start : node.end]),
-        },
-    )
-    return CatalogEntry(
-        name="arith",
-        grammar=g,
-        evaluator=evaluator,
-        alphabet="0123456789+*()",
-        exhaustive_alphabet="27+*()",
-        description="right-recursive single-digit arithmetic over + and *",
-    )
+def _decimal(node: ParseTreeNode, text: str, ev) -> object:
+    return int(text[node.start : node.end])
 
 
-def arith_left_assoc() -> CatalogEntry:
-    """Arithmetic with left-associative +/- via suffix rewriting.
-
-    Left recursion is eliminated by hand: Additive matches one operand
-    and a flat suffix of (op, operand) steps, and the evaluator folds
-    the suffix left to right.  A suffix node's own value is its net
-    contribution (e.g. ``-3+2`` contributes -1), which composes because
-    integer addition is a group.
-    """
-    def suffix_step(op: str):
-        return seq(char(op), ref("Multitive"), ref("AdditiveSuffix"))
-
-    g = make_grammar(
-        [
-            ("Additive", seq(ref("Multitive"), ref("AdditiveSuffix"))),
-            ("AdditiveSuffix", choice(suffix_step("+"), suffix_step("-"), EMPTY)),
-            (
-                "Multitive",
-                choice(seq(ref("Primary"), char("*"), ref("Multitive")), ref("Primary")),
-            ),
-            (
-                "Primary",
-                choice(seq(char("("), ref("Additive"), char(")")), ref("Decimal")),
-            ),
-            ("Decimal", _digit_choice()),
-        ]
-    )
-
-    def eval_additive(node, text, ev):
-        return ev(node.children[0], text) + ev(node.children[1], text)
-
-    def eval_suffix(node, text, ev):
-        kids = node.children
-        if not kids:
-            return 0
-        step = ev(kids[1], text)
-        rest = ev(kids[2], text)
-        return (step if text[kids[0].start] == "+" else -step) + rest
-
-    evaluator = _dispatch_evaluator(
-        g,
-        {
-            "Additive": eval_additive,
-            "AdditiveSuffix": eval_suffix,
-            "Multitive": _binop_int,
-            "Primary": _paren_or_first,
-            "Decimal": lambda node, text, ev: int(text[node.start : node.end]),
-        },
-    )
-    return CatalogEntry(
-        name="arith_left_assoc",
-        grammar=g,
-        evaluator=evaluator,
-        alphabet="0123456789+-*()",
-        exhaustive_alphabet="27+-*()",
-        description="left-associative +/- by manual suffix rewriting",
-    )
+def _sum(node: ParseTreeNode, text: str, ev) -> object:
+    return ev(node.children[0], text) + ev(node.children[1], text)
 
 
-def arith_lexed() -> CatalogEntry:
-    """Scannerless arithmetic: token rules carry their own whitespace.
-
-    Every symbol rule consumes its character plus trailing whitespace,
-    Decimal consumes trailing whitespace after its digits, and the
-    start rule strips leading whitespace, so blanks are tolerated
-    anywhere between tokens.  Digits evaluates to a (value, digit
-    count) pair; Whitespace evaluates to the unit value ().
-    """
-    ws = ref("Whitespace")
-    g = make_grammar(
-        [
-            ("Expr", seq(ws, ref("Additive"))),
-            (
-                "Additive",
-                choice(
-                    seq(ref("Multitive"), ref("PlusSym"), ref("Additive")),
-                    ref("Multitive"),
-                ),
-            ),
-            (
-                "Multitive",
-                choice(
-                    seq(ref("Primary"), ref("StarSym"), ref("Multitive")),
-                    ref("Primary"),
-                ),
-            ),
-            (
-                "Primary",
-                choice(
-                    seq(ref("OpenSym"), ref("Additive"), ref("CloseSym")),
-                    ref("Decimal"),
-                ),
-            ),
-            ("Decimal", seq(ref("Digits"), ws)),
-            ("Digits", choice(seq(ref("Digit"), ref("Digits")), ref("Digit"))),
-            ("Digit", charclass("0123456789")),
-            ("PlusSym", seq(char("+"), ws)),
-            ("StarSym", seq(char("*"), ws)),
-            ("OpenSym", seq(char("("), ws)),
-            ("CloseSym", seq(char(")"), ws)),
-            ("Whitespace", choice(seq(charclass(" \t"), ws), EMPTY)),
-        ]
-    )
-
-    def eval_digits(node, text, ev):
-        kids = node.children
-        digit = int(text[kids[0].start])
-        if len(kids) == 1:
-            return (digit, 1)
-        value, count = ev(kids[1], text)
-        return (digit * 10**count + value, count + 1)
-
-    def eval_binop(node, text, ev):
-        kids = node.children
-        if len(kids) == 3:
-            a = ev(kids[0], text)
-            b = ev(kids[2], text)
-            return a + b if ev(kids[1], text) == "+" else a * b
-        return ev(kids[0], text)
-
-    evaluator = _dispatch_evaluator(
-        g,
-        {
-            "Expr": lambda node, text, ev: ev(node.children[1], text),
-            "Additive": eval_binop,
-            "Multitive": eval_binop,
-            "Primary": _paren_or_first,
-            "Decimal": lambda node, text, ev: ev(node.children[0], text)[0],
-            "Digits": eval_digits,
-            "Digit": lambda node, text, ev: int(text[node.start]),
-            "PlusSym": lambda node, text, ev: text[node.start],
-            "StarSym": lambda node, text, ev: text[node.start],
-            "OpenSym": lambda node, text, ev: text[node.start],
-            "CloseSym": lambda node, text, ev: text[node.start],
-            "Whitespace": lambda node, text, ev: (),
-        },
-    )
-    return CatalogEntry(
-        name="arith_lexed",
-        grammar=g,
-        evaluator=evaluator,
-        alphabet="0123456789+*() \t",
-        exhaustive_alphabet="27+*( )",
-        description="scannerless arithmetic with integrated whitespace handling",
-    )
+def _suffix(node: ParseTreeNode, text: str, ev) -> object:
+    # net contribution of a flat (op, operand) suffix, folded left to right
+    kids = node.children
+    if not kids:
+        return 0
+    step = ev(kids[1], text)
+    rest = ev(kids[2], text)
+    return (step if text[kids[0].start] == "+" else -step) + rest
 
 
-def lookahead_ab() -> CatalogEntry:
-    """x^n z y^n versus x^n z y^2n: decidable only by unbounded lookahead.
-
-    Any LR(k) parser would have to commit to A or B while still reading
-    x's.  Top-down with backtracking just tries A first; the decision
-    between A and B is settled only at the end of the input, so the A
-    alternative is anchored with a not-followed-by-anything predicate
-    (otherwise a committed partial A match would shadow B).
-    """
-    g = make_grammar(
-        [
-            ("S", choice(seq(ref("A"), not_(ANY)), ref("B"))),
-            (
-                "A",
-                choice(
-                    seq(char("x"), ref("A"), char("y")),
-                    seq(char("x"), char("z"), char("y")),
-                ),
-            ),
-            (
-                "B",
-                choice(
-                    seq(char("x"), ref("B"), char("y"), char("y")),
-                    seq(char("x"), char("z"), char("y"), char("y")),
-                ),
-            ),
-        ]
-    )
-    return CatalogEntry(
-        name="lookahead_ab",
-        grammar=g,
-        evaluator=None,
-        alphabet="xyz",
-        exhaustive_alphabet="xyz",
-        traits=frozenset({"non_lr_k"}),
-        description="unbounded-lookahead language x^n z y^n | x^n z y^2n",
-    )
+def _lexed_binop(node: ParseTreeNode, text: str, ev) -> object:
+    kids = node.children
+    if len(kids) == 3:
+        a = ev(kids[0], text)
+        b = ev(kids[2], text)
+        return a + b if ev(kids[1], text) == "+" else a * b
+    return ev(kids[0], text)
 
 
-def _composition_common(p_rule: str) -> list[tuple[str, object]]:
-    return [
-        (
-            "R",
-            choice(
-                seq(ref("A"), ref("EQ"), ref("A")),
-                seq(ref("A"), ref("NE"), ref("A")),
-                ref("A"),
-            ),
-        ),
-        (
-            "A",
-            choice(
-                seq(ref(p_rule), char("+"), ref(p_rule)),
-                seq(ref(p_rule), char("-"), ref(p_rule)),
-                ref(p_rule),
-            ),
-        ),
-        ("ID", choice(seq(char("a"), ref("ID")), char("a"))),
-        ("EQ", lit("==")),
-        ("NE", lit("!=")),
-    ]
+def _digits(node: ParseTreeNode, text: str, ev) -> object:
+    # (value, digit count) of a right-recursive digit run
+    kids = node.children
+    digit = int(text[kids[0].start])
+    if len(kids) == 1:
+        return (digit, 1)
+    value, count = ev(kids[1], text)
+    return (digit * 10**count + value, count + 1)
 
 
-def composition_assign() -> CatalogEntry:
-    """Statements where ``=`` follows an identifier: S <- ID '=' R / R.
-
-    The sub-grammars compose without a lexer even though '=' prefixes
-    '==': ID, EQ and relational expressions disambiguate by ordered
-    choice and backtracking alone.
-    """
-    g = make_grammar(
-        [
-            ("S", choice(seq(ref("ID"), char("="), ref("R")), ref("R"))),
-            *_composition_common("P"),
-            ("P", choice(ref("ID"), seq(char("("), ref("R"), char(")")))),
-        ],
-        start="S",
-    )
-    return CatalogEntry(
-        name="composition_assign",
-        grammar=g,
-        evaluator=None,
-        alphabet="a=!+-()",
-        exhaustive_alphabet="a=!+-()",
-        traits=frozenset({"non_lr_k"}),
-        description="assignment/expression composition without a tokenizer",
-    )
+def _symbol(node: ParseTreeNode, text: str, ev) -> object:
+    return text[node.start]
 
 
-def composition_lvalue() -> CatalogEntry:
-    """Assignment with indexed lvalues, suffix-rewritten for top-down use.
+_ARITH = {
+    "Additive": _binop_int,
+    "Multitive": _binop_int,
+    "Primary": _paren_or_first,
+    "Decimal": _decimal,
+}
 
-    The natural phrasing of postfix indexing (P <- ... / P '[' A ']')
-    is left-recursive, so both P and L are factored into a head plus a
-    repeated ``[A]`` suffix; the language is unchanged.
-    """
-    g = make_grammar(
-        [
-            ("S", choice(seq(ref("L"), char("="), ref("R")), ref("R"))),
-            *_composition_common("P"),
-            ("P", seq(ref("PHead"), ref("PSuffix"))),
-            ("PHead", choice(ref("ID"), seq(char("("), ref("R"), char(")")))),
-            (
-                "PSuffix",
-                choice(seq(char("["), ref("A"), char("]"), ref("PSuffix")), EMPTY),
-            ),
-            ("L", seq(ref("LHead"), ref("LSuffix"))),
-            ("LHead", choice(ref("ID"), seq(char("("), ref("L"), char(")")))),
-            (
-                "LSuffix",
-                choice(seq(char("["), ref("A"), char("]"), ref("LSuffix")), EMPTY),
-            ),
-        ],
-        start="S",
-    )
-    return CatalogEntry(
-        name="composition_lvalue",
-        grammar=g,
-        evaluator=None,
-        alphabet="a=!+-()[]",
-        exhaustive_alphabet="a=!+-()[]",
-        traits=frozenset({"non_lr_k"}),
-        description="lvalue indexing composed via manual suffix rewriting",
-    )
+_ARITH_LEFT_ASSOC = {**_ARITH, "Additive": _sum, "AdditiveSuffix": _suffix}
 
+_ARITH_LEXED = {
+    "Expr": lambda node, text, ev: ev(node.children[1], text),
+    "Additive": _lexed_binop,
+    "Multitive": _lexed_binop,
+    "Primary": _paren_or_first,
+    "Decimal": lambda node, text, ev: ev(node.children[0], text)[0],
+    "Digits": _digits,
+    "Digit": lambda node, text, ev: int(text[node.start]),
+    "PlusSym": _symbol,
+    "StarSym": _symbol,
+    "OpenSym": _symbol,
+    "CloseSym": _symbol,
+    "Whitespace": lambda node, text, ev: (),
+}
 
-def peg_limitation() -> CatalogEntry:
-    """S <- 'x' S 'x' / 'x': PEG and CFG readings disagree.
-
-    As a CFG this generates odd-length runs of x; as a PEG the greedy
-    first alternative commits wrongly and e.g. ``xxxxx`` is rejected
-    (only a 3-x prefix matches).
-    """
-    g = make_grammar(
-        [("S", choice(seq(char("x"), ref("S"), char("x")), char("x")))]
-    )
-    return CatalogEntry(
-        name="peg_limitation",
-        grammar=g,
-        evaluator=None,
-        alphabet="x",
-        exhaustive_alphabet="x",
-        traits=frozenset({"peg_cfg_divergent"}),
-        description="odd-x CFG whose PEG reading accepts a different language",
-    )
-
-
-def left_recursive_arith() -> CatalogEntry:
-    """Left-recursive additive layer: every engine reports the cycle."""
-    g = make_grammar(
-        [
-            (
-                "Additive",
-                choice(
-                    seq(ref("Additive"), char("+"), ref("Multitive")),
-                    seq(ref("Additive"), char("-"), ref("Multitive")),
-                    ref("Multitive"),
-                ),
-            ),
-            (
-                "Multitive",
-                choice(seq(ref("Primary"), char("*"), ref("Multitive")), ref("Primary")),
-            ),
-            (
-                "Primary",
-                choice(seq(char("("), ref("Additive"), char(")")), ref("Decimal")),
-            ),
-            ("Decimal", _digit_choice()),
-        ]
-    )
-    return CatalogEntry(
-        name="left_recursive_arith",
-        grammar=g,
-        evaluator=None,
-        alphabet="0123456789+-*()",
-        exhaustive_alphabet="27+-*()",
-        traits=frozenset({"left_recursive"}),
-        description="directly left-recursive arithmetic (engines must error)",
-    )
-
-
-def _blowup_input(k: int) -> str:
-    return "a" * k + "b"
-
-
-def blowup_family() -> CatalogEntry:
-    """S <- 'a' S 'b' / 'a' S / 'a' on inputs a^k b.
-
-    On a^k b the first alternative parses S at the next position and
-    then fails on the trailing 'b' check everywhere except one spot, so
-    the second alternative re-parses the same S from scratch: a naive
-    backtracker doubles its work per extra 'a' (calls grow as 2^k)
-    while the memoizing engine evaluates each cell once and stays
-    linear.  Inputs with k >= 2 are accepted completely.
-    """
-    g = make_grammar(
-        [
-            (
-                "S",
-                choice(
-                    seq(char("a"), ref("S"), char("b")),
-                    seq(char("a"), ref("S")),
-                    char("a"),
-                ),
-            )
-        ]
-    )
-    return CatalogEntry(
-        name="blowup",
-        grammar=g,
-        evaluator=None,
-        alphabet="ab",
-        exhaustive_alphabet="ab",
-        description="exponential-backtracking family with generator a^k b",
-        input_generator=_blowup_input,
-    )
-
-
-_CONSTRUCTORS = (
-    arith_basic,
-    arith_left_assoc,
-    arith_lexed,
-    lookahead_ab,
-    composition_assign,
-    composition_lvalue,
-    peg_limitation,
-    left_recursive_arith,
-    blowup_family,
+# name, evaluator handlers by rule name, alphabet, exhaustive alphabet,
+# traits, input generator
+_TABLE = (
+    ("arith", _ARITH, "0123456789+*()", "27+*()", (), None),
+    ("arith_left_assoc", _ARITH_LEFT_ASSOC, "0123456789+-*()", "27+-*()", (), None),
+    ("arith_lexed", _ARITH_LEXED, "0123456789+*() \t", "27+*( )", (), None),
+    ("lookahead_ab", None, "xyz", "xyz", ("non_lr_k",), None),
+    ("composition_assign", None, "a=!+-()", "a=!+-()", ("non_lr_k",), None),
+    ("composition_lvalue", None, "a=!+-()[]", "a=!+-()[]", ("non_lr_k",), None),
+    ("peg_limitation", None, "x", "x", ("peg_cfg_divergent",), None),
+    (
+        "left_recursive_arith", None, "0123456789+-*()", "27+-*()",
+        ("left_recursive",), None,
+    ),
+    ("blowup", None, "ab", "ab", (), lambda k: "a" * k + "b"),
 )
 
 
 def registry() -> dict[str, CatalogEntry]:
-    """Name -> entry for every catalog grammar, in a stable order."""
-    entries = [ctor() for ctor in _CONSTRUCTORS]
-    return {e.name: e for e in entries}
+    """Name -> entry for every catalog grammar, in a stable order.
+
+    Each call parses the shipped files into fresh :class:`Grammar`
+    objects.  They are not validated here: like any grammar, each is
+    validated once, at its first session or oracle call.
+    """
+    out = {}
+    for name, handlers, alphabet, exhaustive, traits, generator in _TABLE:
+        g = parse_grammar(grammar_text(name))
+        out[name] = CatalogEntry(
+            name=name,
+            grammar=g,
+            evaluator=_dispatch_evaluator(g, handlers) if handlers else None,
+            alphabet=alphabet,
+            exhaustive_alphabet=exhaustive,
+            traits=frozenset(traits),
+            input_generator=generator,
+        )
+    return out

@@ -306,7 +306,8 @@ class PreparedGrammar:
     None and are filled on first use by the module that owns them:
 
     * ``errors``: the error-severity issues of :func:`validate`, filled
-      by the engine or an oracle, whichever sees the grammar first;
+      by ``load_grammar``, the engine or an oracle, whichever sees the
+      grammar first;
     * ``code``: the engine's generated function of each rule body,
       ``run(session, pos)``, which returns the rule's memo cell, in
       rule order;

@@ -48,6 +48,7 @@ from .grammar import (
     Star,
     ValidationIssue,
     make_grammar,
+    prepared,
     validation_errors,
 )
 
@@ -111,9 +112,11 @@ class _Scanner:
             c = self.text[self.pos]
             if c in " \t\r\n":
                 self._advance(c)
-            elif c == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance(self.text[self.pos])
+            elif c == "#":  # a comment runs to the end of its line
+                end = self.text.find("\n", self.pos)
+                end = len(self.text) if end < 0 else end
+                self.col += end - self.pos
+                self.pos = end
             else:
                 return
 
@@ -379,7 +382,7 @@ def load_grammar(text: str) -> Grammar:
     has error-severity validation issues.
     """
     g = parse_grammar(text)
-    errors = validation_errors(g)
+    errors = prepared(g).errors = validation_errors(g)
     if errors:
         raise GrammarValidationError(errors)
     return g

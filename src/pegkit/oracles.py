@@ -48,6 +48,7 @@ from .grammar import (
     Ref,
     Seq,
     Star,
+    _children,
     nullable,
     preorder,
     prepared,
@@ -239,16 +240,10 @@ def _same_position_refs(g: Grammar, e: PegExpr, acc: set[int]) -> None:
     # rules reachable from e before any input is consumed
     if isinstance(e, Ref):
         acc.add(e.rule)
-    elif isinstance(e, Seq):
-        for part in e.parts:
-            _same_position_refs(g, part, acc)
-            if not nullable(g, part):
-                break
-    elif isinstance(e, Choice):
-        for alt in e.alts:
-            _same_position_refs(g, alt, acc)
-    elif isinstance(e, (Star, Plus, Opt, And, Not)):
-        _same_position_refs(g, e.body, acc)
+    for kid in _children(e):
+        _same_position_refs(g, kid, acc)
+        if isinstance(e, Seq) and not nullable(g, kid):
+            break  # later parts start after consumed input
 
 
 def _topological_rules(g: Grammar) -> tuple[int, ...]:
@@ -362,7 +357,7 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
         del walk  # it refers to itself and holds the table; see naive_parse
 
     return TabularMatrix(
-        tuple(tuple(row) for row in table), tuple(fill_order)
+        tuple([tuple(row) for row in table]), tuple(fill_order)
     )
 
 

@@ -18,6 +18,8 @@ from pegkit import (
     char,
     check_cfg_compatible,
     choice,
+    grammar_text,
+    load_grammar,
     make_grammar,
     naive_parse,
     new_session,
@@ -61,6 +63,14 @@ def test_sessions_share_one_validation(validations):
     validations.clear()
     for _ in range(100):
         new_session(g, "1+2")
+    assert validations == Counter({id(g): 1})
+
+
+def test_load_grammar_validation_is_kept(validations):
+    g = load_grammar(grammar_text("arith"))
+    new_session(g, "1+2")
+    naive_parse(g, g.start, 0, "1+2")
+    tabular_parse(g, "1+2")
     assert validations == Counter({id(g): 1})
 
 
