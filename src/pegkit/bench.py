@@ -1,4 +1,4 @@
-"""Benchmark plumbing: input families, engine runners, CSV records.
+"""Benchmark plumbing: input families, timed runs, CSV records, summary.
 
 Input families are deterministic functions of a size parameter:
 
@@ -9,11 +9,13 @@ Input families are deterministic functions of a size parameter:
 * ``nested-parens`` - ``k`` opening parentheses, a ``1``, and ``k``
   closing parentheses; the size is the nesting depth.
 
-Each run produces a :class:`BenchRecord`; rows serialize to CSV with a
-fixed header.  Verdicts are ``accept``, ``reject``, or ``error``
-(budget exhaustion, left recursion, depth limits, or an oracle that
-rejects the grammar).  Counters that an engine does not maintain are
-reported as 0.
+:func:`run_bench` times one small function per engine and input, which
+returns the verdict and counters, and makes each :class:`BenchRecord`;
+rows serialize to CSV with a fixed header.  Verdicts are ``accept``,
+``reject``, or ``error`` (budget exhaustion, left recursion, depth
+limits, or an oracle that rejects the grammar).  Counters that an
+engine does not maintain are reported as 0.  :func:`summary` shows the
+naive oracle's exponential and packrat's linear growth side by side.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 from .engine import (
     DepthExceeded,
@@ -30,7 +33,6 @@ from .engine import (
     ParseFailed,
     ParseSession,
     parse_complete,
-    run_deep,
     stats,
 )
 from .grammar import Grammar
@@ -43,16 +45,13 @@ from .oracles import (
     tabular_parse,
 )
 
-CSV_HEADER = (
-    "grammar,engine,input_len,verdict,cells_evaluated,calls,"
-    "duration_ns,memo_bytes_estimate"
-)
-
 ENGINES = ("packrat", "naive", "tabular")
 
 
 @dataclass(frozen=True, slots=True)
 class BenchRecord:
+    """One run; the fields, in order, are the CSV columns."""
+
     grammar: str
     engine: str
     input_len: int
@@ -63,11 +62,10 @@ class BenchRecord:
     memo_bytes_estimate: int
 
     def csv_row(self) -> str:
-        return (
-            f"{self.grammar},{self.engine},{self.input_len},{self.verdict},"
-            f"{self.cells_evaluated},{self.calls},{self.duration_ns},"
-            f"{self.memo_bytes_estimate}"
-        )
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
 def make_input(family: str, size: int) -> str:
@@ -141,14 +139,7 @@ def parse_sizes(spec: str) -> list[int]:
     return sizes
 
 
-def run_packrat(
-    grammar: Grammar,
-    text: str,
-    name: str,
-    config: EngineConfig | None = None,
-) -> BenchRecord:
-    session = ParseSession(grammar, text, config=config)
-    t0 = time.perf_counter_ns()
+def _packrat(session: ParseSession) -> tuple[str, int, int, int]:
     try:
         parse_complete(session)
         verdict = "accept"
@@ -156,74 +147,27 @@ def run_packrat(
         verdict = "reject"
     except (LeftRecursion, DepthExceeded):
         verdict = "error"
-    duration = time.perf_counter_ns() - t0
     st = stats(session)
-    return BenchRecord(
-        grammar=name,
-        engine="packrat",
-        input_len=len(text),
-        verdict=verdict,
-        cells_evaluated=st.cells_evaluated,
-        calls=0,
-        duration_ns=duration,
-        memo_bytes_estimate=st.memo_bytes_estimate,
-    )
+    return verdict, st.cells_evaluated, 0, st.memo_bytes_estimate
 
 
-def run_naive(
-    grammar: Grammar,
-    text: str,
-    name: str,
-    call_budget: int = DEFAULT_CALL_BUDGET,
-) -> BenchRecord:
-    n = len(text)
-    t0 = time.perf_counter_ns()
-    calls = 0
+def _naive(grammar: Grammar, text: str, call_budget: int) -> tuple[str, int, int, int]:
     try:
-        report = run_deep(
-            naive_parse, grammar, grammar.start, 0, text, call_budget=call_budget
-        )
-        calls = report.calls
-        verdict = "accept" if report.outcome == n else "reject"
+        report = naive_parse(grammar, grammar.start, 0, text, call_budget=call_budget)
     except CallBudgetExceeded:
-        verdict = "error"
-        calls = call_budget
+        return "error", 0, call_budget, 0
     except (LeftRecursion, DepthExceeded):
-        verdict = "error"
-    duration = time.perf_counter_ns() - t0
-    return BenchRecord(
-        grammar=name,
-        engine="naive",
-        input_len=n,
-        verdict=verdict,
-        cells_evaluated=0,
-        calls=calls,
-        duration_ns=duration,
-        memo_bytes_estimate=0,
-    )
+        return "error", 0, 0, 0
+    return ("accept" if report.outcome == len(text) else "reject"), 0, report.calls, 0
 
 
-def run_tabular(grammar: Grammar, text: str, name: str) -> BenchRecord:
-    n = len(text)
-    t0 = time.perf_counter_ns()
-    cells = 0
+def _tabular(grammar: Grammar, text: str) -> tuple[str, int, int, int]:
     try:
         matrix = tabular_parse(grammar, text)
-        cells = matrix.cells_filled
-        verdict = "accept" if matrix.verdict(grammar.start, 0) == n else "reject"
     except (UnsupportedConstruct, SamePositionCycle):
-        verdict = "error"
-    duration = time.perf_counter_ns() - t0
-    return BenchRecord(
-        grammar=name,
-        engine="tabular",
-        input_len=n,
-        verdict=verdict,
-        cells_evaluated=cells,
-        calls=0,
-        duration_ns=duration,
-        memo_bytes_estimate=0,
-    )
+        return "error", 0, 0, 0
+    accept = matrix.verdict(grammar.start, 0) == len(text)
+    return ("accept" if accept else "reject"), matrix.cells_filled, 0, 0
 
 
 def run_bench(
@@ -236,20 +180,32 @@ def run_bench(
     call_budget: int = DEFAULT_CALL_BUDGET,
 ) -> list[BenchRecord]:
     """One record per (engine, size), engines in caller order, sizes
-    ascending within each engine."""
+    ascending within each engine.
+
+    Each run's clock covers the engine's work on one input: the parse
+    and its counters, but not building the input or a packrat session.
+    """
     for engine in engines:
         if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+            raise ValueError(
+                f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})"
+            )
     records = []
     for engine in engines:
         for size in sorted(sizes):
             text = make_input(family, size)
             if engine == "packrat":
-                records.append(run_packrat(grammar, text, name, config))
+                run = partial(_packrat, ParseSession(grammar, text, config=config))
             elif engine == "naive":
-                records.append(run_naive(grammar, text, name, call_budget))
+                run = partial(_naive, grammar, text, call_budget)
             else:
-                records.append(run_tabular(grammar, text, name))
+                run = partial(_tabular, grammar, text)
+            t0 = time.perf_counter_ns()
+            verdict, cells, calls, memo_bytes = run()
+            duration = time.perf_counter_ns() - t0
+            records.append(BenchRecord(
+                name, engine, len(text), verdict, cells, calls, duration, memo_bytes
+            ))
     return records
 
 
@@ -284,3 +240,42 @@ def affine_fit(xs: list[int | float], ys: list[int | float]) -> AffineFit:
     scale = statistics.fmean(abs(y) for y in ys)
     rel = rms / scale if scale > 0 else 0.0
     return AffineFit(slope, intercept, rel)
+
+
+def summary(records: list[BenchRecord]) -> str:
+    """Per engine, in record order, one row per run: verdict, the work
+    counter (``calls`` for naive, else ``cells_evaluated``), its growth
+    over the previous run, ``memo_bytes_estimate`` and wall ms.  Then,
+    for each engine with at least 3 runs that ended without error, the
+    affine fit of the work counter (and for packrat of
+    ``memo_bytes_estimate``) against input length."""
+    out, fits = [], []
+    for engine in dict.fromkeys(r.engine for r in records):
+        runs = [r for r in records if r.engine == engine]
+        work = "calls" if engine == "naive" else "cells_evaluated"
+        out += ["", engine, f"{'input_len':>10} {'verdict':>7} {work:>15} "
+                f"{'growth':>7} {'memo_bytes_estimate':>19} {'ms':>9}"]
+        prev = 0
+        for r in runs:
+            count = getattr(r, work)
+            growth = f"{count / prev:.3f}" if prev else ""
+            out.append(
+                f"{r.input_len:>10} {r.verdict:>7} {count:>15} {growth:>7} "
+                f"{r.memo_bytes_estimate:>19} {r.duration_ns / 1e6:>9.1f}"
+            )
+            prev = count
+        ok = [r for r in runs if r.verdict != "error"]
+        xs = [r.input_len for r in ok]
+        for label in [work, "memo_bytes_estimate"] if engine == "packrat" else [work]:
+            try:
+                fit = affine_fit(xs, [getattr(r, label) for r in ok])
+            except ValueError:  # under 3 runs, or one input length only
+                continue
+            fits.append(
+                f"{engine} {label} ~= {fit.slope:.3f}*n + {fit.intercept:.3f}"
+                f" (relative residual {fit.rel_residual:.2e})"
+            )
+    if fits:
+        out += [""] + fits
+    out.append("wall-clock times are informational; counters are the contract")
+    return "\n".join(out) + "\n"

@@ -143,41 +143,49 @@ _ARITH_LEXED = {
     "Whitespace": lambda node, text, ev: (),
 }
 
-# name, evaluator handlers by rule name, alphabet, exhaustive alphabet,
-# traits, input generator
-_TABLE = (
-    ("arith", _ARITH, "0123456789+*()", "27+*()", (), None),
-    ("arith_left_assoc", _ARITH_LEFT_ASSOC, "0123456789+-*()", "27+-*()", (), None),
-    ("arith_lexed", _ARITH_LEXED, "0123456789+*() \t", "27+*( )", (), None),
-    ("lookahead_ab", None, "xyz", "xyz", ("non_lr_k",), None),
-    ("composition_assign", None, "a=!+-()", "a=!+-()", ("non_lr_k",), None),
-    ("composition_lvalue", None, "a=!+-()[]", "a=!+-()[]", ("non_lr_k",), None),
-    ("peg_limitation", None, "x", "x", ("peg_cfg_divergent",), None),
-    (
-        "left_recursive_arith", None, "0123456789+-*()", "27+-*()",
-        ("left_recursive",), None,
+# name -> evaluator handlers by rule name, alphabet, exhaustive
+# alphabet, traits, input generator
+_TABLE = {
+    "arith": (_ARITH, "0123456789+*()", "27+*()", (), None),
+    "arith_left_assoc": (_ARITH_LEFT_ASSOC, "0123456789+-*()", "27+-*()", (), None),
+    "arith_lexed": (_ARITH_LEXED, "0123456789+*() \t", "27+*( )", (), None),
+    "lookahead_ab": (None, "xyz", "xyz", ("non_lr_k",), None),
+    "composition_assign": (None, "a=!+-()", "a=!+-()", ("non_lr_k",), None),
+    "composition_lvalue": (None, "a=!+-()[]", "a=!+-()[]", ("non_lr_k",), None),
+    "peg_limitation": (None, "x", "x", ("peg_cfg_divergent",), None),
+    "left_recursive_arith": (
+        None, "0123456789+-*()", "27+-*()", ("left_recursive",), None,
     ),
-    ("blowup", None, "ab", "ab", (), lambda k: "a" * k + "b"),
-)
+    "blowup": (None, "ab", "ab", (), lambda k: "a" * k + "b"),
+}
+
+
+def entry(name: str) -> CatalogEntry:
+    """The catalog entry ``name``, parsed from its shipped file alone.
+
+    Each call parses the file into a fresh :class:`Grammar`.  It is not
+    validated here: like any grammar, it is validated once, at its
+    first session or oracle call.  An unknown name raises KeyError.
+    """
+    try:
+        handlers, alphabet, exhaustive, traits, generator = _TABLE[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown grammar {name!r} (catalog: {', '.join(_TABLE)})"
+        ) from None
+    g = parse_grammar(grammar_text(name))
+    return CatalogEntry(
+        name=name,
+        grammar=g,
+        evaluator=_dispatch_evaluator(g, handlers) if handlers else None,
+        alphabet=alphabet,
+        exhaustive_alphabet=exhaustive,
+        traits=frozenset(traits),
+        input_generator=generator,
+    )
 
 
 def registry() -> dict[str, CatalogEntry]:
-    """Name -> entry for every catalog grammar, in a stable order.
-
-    Each call parses the shipped files into fresh :class:`Grammar`
-    objects.  They are not validated here: like any grammar, each is
-    validated once, at its first session or oracle call.
-    """
-    out = {}
-    for name, handlers, alphabet, exhaustive, traits, generator in _TABLE:
-        g = parse_grammar(grammar_text(name))
-        out[name] = CatalogEntry(
-            name=name,
-            grammar=g,
-            evaluator=_dispatch_evaluator(g, handlers) if handlers else None,
-            alphabet=alphabet,
-            exhaustive_alphabet=exhaustive,
-            traits=frozenset(traits),
-            input_generator=generator,
-        )
-    return out
+    """Name -> fresh :func:`entry` for every catalog grammar, in a
+    stable order."""
+    return {name: entry(name) for name in _TABLE}

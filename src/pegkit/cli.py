@@ -16,8 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import ENGINES, parse_sizes, run_bench, to_csv
-from .catalog import CatalogEntry, registry
+from .bench import ENGINES, parse_sizes, run_bench, summary, to_csv
+from .catalog import CatalogEntry, entry as catalog_entry, registry
 from .diffcheck import CheckConfig, run_check
 from .engine import (
     DEFAULT_DEPTH_LIMIT,
@@ -86,14 +86,10 @@ def _resolve_entry(args: argparse.Namespace) -> CatalogEntry:
             alphabet=alphabet,
             exhaustive_alphabet=alphabet,
         )
-    entries = registry()
     try:
-        return entries[args.grammar]
-    except KeyError:
-        known = ", ".join(entries)
-        raise UsageError(
-            f"unknown grammar {args.grammar!r} (catalog: {known})"
-        ) from None
+        return catalog_entry(args.grammar)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
@@ -148,32 +144,29 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     entry = _resolve_entry(args)
-    try:
-        sizes = parse_sizes(args.sizes)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     if not engines:
         raise UsageError("no engines given")
-    for engine in engines:
-        if engine not in ENGINES:
-            raise UsageError(
-                f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})"
-            )
     try:
         records = run_bench(
             entry.grammar,
             entry.name,
             args.generator,
-            sizes,
+            parse_sizes(args.sizes),
             engines,
             config=_engine_config(args),
             call_budget=args.call_budget,
         )
-    except ValueError as exc:  # unknown input family
+    except ValueError as exc:  # bad sizes, unknown engine or input family
         raise UsageError(str(exc)) from None
-    Path(args.out).write_text(to_csv(records), encoding="utf-8", newline="\n")
+    out = Path(args.out)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(to_csv(records), encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from None
     print(f"wrote {len(records)} records to {args.out}")
+    print(summary(records), end="")
     return EXIT_OK
 
 
@@ -234,23 +227,28 @@ def cmd_grammar_validate(args: argparse.Namespace) -> int:
     return EXIT_FAILURE if errors else EXIT_OK
 
 
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser with one flag: each subcommand takes only its own."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*names, **kwargs)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--grammar-file",
-        metavar="PATH",
+    grammar_file = _flag(
+        "--grammar-file", metavar="PATH",
         help="load the grammar from a file; the GRAMMAR argument then "
         "serves only as a label",
     )
-    common.add_argument(
+    depth_limit = _flag(
         "--depth-limit", type=int, default=DEFAULT_DEPTH_LIMIT, metavar="N",
         help="cap on nested rule applications (default %(default)s)",
     )
-    common.add_argument(
+    call_budget = _flag(
         "--call-budget", type=int, default=DEFAULT_CALL_BUDGET, metavar="N",
         help="abort naive-engine runs after N rule calls (default %(default)s)",
     )
-    common.add_argument(
+    seed = _flag(
         "--seed", type=int, default=0, metavar="N",
         help="seed for randomized input generation (default %(default)s)",
     )
@@ -261,12 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="parse and evaluate an input")
+    p = sub.add_parser(
+        "eval", parents=[grammar_file, depth_limit],
+        help="parse and evaluate an input",
+    )
     p.add_argument("grammar", help="catalog grammar name")
     p.add_argument("input", help="input text")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("matrix", parents=[common], help="print the memo matrix")
+    p = sub.add_parser(
+        "matrix", parents=[grammar_file, depth_limit],
+        help="print the memo matrix",
+    )
     p.add_argument("grammar", help="catalog grammar name")
     p.add_argument("input", help="input text")
     p.add_argument(
@@ -275,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_matrix)
 
-    p = sub.add_parser("bench", parents=[common], help="write a benchmark CSV")
+    p = sub.add_parser(
+        "bench", parents=[grammar_file, depth_limit, call_budget],
+        help="write a benchmark CSV and print its growth summary",
+    )
     p.add_argument("grammar", help="catalog grammar name")
     p.add_argument(
         "generator",
@@ -291,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
-        "check", parents=[common], help="differential check against the oracles"
+        "check", parents=[grammar_file, call_budget, seed],
+        help="differential check against the oracles",
     )
     p.add_argument("grammar", help="catalog grammar name or 'all'")
     p.add_argument("max_len", type=int, help="maximum input length")

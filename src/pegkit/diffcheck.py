@@ -56,6 +56,9 @@ from .oracles import (
     tabular_parse,
 )
 
+_CFG_SAMPLE_CAP = 800  # inputs per grammar cross-checked against the CFG oracle
+_LIST_LIMIT = 5  # counterexamples and divergences printed per grammar
+
 
 @dataclass(frozen=True, slots=True)
 class CheckConfig:
@@ -66,9 +69,7 @@ class CheckConfig:
     trials: int = 1000  # random mode: inputs per grammar
     seed: int = 0
     tier_cap: int = 10_000  # exhaustive mode: corpus cap (whole tiers)
-    cfg_sample_cap: int = 800  # inputs per grammar cross-checked vs CFG
     call_budget: int = DEFAULT_CALL_BUDGET  # naive-oracle guard per (rule, pos)
-    list_limit: int = 5  # counterexamples printed per grammar
 
     def __post_init__(self) -> None:
         if self.mode not in ("exhaustive", "random"):
@@ -238,7 +239,7 @@ def _check_entry(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck:
 
     try:
         check_cfg_compatible(g)
-        cfg_stride = max(1, len(corpus) // cfg.cfg_sample_cap)
+        cfg_stride = max(1, len(corpus) // _CFG_SAMPLE_CAP)
         result.notes.append(
             "cfg oracle on every input"
             if cfg_stride == 1
@@ -248,7 +249,6 @@ def _check_entry(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck:
         cfg_stride = 0
         result.notes.append(f"cfg oracle skipped ({exc.what})")
 
-    few = cfg.list_limit
     naive_seen: list[dict[str, int | str | None]] = [{} for _ in range(nrules)]
     for index, text in enumerate(corpus):
         n = len(text)
@@ -272,7 +272,7 @@ def _check_entry(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck:
                 result.cells += 1
                 if not (peg == nai == tabv):
                     mismatch = True
-                    if len(result.counterexamples) < few * 2:
+                    if len(result.counterexamples) < _LIST_LIMIT * 2:
                         result.counterexamples.append(
                             f"input {text!r} rule {g.rule_name(rid)} pos {pos}: "
                             f"packrat={peg} naive={nai} tabular={tabv}"
@@ -341,7 +341,7 @@ def run_check(entries: list[CatalogEntry], cfg: CheckConfig) -> CheckReport:
         )
         for note in r.notes:
             lines.append(f"  note: {note}")
-        shown = r.counterexamples[: cfg.list_limit]
+        shown = r.counterexamples[:_LIST_LIMIT]
         for ce in shown:
             lines.append(f"  counterexample: {ce}")
         if len(r.counterexamples) > len(shown):
@@ -351,11 +351,11 @@ def run_check(entries: list[CatalogEntry], cfg: CheckConfig) -> CheckReport:
         label = (
             "expected divergence" if r.divergence_expected else "UNEXPECTED divergence"
         )
-        for div in r.divergences[: cfg.list_limit]:
+        for div in r.divergences[:_LIST_LIMIT]:
             lines.append(f"  {label}: {div}")
-        if len(r.divergences) > cfg.list_limit:
+        if len(r.divergences) > _LIST_LIMIT:
             lines.append(
-                f"  ... {len(r.divergences) - cfg.list_limit} more divergences"
+                f"  ... {len(r.divergences) - _LIST_LIMIT} more divergences"
             )
         total_counter += len(r.counterexamples)
         if not r.divergence_expected:

@@ -70,6 +70,8 @@ class GrammarValidationError(Exception):
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
 
+_HEX = set("0123456789abcdefABCDEF")
+
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", "\\": "\\", "'": "'", '"': '"',
             "[": "[", "]": "]", "-": "-"}
 
@@ -131,13 +133,11 @@ class _Scanner:
             if self.pos + 2 > len(self.text):
                 self.error("truncated \\x escape")
             hh = self.text[self.pos] + self.text[self.pos + 1]
-            try:
-                code = int(hh, 16)
-            except ValueError:
+            if not _HEX.issuperset(hh):
                 self.error(f"bad \\x escape {hh!r}")
             self._take()
             self._take()
-            return chr(code)
+            return chr(int(hh, 16))
         self.error(f"unknown escape \\{c}")
         raise AssertionError  # unreachable
 

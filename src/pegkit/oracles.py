@@ -31,6 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .engine import DepthExceeded, InvalidGrammarError, LeftRecursion
+from .engine import _enter_deep, _leave_deep  # the counted deep section
 from .grammar import (
     And,
     AnyChar,
@@ -122,7 +123,9 @@ def naive_parse(
     :class:`LeftRecursion` rather than looping.  ``call_budget`` and
     ``depth_limit`` must each be at least 1; a call that would make
     more than ``depth_limit`` rule calls active at once raises
-    :class:`DepthExceeded`.
+    :class:`DepthExceeded`.  It runs in the engine's counted deep
+    section, as :func:`~pegkit.engine.run_deep` does, so deep inputs reach
+    that limit.
     """
     if call_budget < 1:
         raise ValueError(f"call_budget must be at least 1, got {call_budget}")
@@ -202,11 +205,13 @@ def naive_parse(
             return p if walk(e.body, p) is not None else None
         raise TypeError(f"not a PegExpr: {e!r}")
 
+    _enter_deep()
     try:
         outcome = call_rule(rule, pos)
     except RecursionError:
         raise DepthExceeded(depth_limit, "interpreter frame budget exhausted") from None
     finally:
+        _leave_deep()
         # The two closures refer to each other and walk to itself; unbound
         # here, they are freed at once instead of by the cyclic collector.
         del walk, call_rule

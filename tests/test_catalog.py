@@ -18,6 +18,7 @@ from pegkit import (
     parse_complete,
     registry,
 )
+from pegkit.catalog import entry
 
 EXPECTED_NAMES = {
     "arith",
@@ -122,6 +123,22 @@ class TestRegistry:
         b = registry()["arith"]
         assert a is not b
         assert a.grammar.names == b.grammar.names
+
+    def test_entry_builds_the_registry_entry(self, entries):
+        for name, expected in entries.items():
+            got = entry(name)
+            assert got is not expected
+            assert format_grammar(got.grammar) == format_grammar(expected.grammar)
+            assert (got.alphabet, got.traits) == (expected.alphabet, expected.traits)
+
+    def test_unknown_entry_names_the_whole_catalog(self):
+        with pytest.raises(KeyError) as exc:
+            entry("mystery")
+        assert exc.value.args[0] == (
+            "unknown grammar 'mystery' (catalog: arith, arith_left_assoc, "
+            "arith_lexed, lookahead_ab, composition_assign, composition_lvalue, "
+            "peg_limitation, left_recursive_arith, blowup)"
+        )
 
     def test_alphabets_are_nonempty(self, entries):
         for entry in entries.values():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from pegkit import catalog
 from pegkit.bench import CSV_HEADER
 from pegkit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from pegkit.diffcheck import CheckConfig, run_check
@@ -36,6 +37,19 @@ class TestEval:
     def test_unknown_grammar_is_a_usage_error(self, capsys):
         assert main(["eval", "mystery", "x"]) == EXIT_USAGE
         assert "unknown grammar" in capsys.readouterr().err
+
+    def test_parses_only_the_named_catalog_grammar(self, capsys, monkeypatch):
+        parsed = []
+        real = catalog.parse_grammar
+
+        def counting(text):
+            parsed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(catalog, "parse_grammar", counting)
+        assert main(["eval", "arith", "1+2"]) == EXIT_OK
+        assert capsys.readouterr().out == "3\n"
+        assert len(parsed) == 1
 
     def test_left_recursion_is_reported_as_an_error(self, capsys):
         assert main(["eval", "left_recursive_arith", "1+2"]) == EXIT_FAILURE
@@ -101,6 +115,44 @@ class TestBench:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 11
+
+    def test_prints_growth_and_fits(self, capsys, tmp_path):
+        out = tmp_path / "bench.csv"
+        code = main(
+            ["bench", "blowup", "aN_b", "4..8", "naive,packrat", str(out)]
+        )
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        naive = lines.index("naive")
+        assert lines[naive + 1].split() == [
+            "input_len", "verdict", "calls", "growth", "memo_bytes_estimate", "ms",
+        ]
+        rows = [line.split()[:4] for line in lines[naive + 2 : naive + 7]]
+        # the first size has no growth, so its memo bytes come fourth
+        assert rows == [
+            ["5", "accept", "19", "0"],
+            ["6", "accept", "39", "2.053"],
+            ["7", "accept", "79", "2.026"],
+            ["8", "accept", "159", "2.013"],
+            ["9", "accept", "319", "2.006"],
+        ]
+        assert any(
+            line.startswith("packrat cells_evaluated ~= 1.000*n + 0.000")
+            for line in lines
+        )
+
+    def test_creates_the_output_directory(self, capsys, tmp_path):
+        out = tmp_path / "new" / "dir" / "bench.csv"
+        assert main(["bench", "blowup", "aN_b", "4", "packrat", str(out)]) == EXIT_OK
+        assert out.read_text(encoding="utf-8").startswith(CSV_HEADER)
+
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        for out in (blocker / "bench.csv", tmp_path):
+            code = main(["bench", "blowup", "aN_b", "4", "packrat", str(out)])
+            assert code == EXIT_USAGE
+            assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_bad_sizes_are_usage_errors(self, capsys, tmp_path):
         out = tmp_path / "bench.csv"
@@ -192,6 +244,14 @@ class TestGrammarTools:
         assert main(["grammar", "fmt", str(path)]) == EXIT_FAILURE
         assert "error" in capsys.readouterr().err
 
+    def test_fmt_rejects_a_bad_hex_escape(self, capsys, tmp_path):
+        path = tmp_path / "g.peg"
+        path.write_text("A <- '\\x-1' ;", encoding="utf-8")
+        assert main(["grammar", "fmt", str(path)]) == EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            "error: line 1, column 9: bad \\x escape '-1'\n"
+        )
+
     def test_validate_reports_warnings_but_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "g.peg"
         path.write_text("A <- 'a' ;\nDead <- 'd' ;", encoding="utf-8")
@@ -214,3 +274,21 @@ class TestGrammarTools:
         err = capsys.readouterr().err
         assert err.startswith("syntax error:")
         assert "expression nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "arith", "1", "--seed", "5"],
+        ["eval", "arith", "1", "--call-budget", "5"],
+        ["matrix", "arith", "1", "--seed", "5"],
+        ["matrix", "arith", "1", "--call-budget", "5"],
+        ["bench", "blowup", "aN_b", "4", "packrat", "out.csv", "--seed", "5"],
+        ["check", "arith", "3", "exhaustive", "--depth-limit", "5"],
+    ],
+)
+def test_flags_a_subcommand_does_not_use_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err

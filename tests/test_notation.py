@@ -134,6 +134,14 @@ class TestNotationForms:
             char("\n"), lit("a\tb"), charclass("ABC]")
         )
 
+    @pytest.mark.parametrize("form", ["'\\x{}'", "[\\x{}]"])
+    @pytest.mark.parametrize("digits", ["-1", " 1", "+f", "1_"])
+    def test_hex_escape_takes_exactly_two_hex_digits(self, form, digits):
+        text = "A <- " + form.format(digits) + " ;"
+        with pytest.raises(GrammarSyntaxError) as exc:
+            parse_grammar(text)
+        assert str(exc.value) == f"line 1, column 9: bad \\x escape {digits!r}"
+
     def test_class_ranges_and_singletons(self):
         g = parse_grammar("A <- [a-c xz] ;")
         assert g.rules[0].body == charclass("abc xz")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -16,9 +17,11 @@ from pegkit import (
     char,
     charclass,
     choice,
+    load_grammar,
     make_grammar,
     new_session,
     opt,
+    parse_complete,
     ref,
     seq,
     star,
@@ -99,6 +102,17 @@ class TestNaiveParse:
         shallow = naive_parse(arith.grammar, 0, 0, "2").max_depth
         deep = naive_parse(arith.grammar, 0, 0, "((((2))))").max_depth
         assert deep > shallow
+
+    def test_deep_input_runs_in_the_counted_section(self):
+        # a few frames per rule call: 400 levels outrun the interpreter's
+        # default recursion limit, as they would the engine's
+        g = load_grammar("P <- '(' P ')' / '1' ;")
+        text = "(" * 400 + "1" + ")" * 400
+        before = (sys.getrecursionlimit(), gc.isenabled())
+        report = naive_parse(g, g.start, 0, text)
+        assert report.outcome == parse_complete(new_session(g, text)).end == 801
+        assert report.max_depth == 401
+        assert (sys.getrecursionlimit(), gc.isenabled()) == before
 
 
 class TestTabularParse:
