@@ -90,13 +90,25 @@ def make_input(family: str, size: int) -> str:
     raise ValueError(f"unknown input family {family!r}")
 
 
+def _int(text: str, piece: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"bad size list piece {piece!r} "
+            "(accepted forms: N, A..B, A..B:STEP, A..BxM, comma lists)"
+        ) from None
+
+
 def parse_sizes(spec: str) -> list[int]:
     """Size lists like ``4..14``, ``1000..64000x2``, ``1..9:2``, ``5,10``.
 
     ``a..b`` steps by 1, ``a..b:s`` by adding ``s``, ``a..bxM`` by
-    multiplying by ``M``; comma-separated pieces concatenate.  A bare
-    ``a..b`` that would enumerate more than 64 sizes becomes a doubling
-    ladder instead, so ``1000..64000`` means 1000, 2000, ..., 64000.
+    multiplying by ``M`` from an ``a`` of at least 1; comma-separated
+    pieces concatenate.  A bare ``a..b`` that would enumerate more than
+    64 sizes becomes a doubling ladder instead, so ``1000..64000`` means
+    1000, 2000, ..., 64000.  Anything else raises ValueError naming the
+    bad piece.
     """
     sizes: list[int] = []
     for piece in spec.split(","):
@@ -105,24 +117,26 @@ def parse_sizes(spec: str) -> list[int]:
             continue
         if ".." in piece:
             lo_text, _, rest = piece.partition("..")
-            lo = int(lo_text)
+            lo = _int(lo_text, piece)
             if "x" in rest:
                 hi_text, _, mul_text = rest.partition("x")
-                hi, mul = int(hi_text), int(mul_text)
+                hi, mul = _int(hi_text, piece), _int(mul_text, piece)
                 if mul < 2:
                     raise ValueError(f"multiplier must be >= 2 in {piece!r}")
+                if lo < 1:  # from 0 or below, multiplying never passes hi
+                    raise ValueError(f"start must be >= 1 in {piece!r}")
                 k = lo
                 while k <= hi:
                     sizes.append(k)
                     k *= mul
             elif ":" in rest:
                 hi_text, _, step_text = rest.partition(":")
-                hi, step = int(hi_text), int(step_text)
+                hi, step = _int(hi_text, piece), _int(step_text, piece)
                 if step < 1:
                     raise ValueError(f"step must be >= 1 in {piece!r}")
                 sizes.extend(range(lo, hi + 1, step))
             else:
-                hi = int(rest)
+                hi = _int(rest, piece)
                 if hi < lo:
                     raise ValueError(f"descending range {piece!r}")
                 if lo >= 1 and hi - lo + 1 > 64:
@@ -133,7 +147,7 @@ def parse_sizes(spec: str) -> list[int]:
                 else:
                     sizes.extend(range(lo, hi + 1))
         else:
-            sizes.append(int(piece))
+            sizes.append(_int(piece, piece))
     if not sizes:
         raise ValueError(f"empty size list {spec!r}")
     return sizes

@@ -6,8 +6,7 @@ comments say why the grammar has its shape.  This module adds one row
 of metadata per file: an optional semantic evaluator (a pure function
 from rule-labelled parse-tree node and input text to a value:
 integers, characters, pairs, the unit value ``()``, ...), alphabets for
-input generation, an optional input generator, and trait flags used by
-the differential checker:
+input generation, and trait flags used by the differential checker:
 
 * ``left_recursive`` - every engine must terminate with a structured
   left-recursion error rather than loop;
@@ -40,7 +39,6 @@ class CatalogEntry:
     alphabet: str
     exhaustive_alphabet: str
     traits: frozenset[str] = frozenset()
-    input_generator: Callable[[int], str] | None = None
 
 
 def grammar_text(name: str) -> str:
@@ -144,19 +142,17 @@ _ARITH_LEXED = {
 }
 
 # name -> evaluator handlers by rule name, alphabet, exhaustive
-# alphabet, traits, input generator
+# alphabet, traits
 _TABLE = {
-    "arith": (_ARITH, "0123456789+*()", "27+*()", (), None),
-    "arith_left_assoc": (_ARITH_LEFT_ASSOC, "0123456789+-*()", "27+-*()", (), None),
-    "arith_lexed": (_ARITH_LEXED, "0123456789+*() \t", "27+*( )", (), None),
-    "lookahead_ab": (None, "xyz", "xyz", ("non_lr_k",), None),
-    "composition_assign": (None, "a=!+-()", "a=!+-()", ("non_lr_k",), None),
-    "composition_lvalue": (None, "a=!+-()[]", "a=!+-()[]", ("non_lr_k",), None),
-    "peg_limitation": (None, "x", "x", ("peg_cfg_divergent",), None),
-    "left_recursive_arith": (
-        None, "0123456789+-*()", "27+-*()", ("left_recursive",), None,
-    ),
-    "blowup": (None, "ab", "ab", (), lambda k: "a" * k + "b"),
+    "arith": (_ARITH, "0123456789+*()", "27+*()", ()),
+    "arith_left_assoc": (_ARITH_LEFT_ASSOC, "0123456789+-*()", "27+-*()", ()),
+    "arith_lexed": (_ARITH_LEXED, "0123456789+*() \t", "27+*( )", ()),
+    "lookahead_ab": (None, "xyz", "xyz", ("non_lr_k",)),
+    "composition_assign": (None, "a=!+-()", "a=!+-()", ("non_lr_k",)),
+    "composition_lvalue": (None, "a=!+-()[]", "a=!+-()[]", ("non_lr_k",)),
+    "peg_limitation": (None, "x", "x", ("peg_cfg_divergent",)),
+    "left_recursive_arith": (None, "0123456789+-*()", "27+-*()", ("left_recursive",)),
+    "blowup": (None, "ab", "ab", ()),
 }
 
 
@@ -168,7 +164,7 @@ def entry(name: str) -> CatalogEntry:
     first session or oracle call.  An unknown name raises KeyError.
     """
     try:
-        handlers, alphabet, exhaustive, traits, generator = _TABLE[name]
+        handlers, alphabet, exhaustive, traits = _TABLE[name]
     except KeyError:
         raise KeyError(
             f"unknown grammar {name!r} (catalog: {', '.join(_TABLE)})"
@@ -181,7 +177,6 @@ def entry(name: str) -> CatalogEntry:
         alphabet=alphabet,
         exhaustive_alphabet=exhaustive,
         traits=frozenset(traits),
-        input_generator=generator,
     )
 
 

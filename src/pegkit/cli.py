@@ -147,6 +147,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     if not engines:
         raise UsageError("no engines given")
+    out = Path(args.out)
+    try:  # before the first run, so that a bad OUT wastes none
+        out.parent.mkdir(parents=True, exist_ok=True)
+        if out.is_dir():
+            raise IsADirectoryError("is a directory")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from None
     try:
         records = run_bench(
             entry.grammar,
@@ -159,9 +166,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # bad sizes, unknown engine or input family
         raise UsageError(str(exc)) from None
-    out = Path(args.out)
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(to_csv(records), encoding="utf-8", newline="\n")
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc}") from None

@@ -194,29 +194,23 @@ def _check_left_recursive(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck
     g = entry.grammar
     a0 = entry.alphabet[0]
     probes = ["", a0, a0 * 2, a0 * 3]
+    # the backends are looked up when called, so a rebound module name counts
+    backends = (
+        ("packrat", LeftRecursion, lambda text: ParseSession(g, text).apply(g.start, 0)),
+        ("naive", LeftRecursion,
+         lambda text: naive_parse(g, g.start, 0, text, call_budget=cfg.call_budget)),
+        ("tabular", SamePositionCycle, lambda text: tabular_parse(g, text)),
+    )
     for text in probes:
         result.inputs += 1
-        try:
-            ParseSession(g, text).apply(g.start, 0)
-            result.counterexamples.append(
-                f"input {text!r}: packrat returned instead of LeftRecursion"
-            )
-        except LeftRecursion:
-            pass
-        try:
-            naive_parse(g, g.start, 0, text, call_budget=cfg.call_budget)
-            result.counterexamples.append(
-                f"input {text!r}: naive returned instead of LeftRecursion"
-            )
-        except LeftRecursion:
-            pass
-        try:
-            tabular_parse(g, text)
-            result.counterexamples.append(
-                f"input {text!r}: tabular returned instead of SamePositionCycle"
-            )
-        except SamePositionCycle:
-            pass
+        for backend, expected, run in backends:
+            try:
+                run(text)
+                result.counterexamples.append(
+                    f"input {text!r}: {backend} returned instead of {expected.__name__}"
+                )
+            except expected:
+                pass
     result.notes.append(
         f"left recursion reported by packrat/naive/tabular on {len(probes)} probes"
     )

@@ -205,9 +205,6 @@ class Grammar:
     def rule_name(self, rid: int) -> str:
         return self.rules[rid].name
 
-    def body(self, rid: int) -> PegExpr:
-        return self.rules[rid].body
-
 
 def _children(e: PegExpr) -> tuple[PegExpr, ...]:
     if isinstance(e, Seq):
@@ -385,36 +382,27 @@ def validate(g: Grammar) -> tuple[ValidationIssue, ...]:
     """
     issues: list[ValidationIssue] = []
     nrules = len(g.rules)
-
-    def walk(rule_name: str, e: PegExpr, path: tuple[int, ...]) -> None:
-        def report(code: str, message: str) -> None:
-            issues.append(ValidationIssue("error", code, rule_name, path, message))
-
-        if type(e) not in _NODE_TYPES:
-            report("UnknownNode", f"{type(e).__name__} is not an expression node type")
-            return
-        if isinstance(e, Ref):
-            target = e.rule
-            if not (isinstance(target, int) and 0 <= target < nrules):
-                report("UnknownRef", f"reference to unknown rule {target!r}")
-        kids = _children(e)
-        if isinstance(e, (Seq, Choice)) and not kids:
-            report("EmptyChoice", f"{type(e).__name__} with no elements")
-        if isinstance(e, (Star, Plus)) and nullable(g, e.body):
-            report(
-                "NullableRepetition",
-                f"{type(e).__name__} body can match empty and would repeat forever",
-            )
-        for i, kid in enumerate(kids):
-            walk(rule_name, kid, path + (i,))
-
-    try:
-        for rule in g.rules:
-            walk(rule.name, rule.body, ())
-    finally:
-        # walk refers to itself; unbound here, it is freed at once
-        # instead of by the cyclic collector.
-        del walk
+    stack = [(rule.name, rule.body, ()) for rule in reversed(g.rules)]
+    while stack:
+        name, e, path = stack.pop()
+        t = type(e)
+        if t not in _NODE_TYPES:  # its subtree is not checked
+            code, message = "UnknownNode", f"{t.__name__} is not an expression node type"
+        else:
+            kids = _children(e)
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((name, kids[i], path + (i,)))
+            # a node of exact type has at most one of these
+            if t is Ref and not (isinstance(e.rule, int) and 0 <= e.rule < nrules):
+                code, message = "UnknownRef", f"reference to unknown rule {e.rule!r}"
+            elif (t is Seq or t is Choice) and not kids:
+                code, message = "EmptyChoice", f"{t.__name__} with no elements"
+            elif (t is Star or t is Plus) and nullable(g, e.body):
+                code = "NullableRepetition"
+                message = f"{t.__name__} body can match empty and would repeat forever"
+            else:
+                continue
+        issues.append(ValidationIssue("error", code, name, path, message))
 
     reachable = {g.start}
     frontier = [g.start]

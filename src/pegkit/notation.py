@@ -54,10 +54,13 @@ from .grammar import (
 
 
 class GrammarSyntaxError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
+    """A syntax error at offset ``pos`` of ``text``; ``line`` and ``col``
+    count from 1, and only ``\n`` starts a new line."""
+
+    def __init__(self, message: str, text: str, pos: int):
+        self.line = text.count("\n", 0, pos) + 1
+        self.col = pos - text.rfind("\n", 0, pos)
+        super().__init__(f"line {self.line}, column {self.col}: {message}")
 
 
 class GrammarValidationError(Exception):
@@ -80,47 +83,38 @@ _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", "\\": "\\", "'": "'", '"': '"',
 class _Token:
     kind: str
     value: object
-    line: int
-    col: int
+    pos: int
 
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def error(self, message: str, line: int | None = None, col: int | None = None):
-        raise GrammarSyntaxError(
-            message, self.line if line is None else line, self.col if col is None else col
-        )
-
-    def _advance(self, c: str) -> None:
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        self.pos += 1
+    def error(self, message: str, pos: int | None = None):
+        raise GrammarSyntaxError(message, self.text, self.pos if pos is None else pos)
 
     def _take(self) -> str:
         c = self.text[self.pos]
-        self._advance(c)
+        self.pos += 1
         return c
 
     def _skip_blank(self) -> None:
         while self.pos < len(self.text):
             c = self.text[self.pos]
             if c in " \t\r\n":
-                self._advance(c)
+                self.pos += 1
             elif c == "#":  # a comment runs to the end of its line
                 end = self.text.find("\n", self.pos)
-                end = len(self.text) if end < 0 else end
-                self.col += end - self.pos
-                self.pos = end
+                self.pos = len(self.text) if end < 0 else end
             else:
                 return
+
+    def _name(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
+            self.pos += 1
+        return self.text[start : self.pos]
 
     def _escape(self) -> str:
         # positioned just after the backslash
@@ -132,52 +126,46 @@ class _Scanner:
         if c == "x":
             if self.pos + 2 > len(self.text):
                 self.error("truncated \\x escape")
-            hh = self.text[self.pos] + self.text[self.pos + 1]
+            hh = self.text[self.pos : self.pos + 2]
             if not _HEX.issuperset(hh):
                 self.error(f"bad \\x escape {hh!r}")
-            self._take()
-            self._take()
+            self.pos += 2
             return chr(int(hh, 16))
         self.error(f"unknown escape \\{c}")
         raise AssertionError  # unreachable
 
-    def _quoted(self, quote: str, line: int, col: int) -> str:
+    def _quoted(self, quote: str, start: int) -> str:
         out = []
         while True:
             if self.pos >= len(self.text):
-                self.error("unterminated quoted literal", line, col)
+                self.error("unterminated quoted literal", start)
             c = self._take()
             if c == quote:
                 return "".join(out)
             if c == "\n":
-                self.error("newline inside quoted literal", line, col)
+                self.error("newline inside quoted literal", start)
             if c == "\\":
                 out.append(self._escape())
             else:
                 out.append(c)
 
-    def _charclass(self, line: int, col: int) -> frozenset[str]:
-        items: list[str] = []
+    def _class_member(self, start: int) -> str:
+        if self.pos >= len(self.text):
+            self.error("unterminated character class", start)
+        c = self._take()
+        if c == "\n":
+            self.error("newline inside character class", start)
+        return self._escape() if c == "\\" else c
 
-        def read_one() -> str:
-            if self.pos >= len(self.text):
-                self.error("unterminated character class", line, col)
-            c = self._take()
-            if c == "\n":
-                self.error("newline inside character class", line, col)
-            if c == "\\":
-                return self._escape()
-            return c
-
+    def _charclass(self, start: int) -> frozenset[str]:
         members: set[str] = set()
         while True:
             if self.pos >= len(self.text):
-                self.error("unterminated character class", line, col)
+                self.error("unterminated character class", start)
             if self.text[self.pos] == "]":
-                self._take()
-                members.update(items)
+                self.pos += 1
                 return frozenset(members)
-            c = read_one()
+            c = self._class_member(start)
             # 'a-z' forms a range; a literal '-' must be escaped
             if (
                 c != "-"
@@ -185,78 +173,76 @@ class _Scanner:
                 and self.text[self.pos] == "-"
                 and self.text[self.pos + 1] != "]"
             ):
-                self._take()
-                hi = read_one()
+                self.pos += 1
+                hi = self._class_member(start)
                 if ord(hi) < ord(c):
                     self.error(f"reversed range {c!r}-{hi!r} in character class")
                 members.update(chr(o) for o in range(ord(c), ord(hi) + 1))
             else:
-                items.append(c)
+                members.add(c)
 
     def tokens(self) -> list[_Token]:
         out: list[_Token] = []
         while True:
             self._skip_blank()
-            if self.pos >= len(self.text):
-                out.append(_Token("eof", None, self.line, self.col))
+            start = self.pos
+            if start >= len(self.text):
+                out.append(_Token("eof", None, start))
                 return out
-            line, col = self.line, self.col
             c = self._take()
             if c in _IDENT_START:
-                name = [c]
-                while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
-                    name.append(self._take())
-                out.append(_Token("ident", "".join(name), line, col))
+                out.append(_Token("ident", c + self._name(), start))
             elif c == "@":
-                name = []
-                while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
-                    name.append(self._take())
-                out.append(_Token("directive", "".join(name), line, col))
+                out.append(_Token("directive", self._name(), start))
             elif c == "<":
                 if self.pos < len(self.text) and self.text[self.pos] == "-":
-                    self._take()
-                    out.append(_Token("arrow", "<-", line, col))
+                    self.pos += 1
+                    out.append(_Token("arrow", "<-", start))
                 else:
-                    self.error("expected '<-'", line, col)
+                    self.error("expected '<-'", start)
             elif c == "'":
-                out.append(_Token("charlit", self._quoted("'", line, col), line, col))
+                out.append(_Token("charlit", self._quoted("'", start), start))
             elif c == '"':
-                out.append(_Token("strlit", self._quoted('"', line, col), line, col))
+                out.append(_Token("strlit", self._quoted('"', start), start))
             elif c == "[":
-                out.append(_Token("class", self._charclass(line, col), line, col))
+                out.append(_Token("class", self._charclass(start), start))
             elif c in "/*+?&!().;":
                 kinds = {
                     "/": "slash", "*": "star", "+": "plus", "?": "quest",
                     "&": "amp", "!": "bang", "(": "lparen", ")": "rparen",
                     ".": "dot", ";": "semi",
                 }
-                out.append(_Token(kinds[c], c, line, col))
+                out.append(_Token(kinds[c], c, start))
             else:
-                self.error(f"unexpected character {c!r}", line, col)
+                self.error(f"unexpected character {c!r}", start)
 
 
 _PRIMARY_STARTS = {"ident", "charlit", "strlit", "class", "dot", "lparen", "amp", "bang"}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _Scanner(text).tokens()
         self.i = 0
-        self.ref_sites: list[tuple[str, int, int]] = []
+        self.ref_sites: list[_Token] = []
 
     @property
     def tok(self) -> _Token:
         return self.tokens[self.i]
 
     def error(self, message: str, tok: _Token | None = None):
-        t = tok or self.tok
-        raise GrammarSyntaxError(message, t.line, t.col)
+        raise GrammarSyntaxError(message, self.text, (tok or self.tok).pos)
 
     def eat(self, kind: str, what: str) -> _Token:
         t = self.tok
         if t.kind != kind:
-            self.error(f"expected {what}, found {t.value!r}" if t.kind != "eof"
-                       else f"expected {what}, found end of input")
+            found = (
+                "end of input" if t.kind == "eof"
+                else _render_class(t.value) if t.kind == "class"
+                else repr(t.value)
+            )
+            self.error(f"expected {what}, found {found}")
         self.i += 1
         return t
 
@@ -288,9 +274,9 @@ class _Parser:
             self.error("no rules defined")
         if start is not None and start not in seen:
             self.error(f"@start names unknown rule {start!r}")
-        for name, line, col in self.ref_sites:
-            if name not in seen:
-                raise GrammarSyntaxError(f"reference to unknown rule {name!r}", line, col)
+        for t in self.ref_sites:
+            if t.value not in seen:
+                self.error(f"reference to unknown rule {t.value!r}", t)
         return rules, start
 
     def parse_expr(self) -> PegExpr:
@@ -327,7 +313,7 @@ class _Parser:
         t = self.tok
         if t.kind == "ident":
             self.i += 1
-            self.ref_sites.append((str(t.value), t.line, t.col))
+            self.ref_sites.append(t)
             return Ref(str(t.value))
         if t.kind == "charlit":
             self.i += 1
@@ -365,13 +351,14 @@ def parse_grammar(text: str) -> Grammar:
     input; the result may still carry validation issues (see
     :func:`pegkit.grammar.validate`).
     """
-    parser = _Parser(_Scanner(text).tokens())
+    parser = _Parser(text)
     try:
         rules, start = parser.parse_file()
         return make_grammar(rules, start=start)
     except RecursionError:
-        t = parser.tok
-        raise GrammarSyntaxError("expression nested too deeply", t.line, t.col) from None
+        raise GrammarSyntaxError(
+            "expression nested too deeply", text, parser.tok.pos
+        ) from None
 
 
 def load_grammar(text: str) -> Grammar:

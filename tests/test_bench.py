@@ -77,12 +77,22 @@ class TestParseSizes:
             parse_sizes("9..4")
         with pytest.raises(ValueError, match="empty"):
             parse_sizes(" , ")
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError,
+            match=r"bad size list piece 'abc' \(accepted forms: N, A\.\.B, "
+            r"A\.\.B:STEP, A\.\.BxM, comma lists\)",
+        ):
             parse_sizes("abc")
+        with pytest.raises(ValueError, match="bad size list piece '2..x4'"):
+            parse_sizes("1,2..x4")
         with pytest.raises(ValueError, match="multiplier"):
             parse_sizes("1..8x1")
         with pytest.raises(ValueError, match="step"):
             parse_sizes("1..8:0")
+        # multiplying 0 stays at 0, and a negative start runs away from hi
+        for spec in ("0..10x2", "-1..10x2"):
+            with pytest.raises(ValueError, match=f"start must be >= 1 in '{spec}'"):
+                parse_sizes(spec)
 
 
 class TestRunBench:

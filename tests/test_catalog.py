@@ -18,6 +18,7 @@ from pegkit import (
     parse_complete,
     registry,
 )
+from pegkit.bench import make_input
 from pegkit.catalog import entry
 
 EXPECTED_NAMES = {
@@ -312,12 +313,7 @@ class TestLeftRecursiveArith:
 
 
 class TestBlowup:
-    def test_input_generator_shape(self, entries):
-        gen = entries["blowup"].input_generator
-        assert gen(0) == "b"
-        assert gen(4) == "aaaab"
-
     def test_accepts_two_or_more_as(self, entries, accepts):
         entry = entries["blowup"]
         for k in range(0, 8):
-            assert accepts(entry.grammar, entry.input_generator(k)) == (k >= 2)
+            assert accepts(entry.grammar, make_input("aN_b", k)) == (k >= 2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from pegkit import catalog
+from pegkit import catalog, cli
 from pegkit.bench import CSV_HEADER
 from pegkit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from pegkit.diffcheck import CheckConfig, run_check
@@ -156,9 +156,22 @@ class TestBench:
 
     def test_bad_sizes_are_usage_errors(self, capsys, tmp_path):
         out = tmp_path / "bench.csv"
-        code = main(["bench", "blowup", "aN_b", "9..4", "packrat", str(out)])
+        # 0..10x2 would multiply 0 forever
+        for sizes, error in (("9..4", "descending"), ("0..10x2", "start must be >= 1")):
+            code = main(["bench", "blowup", "aN_b", sizes, "packrat", str(out)])
+            assert code == EXIT_USAGE
+            assert error in capsys.readouterr().err
+
+    def test_output_is_checked_before_any_run(self, capsys, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("benchmark ran before its output was checked")
+
+        monkeypatch.setattr(cli, "run_bench", no_run)
+        code = main(["bench", "blowup", "aN_b", "4", "packrat", str(tmp_path)])
         assert code == EXIT_USAGE
-        assert "descending" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"usage error: cannot write {tmp_path}: is a directory\n"
+        )
 
     def test_bad_engine_is_a_usage_error(self, capsys, tmp_path):
         out = tmp_path / "bench.csv"

@@ -147,6 +147,92 @@ class TestNotationForms:
         assert g.rules[0].body == charclass("abc xz")
 
 
+# (text, str(error), line, column) of every syntax error kind; tabs and
+# '\r' count as one column each, and only '\n' starts a new line
+SYNTAX_ERRORS = [
+    ("# header\r\nA <- 'x\\", "line 2, column 9: escape at end of input", 2, 9),
+    ("A <-\t'\\x4", "line 1, column 9: truncated \\x escape", 1, 9),
+    ("\tA <- [\\xg1] ;", "line 1, column 10: bad \\x escape 'g1'", 1, 10),
+    ("A <- 'a' # note\n\tB <- '\\q' ;", "line 2, column 10: unknown escape \\q", 2, 10),
+    ('A <- "abc', "line 1, column 6: unterminated quoted literal", 1, 6),
+    ("A <- 'a\r\nb' ;", "line 1, column 6: newline inside quoted literal", 1, 6),
+    ("A <- [ab", "line 1, column 6: unterminated character class", 1, 6),
+    ("A <- [a-", "line 1, column 6: unterminated character class", 1, 6),
+    ("A <- [a\nb] ;", "line 1, column 6: newline inside character class", 1, 6),
+    (
+        "A <- 'a'\n  / [z-a] ;",
+        "line 2, column 9: reversed range 'z'-'a' in character class", 2, 9,
+    ),
+    ("A < 'x' ;", "line 1, column 3: expected '<-'", 1, 3),
+    ("A <- 'x' ;\r\n\t$", "line 2, column 2: unexpected character '$'", 2, 2),
+    (
+        "A <- 'x' ;\n'y' <- 'z' ;",
+        "line 2, column 1: expected a rule name, found 'y'", 2, 1,
+    ),
+    (
+        "A <- 'x' # no semicolon",
+        "line 1, column 24: expected ';', found end of input", 1, 24,
+    ),
+    ("A\t'x' ;", "line 1, column 3: expected '<-', found 'x'", 1, 3),
+    ("A <- ('x' ;", "line 1, column 11: expected ')', found ';'", 1, 11),
+    ("@start @start ;", "line 1, column 8: expected a rule name, found 'start'", 1, 8),
+    ("<- 'x' ;", "line 1, column 1: expected a rule name, found '<-'", 1, 1),
+    ("A <- 'x' ;\n\"yz\" ;", "line 2, column 1: expected a rule name, found 'yz'", 2, 1),
+    ("@begin A ;", "line 1, column 1: unknown directive @begin", 1, 1),
+    (
+        "@start A ;\n@start A ;\nA <- 'a' ;",
+        "line 2, column 1: duplicate @start directive", 2, 1,
+    ),
+    ("A <- 'a' ;\r\nA <- 'b' ;", "line 2, column 1: duplicate rule name 'A'", 2, 1),
+    ("# only a comment\n\t\n", "line 3, column 1: no rules defined", 3, 1),
+    ("", "line 1, column 1: no rules defined", 1, 1),
+    (
+        "@start B ;\nA <- 'a' ;\n",
+        "line 3, column 1: @start names unknown rule 'B'", 3, 1,
+    ),
+    (
+        "A <- B\t'x' ;\n# B is missing\n",
+        "line 1, column 6: reference to unknown rule 'B'", 1, 6,
+    ),
+    (
+        "A <- 'a' ;  # hi\n  B <- C ;",
+        "line 2, column 8: reference to unknown rule 'C'", 2, 8,
+    ),
+    ("A <- 'a' [] ;", "line 1, column 10: empty character class", 1, 10),
+    ("A <- / 'a' ;", "line 1, column 6: expected an expression", 1, 6),
+    ("A <-\n;", "line 2, column 1: expected an expression", 2, 1),
+    ("A <- 'a'\n\t\t'b' ) ;", "line 2, column 7: expected ';', found ')'", 2, 7),
+]
+
+
+class TestSyntaxErrors:
+    @pytest.mark.parametrize("text, message, line, col", SYNTAX_ERRORS)
+    def test_message_line_and_column(self, text, message, line, col):
+        with pytest.raises(GrammarSyntaxError) as exc:
+            parse_grammar(text)
+        assert (str(exc.value), exc.value.line, exc.value.col) == (message, line, col)
+
+    def test_too_deep_nesting_points_at_an_open_parenthesis(self):
+        text = "A <- 'a' ;\r\n\tB <- " + "(" * 5000 + "'b'" + ")" * 5000 + " ;"
+        with pytest.raises(GrammarSyntaxError) as exc:
+            parse_grammar(text)
+        err = exc.value
+        assert str(err) == (
+            f"line 2, column {err.col}: expression nested too deeply"
+        )
+        assert err.line == 2 and text.split("\n")[1][err.col - 1] == "("
+
+    def test_class_token_is_shown_in_notation(self):
+        # a class token prints as the formatter renders it, not as a
+        # hash-ordered frozenset
+        with pytest.raises(GrammarSyntaxError) as exc:
+            parse_grammar("[abcdef] <- x ;")
+        assert str(exc.value) == "line 1, column 1: expected a rule name, found [a-f]"
+        with pytest.raises(GrammarSyntaxError) as exc:
+            parse_grammar("A <- 'a' ;\n[] <- 'b' ;")
+        assert str(exc.value) == "line 2, column 1: expected a rule name, found []"
+
+
 class TestFormatGrammar:
     def test_round_trips_the_module_example(self):
         g = load_grammar(ARITH_TEXT)
