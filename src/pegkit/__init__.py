@@ -45,7 +45,6 @@ from .engine import (
     FAIL,
     DepthExceeded,
     EngineConfig,
-    InvalidGrammarError,
     LeftRecursion,
     ParseFailed,
     ParseSession,
@@ -68,6 +67,7 @@ from .grammar import (
     Class,
     Empty,
     Grammar,
+    InvalidGrammarError,
     Literal,
     Not,
     Opt,
@@ -97,7 +97,6 @@ from .grammar import (
 )
 from .notation import (
     GrammarSyntaxError,
-    GrammarValidationError,
     format_grammar,
     load_grammar,
     parse_grammar,

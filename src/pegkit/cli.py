@@ -30,10 +30,11 @@ from .engine import (
     parse_complete,
     run_deep,
 )
-from .grammar import AnyChar, Char, Class, Grammar, Literal, validate, walk_exprs
+from .grammar import (
+    AnyChar, Char, Class, Grammar, InvalidGrammarError, Literal, validate, walk_exprs,
+)
 from .notation import (
     GrammarSyntaxError,
-    GrammarValidationError,
     format_grammar,
     load_grammar,
     parse_grammar,
@@ -76,7 +77,7 @@ def _resolve_entry(args: argparse.Namespace) -> CatalogEntry:
         text = _read_file(args.grammar_file)
         try:
             g = load_grammar(text)
-        except (GrammarSyntaxError, GrammarValidationError) as exc:
+        except (GrammarSyntaxError, InvalidGrammarError) as exc:
             raise UsageError(f"{args.grammar_file}: {exc}") from None
         alphabet = derive_alphabet(g)
         return CatalogEntry(
@@ -210,7 +211,7 @@ def cmd_grammar_fmt(args: argparse.Namespace) -> int:
     text = _read_file(args.file)
     try:
         g = load_grammar(text)
-    except (GrammarSyntaxError, GrammarValidationError) as exc:
+    except (GrammarSyntaxError, InvalidGrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     print(format_grammar(g), end="")

@@ -74,6 +74,7 @@ from .grammar import (
     Class,
     Empty,
     Grammar,
+    InvalidGrammarError,
     Literal,
     Not,
     Opt,
@@ -83,7 +84,6 @@ from .grammar import (
     Ref,
     Seq,
     Star,
-    ValidationIssue,
     _children,
     prepared,
     validation_errors,
@@ -162,15 +162,6 @@ class _Unfrozen:
     __slots__ = ("rule", "start", "end", "children")
 
 
-class InvalidGrammarError(Exception):
-    def __init__(self, issues: tuple[ValidationIssue, ...]):
-        lines = [f"{i.code} in rule {i.rule!r}: {i.message}" for i in issues]
-        super().__init__(
-            "grammar has validation errors:\n  " + "\n  ".join(lines)
-        )
-        self.issues = issues
-
-
 class ParseFailed(Exception):
     """Complete parse failed; carries rightmost-failure diagnostics."""
 
@@ -207,10 +198,12 @@ DEFAULT_DEPTH_LIMIT = 100_000
 #: Interpreter recursion limit while a parse or a :func:`run_deep` call
 #: is live: room for ``DEFAULT_DEPTH_LIMIT`` nested rule applications at
 #: up to 13 interpreter frames each.  One application costs two frames,
-#: ``apply`` and the rule's generated function, plus one per outlined
-#: chunk (see ``_MAX_NESTING``) between the rule body and the ``Ref``
-#: that applies the next rule, so 13 frames allow 11 such chunks; the
-#: catalog grammars have none.
+#: ``apply`` and the rule's generated function, plus one per chunk (see
+#: ``_OUTLINE_PAST``) between the rule body and the ``Ref`` that applies
+#: the next rule.  A function inlines at least six levels of non-``Seq``
+#: nodes, two indentation levels each at most, so 11 chunks take a ``Ref``
+#: more than 65 such levels deep in its rule body; the catalog grammars
+#: have no chunk.
 DEEP_RECURSION_LIMIT = 1_344_177
 
 
@@ -306,12 +299,13 @@ def _prepare(grammar: Grammar) -> PreparedGrammar:
     return prep
 
 
-#: Deepest indentation that the generated code of one function may
-#: reach.  A subexpression whose inline code would go deeper becomes a
-#: generated function of its own (an outlined chunk).  Python allows 100
-#: indentation levels and 20 nested loops, and every loop the generator
-#: writes opens an indentation level, so this bounds both.
-_MAX_NESTING = 16
+#: Indentation level past which :meth:`_Function.expr` outlines a node
+#: with children, other than a ``Seq``, into a generated function of its
+#: own (a chunk).  A node inlined at level 12 or less writes its children
+#: at 14 or less, where a terminal's failure branch reaches 16 and a chunk
+#: call 15, so no line is deeper than 16: within Python's 100 indentation
+#: levels and, since every generated loop opens one, its 20 nested loops.
+_OUTLINE_PAST = 12
 
 
 def _generate(bodies, names: tuple[str, ...], rules: bool = False) -> tuple:
@@ -360,7 +354,6 @@ class _Source:
             "_Unfrozen": _Unfrozen,
         }
         self._consts: dict = {}
-        self._heights: dict[int, int] = {}
 
     def const(self, value) -> str:
         key = (type(value), value)
@@ -372,17 +365,6 @@ class _Source:
 
     def label(self, e: PegExpr) -> str:
         return self.const(render_expr(e, self.names))
-
-    def height(self, e: PegExpr) -> int:
-        """At least as many indentation levels as ``e``'s inline code
-        opens below its own, as :class:`_Function` writes it."""
-        h = self._heights.get(id(e))
-        if h is None:
-            h = max(map(self.height, _children(e)), default=0)
-            if type(e) is not Seq:
-                h += 2
-            self._heights[id(e)] = h
-        return h
 
     def build(self, count: int) -> tuple:
         code = compile("\n".join(self.lines) + "\n", "<pegkit generated>", "exec")
@@ -425,7 +407,7 @@ class _Function:
         self.pending = 0
         self.nvars = 0
         self.uses_text = False
-        self.tail(e, "pos", "return FAIL", 1, [], True)
+        self.tail(e, "pos", "return FAIL", 1, [])
         src.lines.append(f"def {name}(s, pos):")
         if self.uses_text:
             src.lines.append("    text = s.text")
@@ -484,15 +466,14 @@ class _Function:
         self.line(ind, "n.__class__ = ParseTreeNode")
         self.line(ind, "return n")
 
-    def tail(self, e: PegExpr, pos: str, fail: str, ind: int, kids: list[str],
-             root: bool = False) -> None:
+    def tail(self, e: PegExpr, pos: str, fail: str, ind: int, kids: list[str]) -> None:
         """Write ``e`` at ``pos`` to end the function, after ``kids``."""
         t = type(e)
         if t is Seq:
             self.pending += 1
             pos, more = self.seq(e.parts[:-1], pos, fail, ind)
             self.tail(e.parts[-1], pos, fail, ind, kids + more)
-        elif t in (Choice, Opt) and (root or ind + self.src.height(e) <= _MAX_NESTING):
+        elif t in (Choice, Opt) and ind <= _OUTLINE_PAST:
             # each alternative but the last fails by leaving its loop
             self.pending += 1
             if t is Opt:
@@ -505,14 +486,14 @@ class _Function:
                     self.tail(alt, pos, "break", ind + 1, kids)
                 self.tail(e.alts[-1], pos, fail, ind, kids)
         else:
-            end, more = self.expr(e, pos, fail, ind, root)
+            end, more = self.expr(e, pos, fail, ind)
             self.exit(ind, end, kids + more)
 
-    def expr(self, e: PegExpr, pos: str, fail: str, ind: int, root: bool = False):
+    def expr(self, e: PegExpr, pos: str, fail: str, ind: int):
         """Write ``e`` at ``pos``; return its end and its children."""
         src = self.src
         t = type(e)
-        if not root and t is not Seq and ind + src.height(e) > _MAX_NESTING:
+        if ind > _OUTLINE_PAST and t is not Seq and _children(e):
             chunk = src.const(_generate((e,), src.names)[0])
             self.flush(ind)
             node = self.var()

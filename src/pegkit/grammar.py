@@ -431,3 +431,12 @@ def validate(g: Grammar) -> tuple[ValidationIssue, ...]:
 def validation_errors(g: Grammar) -> tuple[ValidationIssue, ...]:
     """Just the error-severity issues of :func:`validate`."""
     return tuple(i for i in validate(g) if i.severity == "error")
+
+
+class InvalidGrammarError(Exception):
+    """The grammar has error-severity validation issues, kept in ``issues``."""
+
+    def __init__(self, issues: tuple[ValidationIssue, ...]):
+        lines = [f"{i.code} in rule {i.rule!r}: {i.message}" for i in issues]
+        super().__init__("grammar has validation errors:\n  " + "\n  ".join(lines))
+        self.issues = issues

@@ -25,6 +25,7 @@ equal grammar.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .grammar import (
@@ -37,6 +38,7 @@ from .grammar import (
     Class,
     Empty,
     Grammar,
+    InvalidGrammarError,
     Literal,
     Not,
     Opt,
@@ -46,7 +48,6 @@ from .grammar import (
     Rule,
     Seq,
     Star,
-    ValidationIssue,
     make_grammar,
     prepared,
     validation_errors,
@@ -61,13 +62,6 @@ class GrammarSyntaxError(Exception):
         self.line = text.count("\n", 0, pos) + 1
         self.col = pos - text.rfind("\n", 0, pos)
         super().__init__(f"line {self.line}, column {self.col}: {message}")
-
-
-class GrammarValidationError(Exception):
-    def __init__(self, issues: tuple[ValidationIssue, ...]):
-        lines = [f"{i.code} in rule {i.rule!r}: {i.message}" for i in issues]
-        super().__init__("grammar failed validation:\n  " + "\n  ".join(lines))
-        self.issues = issues
 
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -217,6 +211,14 @@ class _Scanner:
                 self.error(f"unexpected character {c!r}", start)
 
 
+#: Most groups and operators on one path through an expression.  The
+#: parser refuses the token that passes it, so the position depends on
+#: the text alone.  It keeps the walks over the tree that recurse
+#: through C code (name resolution, ``nullable``) far from the end of
+#: the C stack, and a chain of prefix or suffix operators at the cap
+#: renders (two frames each) within the default recursion limit.
+_MAX_NESTING = 350
+
 _PRIMARY_STARTS = {"ident", "charlit", "strlit", "class", "dot", "lparen", "amp", "bang"}
 
 
@@ -233,6 +235,10 @@ class _Parser:
 
     def error(self, message: str, tok: _Token | None = None):
         raise GrammarSyntaxError(message, self.text, (tok or self.tok).pos)
+
+    def check_nesting(self, t: _Token, nesting: int) -> None:
+        if nesting > _MAX_NESTING:
+            self.error("expression nested too deeply", t)
 
     def eat(self, kind: str, what: str) -> _Token:
         t = self.tok
@@ -267,7 +273,7 @@ class _Parser:
                 self.error(f"duplicate rule name {name!r}", name_tok)
             seen[name] = name_tok
             self.eat("arrow", "'<-'")
-            body = self.parse_expr()
+            body, _ = self.parse_expr(0)
             self.eat("semi", "';'")
             rules.append((name, body))
         if not rules:
@@ -279,67 +285,76 @@ class _Parser:
                 self.error(f"reference to unknown rule {t.value!r}", t)
         return rules, start
 
-    def parse_expr(self) -> PegExpr:
-        alts = [self.parse_seq()]
+    # Each parse_* method takes the number of groups and prefix operators
+    # open around it, and returns an expression and its nesting: the most
+    # groups and operators on one path through it.
+
+    def parse_expr(self, depth: int) -> tuple[PegExpr, int]:
+        alts = [self.parse_seq(depth)]
         while self.tok.kind == "slash":
             self.i += 1
-            alts.append(self.parse_seq())
-        return alts[0] if len(alts) == 1 else Choice(tuple(alts))
+            alts.append(self.parse_seq(depth))
+        exprs, nestings = zip(*alts)
+        return (exprs[0] if len(exprs) == 1 else Choice(exprs)), max(nestings)
 
-    def parse_seq(self) -> PegExpr:
-        parts = [self.parse_prefix()]
+    def parse_seq(self, depth: int) -> tuple[PegExpr, int]:
+        parts = [self.parse_prefix(depth)]
         while self.tok.kind in _PRIMARY_STARTS:
-            parts.append(self.parse_prefix())
-        return parts[0] if len(parts) == 1 else Seq(tuple(parts))
+            parts.append(self.parse_prefix(depth))
+        exprs, nestings = zip(*parts)
+        return (exprs[0] if len(exprs) == 1 else Seq(exprs)), max(nestings)
 
-    def parse_prefix(self) -> PegExpr:
-        if self.tok.kind == "amp":
-            self.i += 1
-            return And(self.parse_prefix())
-        if self.tok.kind == "bang":
-            self.i += 1
-            return Not(self.parse_prefix())
-        return self.parse_suffix()
+    def parse_prefix(self, depth: int) -> tuple[PegExpr, int]:
+        t = self.tok
+        if t.kind not in ("amp", "bang"):
+            return self.parse_suffix(depth)
+        self.check_nesting(t, depth + 1)
+        self.i += 1
+        body, n = self.parse_prefix(depth + 1)
+        return (And(body) if t.kind == "amp" else Not(body)), n + 1
 
-    def parse_suffix(self) -> PegExpr:
-        e = self.parse_primary()
+    def parse_suffix(self, depth: int) -> tuple[PegExpr, int]:
+        e, n = self.parse_primary(depth)
         while self.tok.kind in ("star", "plus", "quest"):
             kind = self.tok.kind
+            n += 1
+            self.check_nesting(self.tok, depth + n)
             self.i += 1
             e = Star(e) if kind == "star" else Plus(e) if kind == "plus" else Opt(e)
-        return e
+        return e, n
 
-    def parse_primary(self) -> PegExpr:
+    def parse_primary(self, depth: int) -> tuple[PegExpr, int]:
         t = self.tok
         if t.kind == "ident":
             self.i += 1
             self.ref_sites.append(t)
-            return Ref(str(t.value))
+            return Ref(str(t.value)), 0
         if t.kind == "charlit":
             self.i += 1
             text = str(t.value)
-            return Char(text) if len(text) == 1 else Literal(text)
+            return (Char(text) if len(text) == 1 else Literal(text)), 0
         if t.kind == "strlit":
             self.i += 1
-            return Literal(str(t.value))
+            return Literal(str(t.value)), 0
         if t.kind == "class":
             self.i += 1
             chars = t.value
             assert isinstance(chars, frozenset)
             if not chars:
                 self.error("empty character class", t)
-            return Class(chars)
+            return Class(chars), 0
         if t.kind == "dot":
             self.i += 1
-            return ANY
+            return ANY, 0
         if t.kind == "lparen":
             self.i += 1
             if self.tok.kind == "rparen":
                 self.i += 1
-                return EMPTY
-            e = self.parse_expr()
+                return EMPTY, 0
+            self.check_nesting(t, depth + 1)
+            e, n = self.parse_expr(depth + 1)
             self.eat("rparen", "')'")
-            return e
+            return e, n + 1
         self.error("expected an expression")
         raise AssertionError  # unreachable
 
@@ -348,31 +363,42 @@ def parse_grammar(text: str) -> Grammar:
     """Parse grammar notation without semantic validation.
 
     Raises :class:`GrammarSyntaxError` with line/column on malformed
-    input; the result may still carry validation issues (see
+    input, an expression nested past ``_MAX_NESTING`` included; the
+    result may still carry validation issues (see
     :func:`pegkit.grammar.validate`).
     """
-    parser = _Parser(text)
-    try:
-        rules, start = parser.parse_file()
+    with _deep():
+        rules, start = _Parser(text).parse_file()
         return make_grammar(rules, start=start)
-    except RecursionError:
-        raise GrammarSyntaxError(
-            "expression nested too deeply", text, parser.tok.pos
-        ) from None
 
 
 def load_grammar(text: str) -> Grammar:
     """Parse grammar notation into a validated :class:`Grammar`.
 
     Raises :class:`GrammarSyntaxError` with line/column on malformed
-    input and :class:`GrammarValidationError` when the parsed grammar
-    has error-severity validation issues.
+    input and :class:`~pegkit.grammar.InvalidGrammarError` when the
+    parsed grammar has error-severity validation issues.
     """
-    g = parse_grammar(text)
-    errors = prepared(g).errors = validation_errors(g)
+    with _deep():
+        g = parse_grammar(text)
+        errors = prepared(g).errors = validation_errors(g)
     if errors:
-        raise GrammarValidationError(errors)
+        raise InvalidGrammarError(errors)
     return g
+
+
+@contextmanager
+def _deep():
+    # The parser, make_grammar and nullable recurse a few frames per level
+    # of nesting, past the default recursion limit at the cap, so they run
+    # in the engine's counted deep section.
+    from .engine import _enter_deep, _leave_deep  # the engine imports this module
+
+    _enter_deep()
+    try:
+        yield
+    finally:
+        _leave_deep()
 
 
 _CHOICE, _SEQ, _PREFIX, _SUFFIX, _ATOM = range(5)

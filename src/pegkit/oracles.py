@@ -30,7 +30,7 @@ import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .engine import DepthExceeded, InvalidGrammarError, LeftRecursion
+from .engine import DEFAULT_DEPTH_LIMIT, DepthExceeded, LeftRecursion
 from .engine import _enter_deep, _leave_deep  # the counted deep section
 from .grammar import (
     And,
@@ -40,6 +40,7 @@ from .grammar import (
     Class,
     Empty,
     Grammar,
+    InvalidGrammarError,
     Literal,
     Not,
     Opt,
@@ -114,7 +115,7 @@ def naive_parse(
     text: str,
     *,
     call_budget: int = DEFAULT_CALL_BUDGET,
-    depth_limit: int = 100_000,
+    depth_limit: int = DEFAULT_DEPTH_LIMIT,
 ) -> NaiveReport:
     """Backtracking interpretation with no memo table.
 

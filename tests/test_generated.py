@@ -6,8 +6,11 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
+import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,7 @@ from pegkit import (
     seq,
     stats,
 )
+import pegkit
 from pegkit import engine
 from pegkit.engine import ParseSession
 from pegkit.grammar import Grammar, prepared
@@ -87,6 +91,55 @@ def test_three_hundred_nested_predicates():
     s = new_session(g, "b")
     assert parse_complete(s).span == (0, 1)
     assert stats(s).expr_steps == 304
+
+
+DEEP_GRAMMARS = {
+    "plus30": "S <- " + "(" * 30 + "'a' 'b'?" + ")+" * 30 + " ;",
+    "plus120": "S <- " + "(" * 120 + "'a' 'b'?" + ")+" * 120 + " ;",
+    "not301": "S <- " + "!" * 301 + "'a' 'b' ;",
+}
+
+
+@pytest.mark.parametrize("name", DEEP_GRAMMARS)
+def test_outlined_code_stays_within_sixteen_levels(name, monkeypatch):
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(engine, "compile", spy, raising=False)
+    new_session(load_grammar(DEEP_GRAMMARS[name]), "")
+    lines = [line for source in sources for line in source.splitlines()]
+    assert max((len(line) - len(line.lstrip(" "))) // 4 for line in lines) <= 16
+    if name == "plus120":
+        # outlined where the indentation runs out, every chunk inlines
+        # several levels: one function per level would be 120
+        assert sum(line.startswith("def ") for line in lines) <= 12
+
+
+DEEP_CHAIN = """
+from pegkit import new_session, parse_complete
+from pegkit.grammar import Char, Grammar, Plus, Rule, Seq
+
+e = Char("a")
+for _ in range(5000):
+    e = Plus(Seq((Char("x"), e)))
+s = new_session(Grammar((Rule("S", e),)), "x" * 5000 + "a")
+print(parse_complete(s).span)
+"""
+
+
+def test_a_five_thousand_level_chain_generates_and_parses():
+    # in a subprocess: a generator that recursed through C code per level
+    # overflowed the C stack here under the raised recursion limit
+    env = {**os.environ, "PYTHONPATH": str(Path(pegkit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_CHAIN], env=env, capture_output=True,
+        text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "(0, 5001)\n"
 
 
 def test_generated_code_is_freed_with_its_grammar():

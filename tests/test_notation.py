@@ -13,6 +13,7 @@ from pegkit import (
     Class,
     Empty,
     Grammar,
+    InvalidGrammarError,
     Literal,
     Ref,
     Rule,
@@ -31,7 +32,7 @@ from pegkit import (
     seq,
     star,
 )
-from pegkit.notation import GrammarSyntaxError, GrammarValidationError
+from pegkit.notation import GrammarSyntaxError
 
 ARITH_TEXT = """
 # single-digit arithmetic
@@ -80,7 +81,7 @@ class TestLoadGrammar:
             load_grammar("A <- 'x ;")
 
     def test_validation_errors_propagate(self):
-        with pytest.raises(GrammarValidationError, match="NullableRepetition"):
+        with pytest.raises(InvalidGrammarError, match="NullableRepetition"):
             load_grammar("A <- ('x'?)* ;")
 
     def test_start_directive_overrides_first_rule(self):
@@ -221,6 +222,37 @@ class TestSyntaxErrors:
             f"line 2, column {err.col}: expression nested too deeply"
         )
         assert err.line == 2 and text.split("\n")[1][err.col - 1] == "("
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            # the 351st '(' passes the cap, wherever the caller's stack stands
+            ("A <- 'a' ;\r\n\tB <- " + "(" * 5000 + "'b'" + ")" * 5000 + " ;", 2, 357),
+            # refused at the 351st '!', not at the end of the input
+            ("A <- " + "!" * 500 + "'a' ;", 1, 356),
+            # a group and its suffix are two levels: 176 groups and 175 '+'
+            # are 351, so the 175th '+' from the inside passes the cap
+            ("A <- " + "(" * 176 + "'a'" + ")+" * 176 + " ;", 1, 5 + 176 + 3 + 2 * 175),
+        ],
+    )
+    def test_too_deep_nesting_is_refused_where_it_passes_the_cap(self, text, line, col):
+        def parse_from(depth):
+            if depth:
+                return parse_from(depth - 1)
+            with pytest.raises(GrammarSyntaxError) as exc:
+                parse_grammar(text)
+            return str(exc.value), exc.value.line, exc.value.col
+
+        message = f"line {line}, column {col}: expression nested too deeply"
+        assert parse_from(0) == parse_from(300) == (message, line, col)
+
+    def test_nesting_up_to_the_cap_loads(self):
+        for text in (
+            "A <- " + "!" * 350 + "'a' ;",
+            "A <- 'a'" + "?" * 350 + " ;",
+            "A <- " + "(" * 174 + "'a' 'b'?" + ")+" * 174 + " ;",
+        ):
+            load_grammar(text)
 
     def test_class_token_is_shown_in_notation(self):
         # a class token prints as the formatter renders it, not as a
