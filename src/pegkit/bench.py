@@ -165,11 +165,11 @@ def _packrat(session: ParseSession) -> tuple[str, int, int, int]:
     return verdict, st.cells_evaluated, 0, st.memo_bytes_estimate
 
 
-def _naive(grammar: Grammar, text: str, call_budget: int) -> tuple[str, int, int, int]:
+def _naive(grammar: Grammar, text: str, **limits) -> tuple[str, int, int, int]:
     try:
-        report = naive_parse(grammar, grammar.start, 0, text, call_budget=call_budget)
+        report = naive_parse(grammar, grammar.start, 0, text, **limits)
     except CallBudgetExceeded:
-        return "error", 0, call_budget, 0
+        return "error", 0, limits["call_budget"], 0
     except (LeftRecursion, DepthExceeded):
         return "error", 0, 0, 0
     return ("accept" if report.outcome == len(text) else "reject"), 0, report.calls, 0
@@ -190,11 +190,12 @@ def run_bench(
     family: str,
     sizes: list[int],
     engines: list[str],
-    config: EngineConfig | None = None,
+    config: EngineConfig = EngineConfig(),
     call_budget: int = DEFAULT_CALL_BUDGET,
 ) -> list[BenchRecord]:
     """One record per (engine, size), engines in caller order, sizes
-    ascending within each engine.
+    ascending within each engine.  ``config.depth_limit`` bounds the
+    packrat and the naive parse alike.
 
     Each run's clock covers the engine's work on one input: the parse
     and its counters, but not building the input or a packrat session.
@@ -204,6 +205,7 @@ def run_bench(
             raise ValueError(
                 f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})"
             )
+    limits = {"call_budget": call_budget, "depth_limit": config.depth_limit}
     records = []
     for engine in engines:
         for size in sorted(sizes):
@@ -211,7 +213,7 @@ def run_bench(
             if engine == "packrat":
                 run = partial(_packrat, ParseSession(grammar, text, config=config))
             elif engine == "naive":
-                run = partial(_naive, grammar, text, call_budget)
+                run = partial(_naive, grammar, text, **limits)
             else:
                 run = partial(_tabular, grammar, text)
             t0 = time.perf_counter_ns()

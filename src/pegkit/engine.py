@@ -76,7 +76,6 @@ from .grammar import (
     Grammar,
     InvalidGrammarError,
     Literal,
-    Not,
     Opt,
     PegExpr,
     Plus,
@@ -85,6 +84,7 @@ from .grammar import (
     Seq,
     Star,
     _children,
+    _structural_errors,
     prepared,
     validation_errors,
 )
@@ -373,11 +373,6 @@ class _Source:
         return tuple(ns.pop(f"_f{i}") for i in range(count))
 
 
-def _fixed(kids: list[str]) -> bool:
-    """Is the number of children in ``kids`` known here?"""
-    return not any(k.startswith("*") for k in kids)
-
-
 def _tuple(kids: list[str]) -> str:
     """A tuple display of ``kids``."""
     return "(" + ", ".join(kids) + ("," if len(kids) == 1 else "") + ")"
@@ -391,13 +386,15 @@ class _Function:
     statement, which leaves for the failure target, otherwise.  A
     subexpression written by :meth:`expr` leaves the expression of its
     end position and its children: a list of locals that each hold one
-    node, and starred locals (``*v3``) that hold a sequence of nodes
-    where their number varies.  A subexpression written by :meth:`tail`
-    ends the function instead: every path on which it matches returns
-    the function's node, so a choice there needs no merge.  Expression
-    steps are counted at generation time in ``pending`` and written to
-    the session before every ``apply`` or chunk call, at every exit and
-    wherever control flow merges.
+    node, and starred locals (``*v3``) that hold the nodes collected by
+    a choice, an option or a repetition.  A subexpression written by
+    :meth:`tail` ends the function instead: every path on which it
+    matches returns the function's node, so a choice there needs no
+    merge.  Expression steps are counted at generation time in
+    ``pending`` and written to the session before every ``apply`` or
+    chunk call, at every exit and wherever control flow merges.  The
+    code relies on validation: node types are exact, every ``Ref`` names
+    a rule, and no repetition's body can match empty.
     """
 
     def __init__(self, src: _Source, name: str, e: PegExpr, rule: int | None):
@@ -452,7 +449,7 @@ class _Function:
         self.line(ind, f"n.end = {end}")
         if self.rule is None:
             self.line(ind, f"n.children = {_tuple(kids)}")
-        elif _fixed(kids):
+        elif not any(k.startswith("*") for k in kids):
             self.line(ind, f"n.children = {_tuple(kids)}")
             size = _NODE_BYTES + (_TUPLE_BYTES + _PTR_BYTES * len(kids) if kids else 0)
             self.line(ind, f"s._memo_bytes += {size}")
@@ -473,18 +470,13 @@ class _Function:
             self.pending += 1
             pos, more = self.seq(e.parts[:-1], pos, fail, ind)
             self.tail(e.parts[-1], pos, fail, ind, kids + more)
-        elif t in (Choice, Opt) and ind <= _OUTLINE_PAST:
+        elif t is Choice and ind <= _OUTLINE_PAST:
             # each alternative but the last fails by leaving its loop
             self.pending += 1
-            if t is Opt:
+            for alt in e.alts[:-1]:
                 self.line(ind, "while True:")
-                self.tail(e.body, pos, "break", ind + 1, kids)
-                self.exit(ind, pos, kids)
-            else:
-                for alt in e.alts[:-1]:
-                    self.line(ind, "while True:")
-                    self.tail(alt, pos, "break", ind + 1, kids)
-                self.tail(e.alts[-1], pos, fail, ind, kids)
+                self.tail(alt, pos, "break", ind + 1, kids)
+            self.tail(e.alts[-1], pos, fail, ind, kids)
         else:
             end, more = self.expr(e, pos, fail, ind)
             self.exit(ind, end, kids + more)
@@ -503,10 +495,9 @@ class _Function:
             return f"{node}.end", [f"*{node}.children"]
         self.pending += 1
         if t is Ref:
-            rule = e.rule if type(e.rule) is int else src.const(e.rule)
             self.flush(ind)
             node = self.var()
-            self.line(ind, f"{node} = s.apply({rule}, {pos})")
+            self.line(ind, f"{node} = s.apply({e.rule}, {pos})")
             self.line(ind, f"if {node} is FAIL:")
             self.fail(ind + 1, fail)
             return f"{node}.end", [node]
@@ -540,9 +531,8 @@ class _Function:
             missing = self.slot(ind)
             present = self.attempt(e.body, pos, end, ind)
             return end, self.merge([(missing, []), present])
-        if t is And or t is Not:
-            return self.predicate(e, pos, fail, ind), []
-        raise TypeError(f"not a PegExpr: {e!r}")
+        # validation leaves only And and Not
+        return self.predicate(e, pos, fail, ind), []
 
     def terminal(self, ind, pos, accepted, at, label, fail) -> str:
         """One character-row test at ``pos``: the character must be in
@@ -570,8 +560,6 @@ class _Function:
         return pos, kids
 
     def choice(self, alts, pos: str, fail: str, ind: int):
-        if len(alts) == 1:
-            return self.expr(alts[0], pos, fail, ind)
         end = self.var()
         self.line(ind, f"{end} = FAIL")
         self.line(ind, "while True:")
@@ -599,17 +587,8 @@ class _Function:
 
     def merge(self, attempts) -> list[str]:
         """Fill the slot of each ``(slot, kids)`` attempt so that the
-        children of the attempt that matched end up in the same locals,
-        and return those: one local per child when every attempt has the
-        same known number of children, or else one tuple."""
-        counts = {len(kids) if _fixed(kids) else None for _, kids in attempts}
-        if counts == {0}:
-            return []
-        if len(counts) == 1 and None not in counts:
-            merged = [self.var() for _ in attempts[0][1]]
-            for slot, kids in attempts:
-                self.body[slot] += f"{', '.join(merged)} = {', '.join(kids)}"
-            return merged
+        children of the attempt that matched end up in one tuple, and
+        return that tuple's local, starred."""
         merged = self.var()
         for slot, kids in attempts:
             self.body[slot] += f"{merged} = {_tuple(kids)}"
@@ -624,21 +603,11 @@ class _Function:
         self.line(ind, "while True:")
         body_end, more = self.expr(e.body, end, "break", ind + 1)
         self.flush(ind + 1)
-        self.line(ind + 1, f"if {body_end} == {end}:")
-        message = (
-            f"{type(e).__name__} body matched without consuming input; "
-            "validation should have rejected this grammar"
-        )
-        self.line(ind + 2, f"raise RuntimeError({self.src.const(message)})")
         self.line(ind + 1, f"{end} = {body_end}")
-        if len(more) == 1 and _fixed(more):
-            self.line(ind + 1, f"{kids}.append({more[0]})")
-        elif len(more) == 1:
-            self.line(ind + 1, f"{kids} += {more[0][1:]}")
-        elif more:
-            self.line(ind + 1, f"{kids} += {_tuple(more)}")
+        self.line(ind + 1, f"{kids} += {_tuple(more)}")
         if type(e) is Plus:
-            # every iteration consumes, so end == pos only after none matched
+            # validation refuses a body that can match empty, so every
+            # iteration consumes and end == pos only after none matched
             self.line(ind, f"if {end} == {pos}:")
             self.fail(ind + 1, fail)
         return end, [f"*{kids}"]
@@ -806,13 +775,19 @@ class ParseSession:
         A match that contributes exactly one node returns that node;
         any other match is wrapped in an anonymous node spanning it, so
         a success is always a single tree.  The expression's code is
-        generated on its first evaluation and kept on the grammar.  A
-        position outside ``0..len(text)`` raises ValueError.
+        generated on its first evaluation and kept on the grammar.  An
+        expression that fails validation's structural checks raises
+        :class:`InvalidGrammarError` and is not kept; its issues carry
+        ``rule=None``.  A position outside ``0..len(text)`` raises
+        ValueError.
         """
         if not 0 <= pos <= len(self.text):
             raise self._bad_position(pos)
         run = self._expr_code.get(e)
         if run is None:
+            errors = _structural_errors(self.grammar, [(None, e)])
+            if errors:
+                raise InvalidGrammarError(tuple(errors))
             run = self._expr_code[e] = _generate((e,), self.grammar.names)[0]
         out = run(self, pos)
         if out is not FAIL and len(out.children) == 1:

@@ -361,6 +361,8 @@ class ValidationIssue:
 
     ``path`` is the child-index trail from the rule body to the
     offending subexpression; severity is ``"error"`` or ``"warning"``.
+    ``rule`` is None for an issue in an expression passed to
+    ``ParseSession.eval_expr`` rather than in a rule body.
     """
 
     severity: str
@@ -380,30 +382,8 @@ def validate(g: Grammar) -> tuple[ValidationIssue, ...]:
     match empty, which would loop without consuming).  Warnings:
     UnreachableRule (never reachable from the start rule).
     """
-    issues: list[ValidationIssue] = []
+    issues = _structural_errors(g, [(rule.name, rule.body) for rule in g.rules])
     nrules = len(g.rules)
-    stack = [(rule.name, rule.body, ()) for rule in reversed(g.rules)]
-    while stack:
-        name, e, path = stack.pop()
-        t = type(e)
-        if t not in _NODE_TYPES:  # its subtree is not checked
-            code, message = "UnknownNode", f"{t.__name__} is not an expression node type"
-        else:
-            kids = _children(e)
-            for i in range(len(kids) - 1, -1, -1):
-                stack.append((name, kids[i], path + (i,)))
-            # a node of exact type has at most one of these
-            if t is Ref and not (isinstance(e.rule, int) and 0 <= e.rule < nrules):
-                code, message = "UnknownRef", f"reference to unknown rule {e.rule!r}"
-            elif (t is Seq or t is Choice) and not kids:
-                code, message = "EmptyChoice", f"{t.__name__} with no elements"
-            elif (t is Star or t is Plus) and nullable(g, e.body):
-                code = "NullableRepetition"
-                message = f"{t.__name__} body can match empty and would repeat forever"
-            else:
-                continue
-        issues.append(ValidationIssue("error", code, name, path, message))
-
     reachable = {g.start}
     frontier = [g.start]
     while frontier:
@@ -426,6 +406,41 @@ def validate(g: Grammar) -> tuple[ValidationIssue, ...]:
             )
 
     return tuple(issues)
+
+
+def _structural_errors(g: Grammar, roots) -> list[ValidationIssue]:
+    """The error-severity issues of :func:`validate` in the trees of the
+    ``(rule name, body)`` pairs ``roots``, in root-then-preorder order."""
+    issues: list[ValidationIssue] = []
+    nrules = len(g.rules)
+    # a path is a link (child index, parent's link) up to a root's (),
+    # spelt out only when an issue is reported
+    stack = [(name, e, ()) for name, e in reversed(roots)]
+    while stack:
+        name, e, link = stack.pop()
+        t = type(e)
+        if t not in _NODE_TYPES:  # its subtree is not checked
+            code, message = "UnknownNode", f"{t.__name__} is not an expression node type"
+        else:
+            kids = _children(e)
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((name, kids[i], (i, link)))
+            # a node of exact type has at most one of these
+            if t is Ref and not (isinstance(e.rule, int) and 0 <= e.rule < nrules):
+                code, message = "UnknownRef", f"reference to unknown rule {e.rule!r}"
+            elif (t is Seq or t is Choice) and not kids:
+                code, message = "EmptyChoice", f"{t.__name__} with no elements"
+            elif (t is Star or t is Plus) and nullable(g, e.body):
+                code = "NullableRepetition"
+                message = f"{t.__name__} body can match empty and would repeat forever"
+            else:
+                continue
+        path: list[int] = []
+        while link:
+            i, link = link
+            path.append(i)
+        issues.append(ValidationIssue("error", code, name, tuple(path[::-1]), message))
+    return issues
 
 
 def validation_errors(g: Grammar) -> tuple[ValidationIssue, ...]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pegkit
-from pegkit import charclass, make_grammar, plus
+from pegkit import EngineConfig, charclass, make_grammar, plus
 from pegkit.bench import (
     CSV_HEADER,
     affine_fit,
@@ -147,6 +147,16 @@ class TestRunBench:
     def test_unknown_engine_rejected(self, blowup):
         with pytest.raises(ValueError, match="unknown engine"):
             run_bench(blowup.grammar, "blowup", "aN_b", [3], ["quantum"])
+
+    def test_depth_limit_bounds_both_engines(self, entries):
+        # the naive parse used to run at the default limit and accept
+        records = run_bench(
+            entries["arith"].grammar, "arith", "nested-parens", [5],
+            ["packrat", "naive"], config=EngineConfig(depth_limit=3),
+        )
+        assert [(r.engine, r.verdict) for r in records] == [
+            ("packrat", "error"), ("naive", "error"),
+        ]
 
 
 class TestCsv:

@@ -48,9 +48,14 @@ from pegkit import (
 )
 from pegkit import engine
 from pegkit.engine import INPROGRESS, UNEVALUATED
+from pegkit.grammar import Char, prepared
 from pegkit.oracles import naive_parse
 
 FIGURE_INPUT = "2*(3+4)"
+
+
+class MyChar(Char):
+    pass
 
 
 @pytest.fixture
@@ -216,6 +221,38 @@ class TestParseOutcomes:
         assert out.end == 2
         assert out.rule is None and out.span == (0, 2)
         assert s.eval_expr(char("x"), 0) is FAIL
+
+    # each used to leak TypeError, ValueError, IndexError or the
+    # repetition guard's RuntimeError from the generated code
+    @pytest.mark.parametrize(
+        "e, code, message",
+        [
+            (MyChar("a"), "UnknownNode", "MyChar is not an expression node type"),
+            (ref("Decimal"), "UnknownRef", "reference to unknown rule 'Decimal'"),
+            (ref(99), "UnknownRef", "reference to unknown rule 99"),
+            (seq(), "EmptyChoice", "Seq with no elements"),
+            (choice(), "EmptyChoice", "Choice with no elements"),
+            (
+                star(EMPTY),
+                "NullableRepetition",
+                "Star body can match empty and would repeat forever",
+            ),
+        ],
+        ids=["subclass", "name", "index", "seq", "choice", "star"],
+    )
+    def test_eval_expr_refuses_what_validation_refuses(self, arith, e, code, message):
+        s = new_session(arith.grammar, "1+2")
+        for _ in range(2):
+            with pytest.raises(InvalidGrammarError) as exc:
+                s.eval_expr(e, 0)
+            assert [(i.code, i.rule, i.path) for i in exc.value.issues] == [
+                (code, None, ())
+            ]
+            assert str(exc.value) == (
+                f"grammar has validation errors:\n  {code} in rule None: {message}"
+            )
+        assert e not in prepared(arith.grammar).expr_code
+        assert s.eval_expr(ref(arith.grammar.start), 0).span == (0, 3)
 
     def test_predicates_are_zero_width(self, arith):
         s = new_session(arith.grammar, "2*2")

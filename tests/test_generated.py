@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import os
 import subprocess
@@ -29,6 +30,7 @@ from pegkit import (
     parse_complete,
     plus,
     ref,
+    registry,
     seq,
     stats,
 )
@@ -77,12 +79,48 @@ def test_deeply_nested_repetitions_parse(depth, steps):
             "abcde",
             "a6c5c5c229896239f7e5fa751f45a07c",
         ),
+        # recorded on the generator that kept one local per child for a
+        # choice of equal arity, and wrote an option ending a body, an
+        # option with no children and a repetition of one child each
+        # their own way
+        (
+            "S <- 'x' ('a' / 'b') 'y' / ('a' 'b' / 'b' 'a') T / U ;"
+            " T <- 'a' 'b'? / (&'a')? 'b' 'a'* ;"
+            " U <- (T / 'b')* ('a' 'b')+ ;",
+            "abxy",
+            "f810afdc20ed231f1980792a48ca1526",
+        ),
     ],
-    ids=["choices", "outlined"],
+    ids=["choices", "outlined", "shapes"],
 )
 def test_variable_arity_trees_are_pinned(source, alphabet, digest, cells_digest):
     texts = ["".join(t) for n in range(5) for t in itertools.product(alphabet, repeat=n)]
     assert cells_digest(load_grammar(source), texts) == digest
+
+
+def test_one_alternative_choice_tree_is_pinned(cells_digest):
+    # recorded on the generator that wrote such a choice as its one
+    # alternative; the notation cannot spell it
+    g = make_grammar([("S", choice(seq(char("a"), choice(ref("S"))), char("b")))])
+    texts = ["".join(t) for n in range(5) for t in itertools.product("ab", repeat=n)]
+    assert cells_digest(g, texts) == "bcb202c0e0d0e3d9975cbeba13cca316"
+
+
+def test_catalog_generated_source_is_pinned(monkeypatch):
+    # The code that every benchmark workload runs.  A change to it should
+    # be deliberate: re-record the digest and say so in CHANGES.md.
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(engine, "compile", spy, raising=False)
+    for entry in registry().values():
+        new_session(entry.grammar, "")
+    assert len(sources) == 9
+    digest = hashlib.md5("".join(sources).encode()).hexdigest()
+    assert digest == "79c1d2ee7bf739c3c2633a18ef02e70f"
 
 
 def test_three_hundred_nested_predicates():

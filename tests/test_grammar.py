@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from pegkit import (
@@ -289,6 +291,19 @@ class TestValidate:
         ]
         with pytest.raises(InvalidGrammarError, match="UnknownNode"):
             new_session(g, "ab")
+
+    def test_validation_is_linear_in_nesting(self):
+        # copying the path at every node took 6 s at this depth
+        e = star(EMPTY)
+        for _ in range(20_000):
+            e = plus(seq(char("x"), e))
+        g = Grammar((Rule("S", e),))
+        start = time.process_time()
+        issues = validate(g)
+        assert time.process_time() - start < 2
+        assert [(i.code, i.path) for i in issues] == [
+            ("NullableRepetition", (0, 1) * 20_000)
+        ]
 
     @pytest.mark.parametrize("name", sorted(PINNED_ISSUES))
     def test_issues_are_pinned(self, name):
