@@ -17,20 +17,25 @@ Because evaluation is demand-driven, cells never touched by the parse
 stay Unevaluated, and total work is bounded by the matrix size rather
 than by the backtracking structure.
 
-Each rule body becomes one generated Python function, written and
-compiled once per grammar at the first session on it (see
-:func:`_generate`) and kept on the grammar's
-:class:`~pegkit.grammar.PreparedGrammar` handle.  As in the paper,
-where a nonterminal's parsing function returns the result that fills
-its memo field, the function returns the rule's cell: ``FAIL`` or the
-node it built from the locals that hold the children.  Inside it every
-subexpression is straight-line code on local variables, so a rule
-application costs two interpreter frames: ``apply`` and the rule's
-function.  A ``Ref`` calls :meth:`ParseSession.apply`, the single entry
-point for rule cells, and a terminal calls
-:meth:`ParseSession.char_outcome`, the single entry point for the
-character row; the session's counters (``stats``) are kept up to date
-as each cell becomes Done.
+Each rule becomes one generated Python function, written and compiled
+once per grammar at the first session on it (see :func:`_generate`)
+and kept on the grammar's :class:`~pegkit.grammar.PreparedGrammar`
+handle.  As in the paper, where applying a nonterminal forces its memo
+field, the function is the rule's application: it returns the cell if
+it is Done, and otherwise evaluates the rule body, stores the cell
+(``FAIL`` or the node it built from the locals that hold the children)
+and returns it.  Inside it every subexpression is straight-line code on
+local variables, and a ``Ref`` calls its rule's function directly, so a
+rule application costs one interpreter frame.  A terminal reads the
+character row, calling :meth:`ParseSession.char_outcome` only for an
+Unevaluated cell.  :meth:`ParseSession.apply` is the entry point from
+outside the generated code.  A session class that overrides ``apply``
+or ``char_outcome`` gets a second variant of the code, generated on
+demand, in which every ``Ref`` calls ``apply`` and every terminal
+``char_outcome``, so the override sees every request; there an
+application costs two frames.  Both variants open and close a rule's
+function alike, and the session's counters (``stats``) are kept up to
+date as each cell becomes Done.
 
 Hitting an InProgress cell means the rule re-entered itself at the same
 position with no input consumed, so the session raises a structured
@@ -197,13 +202,15 @@ class DepthExceeded(Exception):
 DEFAULT_DEPTH_LIMIT = 100_000
 #: Interpreter recursion limit while a parse or a :func:`run_deep` call
 #: is live: room for ``DEFAULT_DEPTH_LIMIT`` nested rule applications at
-#: up to 13 interpreter frames each.  One application costs two frames,
-#: ``apply`` and the rule's generated function, plus one per chunk (see
-#: ``_OUTLINE_PAST``) between the rule body and the ``Ref`` that applies
-#: the next rule.  A function inlines at least six levels of non-``Seq``
-#: nodes, two indentation levels each at most, so 11 chunks take a ``Ref``
-#: more than 65 such levels deep in its rule body; the catalog grammars
-#: have no chunk.
+#: up to 13 interpreter frames each.  One application costs one frame,
+#: the rule's generated function (two in the hooked code, which enters
+#: it through ``apply``), plus one per chunk (see ``_OUTLINE_PAST``)
+#: between the rule body and the ``Ref`` that applies the next rule.  A
+#: function inlines at least six levels of non-``Seq`` nodes, two
+#: indentation levels each at most, so 12 chunks (11 in the hooked code)
+#: take a ``Ref`` more than 71 (65) such levels deep in its rule body;
+#: the catalog grammars have no chunk.  The value dates from two frames
+#: per application and is kept, since it bounds frames, not applications.
 DEEP_RECURSION_LIMIT = 1_344_177
 
 
@@ -279,24 +286,32 @@ def run_deep(fn, *args, **kwargs):
         _leave_deep()
 
 
-def _prepare(grammar: Grammar) -> PreparedGrammar:
-    """The grammar's handle, validated and with the engine's fields set.
+def _prepare(grammar: Grammar, hooked: bool) -> tuple[PreparedGrammar, tuple]:
+    """The grammar's handle, validated and with the engine's fields set,
+    and the code of its rules in the variant ``hooked`` asks for: the
+    one whose ``Ref`` calls ``apply`` (see :func:`_generate`).
 
-    Validation and code generation run once per grammar object;
-    an invalid grammar raises :class:`InvalidGrammarError` on every
-    call.
+    Validation and the generation of each variant of the code run once
+    per grammar object.  An invalid grammar raises
+    :class:`InvalidGrammarError` on every call.
     """
     prep = prepared(grammar)
     if prep.errors is None:
         prep.errors = validation_errors(grammar)
     if prep.errors:
         raise InvalidGrammarError(prep.errors)
-    if prep.code is None:
-        prep.code = _generate(
-            [r.body for r in grammar.rules], grammar.names, rules=True
-        )
+    if prep.expr_code is None:
         prep.expr_code = {}
-    return prep
+    code = prep.hooked_code if hooked else prep.code
+    if code is None:
+        code = _generate(
+            [r.body for r in grammar.rules], grammar.names, rules=True, hooked=hooked
+        )
+        if hooked:
+            prep.hooked_code = code
+        else:
+            prep.code = code
+    return prep, code
 
 
 #: Indentation level past which :meth:`_Function.expr` outlines a node
@@ -308,26 +323,33 @@ def _prepare(grammar: Grammar) -> PreparedGrammar:
 _OUTLINE_PAST = 12
 
 
-def _generate(bodies, names: tuple[str, ...], rules: bool = False) -> tuple:
+def _generate(
+    bodies, names: tuple[str, ...], rules: bool = False, hooked: bool = False
+) -> tuple:
     """One generated function ``run(s, pos)`` per expression.
 
     ``run`` evaluates its expression at ``pos`` in session ``s`` and
     returns ``FAIL`` or the node of the match, built where the match
     succeeds from the locals that hold its children.  With ``rules``,
-    function ``i`` is the body of rule ``i``: its node is the rule's
-    memo cell, labelled ``i``, and it adds the node's bytes to
+    function ``i`` is rule ``i``'s application: it forces the rule's
+    memo cell at ``pos`` (see :meth:`_Function.prologue`), and the node
+    it builds is that cell, labelled ``i``, whose bytes it adds to
     ``s._memo_bytes``.  Otherwise the node is anonymous (``rule`` is
-    None) and its caller takes the children.  ``run`` adds to
-    ``s._expr_steps`` one step per expression node visited, as an
-    interpreter of the tree would, and flushes them before each call
-    that can raise.  Terminals and ``Not`` record their failure label
-    for diagnostics: "any character" for ``AnyChar``, otherwise the node
-    rendered once here with the grammar's rule ``names``.
+    None) and its caller takes the children.  A ``Ref`` calls its rule's
+    function ``s._code[i]`` directly, and a terminal reads the character
+    row; with ``hooked`` they call ``s.apply`` and ``s.char_outcome``
+    instead, so that a session class that overrides either sees every
+    request.  ``run`` adds to ``s._expr_steps`` one step per expression
+    node visited, as an interpreter of the tree would, and flushes them
+    before each call that can raise.  Terminals and ``Not`` record their
+    failure label for diagnostics: "any character" for ``AnyChar``,
+    otherwise the node rendered once here with the grammar's rule
+    ``names``.
     """
     # the generator recurses a few frames deep per nesting level
     _enter_deep()
     try:
-        src = _Source(names)
+        src = _Source(names, hooked)
         for i, e in enumerate(bodies):
             _Function(src, f"_f{i}", e, i if rules else None)
         return src.build(len(bodies))
@@ -341,15 +363,20 @@ class _Source:
     The source holds only template text, identifiers made here and
     integers; every value taken from the grammar (character sets,
     literal text, failure labels, messages) is a global constant of the
-    namespace.  The functions are taken out of the namespace after
-    ``exec``, so no function and its globals form a reference cycle.
+    namespace.  Each function is compiled on its own, which keeps the
+    compiler's peak memory to that of one function.  The functions are
+    taken out of the namespace after ``exec``, so no function and its
+    globals form a reference cycle.
     """
 
-    def __init__(self, names: tuple[str, ...]):
+    def __init__(self, names: tuple[str, ...], hooked: bool):
         self.names = names
-        self.lines: list[str] = []
+        self.hooked = hooked
+        self.functions: list[str] = []
         self.ns: dict = {
             "FAIL": FAIL,
+            "UNEVALUATED": UNEVALUATED,
+            "INPROGRESS": INPROGRESS,
             "ParseTreeNode": ParseTreeNode,
             "_Unfrozen": _Unfrozen,
         }
@@ -367,9 +394,9 @@ class _Source:
         return self.const(render_expr(e, self.names))
 
     def build(self, count: int) -> tuple:
-        code = compile("\n".join(self.lines) + "\n", "<pegkit generated>", "exec")
         ns = self.ns
-        exec(code, ns)
+        for source in self.functions:
+            exec(compile(source, "<pegkit generated>", "exec"), ns)
         return tuple(ns.pop(f"_f{i}") for i in range(count))
 
 
@@ -391,10 +418,15 @@ class _Function:
     :meth:`tail` ends the function instead: every path on which it
     matches returns the function's node, so a choice there needs no
     merge.  Expression steps are counted at generation time in
-    ``pending`` and written to the session before every ``apply`` or
-    chunk call, at every exit and wherever control flow merges.  The
-    code relies on validation: node types are exact, every ``Ref`` names
-    a rule, and no repetition's body can match empty.
+    ``pending`` and written to the session before every rule
+    application or chunk call, at every exit and wherever control flow
+    merges.  The code relies on validation: node types are exact, every
+    ``Ref`` names a rule, and no repetition's body can match empty.
+
+    A rule's function opens with its :meth:`prologue` and runs its body
+    in a ``while True`` loop whose ``break`` is the body's failure: the
+    one failing exit follows the loop.  Each exit stores the cell
+    (:meth:`store`).
     """
 
     def __init__(self, src: _Source, name: str, e: PegExpr, rule: int | None):
@@ -404,12 +436,49 @@ class _Function:
         self.pending = 0
         self.nvars = 0
         self.uses_text = False
-        self.tail(e, "pos", "return FAIL", 1, [])
-        src.lines.append(f"def {name}(s, pos):")
+        ind = 1 if rule is None else 2
+        self.tail(e, "pos", "return FAIL" if rule is None else "break", ind, [])
         if self.uses_text:
-            src.lines.append("    text = s.text")
+            self.body.insert(0, "    " * ind + "text = s.text")
+        lines = [f"def {name}(s, pos):"]
+        if rule is not None:
+            self.store(1, "FAIL")
+            lines += self.prologue()
         # a slot left unfilled is blank
-        src.lines.extend(line for line in self.body if line.strip())
+        lines.extend(line for line in self.body if line.strip())
+        src.functions.append("\n".join(lines) + "\n")
+
+    def prologue(self) -> list[str]:
+        """Force the memo cell: a Done cell is returned; an InProgress
+        one is a re-entry, reported by the session; an Unevaluated one
+        is marked InProgress and pushed onto the active stack, after the
+        depth check.  The depth limit is at least ``_max_active_depth``,
+        so a depth below that needs neither the check nor the update."""
+        rule = self.rule
+        return [
+            f"    row = s.matrix[{rule}]",
+            "    n = row[pos]",
+            "    if n is not UNEVALUATED:",
+            "        if n is INPROGRESS:",
+            f"            s._reentered({rule}, pos)",
+            "        return n",
+            "    active = s._active",
+            "    if len(active) >= s._max_active_depth:",
+            f"        s._deeper({rule}, pos)",
+            "    row[pos] = INPROGRESS",
+            f"    active.append(({rule}, pos))",
+            "    while True:",
+        ]
+
+    def store(self, ind: int, cell: str) -> None:
+        """Fill the rule's memo cell with ``cell``, count it, pop the
+        active stack and return the cell."""
+        self.line(ind, "if row[pos] is not INPROGRESS:")
+        self.line(ind + 1, f"s._evaluated_twice({self.rule}, pos)")
+        self.line(ind, f"row[pos] = {cell}")
+        self.line(ind, "s._cells_evaluated += 1")
+        self.line(ind, "active.pop()")
+        self.line(ind, f"return {cell}")
 
     def line(self, ind: int, text: str) -> None:
         self.body.append("    " * ind + text)
@@ -461,7 +530,10 @@ class _Function:
                 f" if c else {_NODE_BYTES}",
             )
         self.line(ind, "n.__class__ = ParseTreeNode")
-        self.line(ind, "return n")
+        if self.rule is None:
+            self.line(ind, "return n")
+        else:
+            self.store(ind, "n")
 
     def tail(self, e: PegExpr, pos: str, fail: str, ind: int, kids: list[str]) -> None:
         """Write ``e`` at ``pos`` to end the function, after ``kids``."""
@@ -486,7 +558,7 @@ class _Function:
         src = self.src
         t = type(e)
         if ind > _OUTLINE_PAST and t is not Seq and _children(e):
-            chunk = src.const(_generate((e,), src.names)[0])
+            chunk = src.const(_generate((e,), src.names, hooked=src.hooked)[0])
             self.flush(ind)
             node = self.var()
             self.line(ind, f"{node} = {chunk}(s, {pos})")
@@ -497,7 +569,10 @@ class _Function:
         if t is Ref:
             self.flush(ind)
             node = self.var()
-            self.line(ind, f"{node} = s.apply({e.rule}, {pos})")
+            if src.hooked:
+                self.line(ind, f"{node} = s.apply({e.rule}, {pos})")
+            else:
+                self.line(ind, f"{node} = s._code[{e.rule}](s, {pos})")
             self.line(ind, f"if {node} is FAIL:")
             self.fail(ind + 1, fail)
             return f"{node}.end", [node]
@@ -545,7 +620,12 @@ class _Function:
         if accepted is not None:
             self.uses_text = True
             test += f" or text[{pos}] not in {self.src.const(accepted)}"
-        self.line(ind, f"{node} = s.char_outcome({pos})")
+        if self.src.hooked:
+            self.line(ind, f"{node} = s.char_outcome({pos})")
+        else:
+            self.line(ind, f"{node} = s.char_row[{pos}]")
+            self.line(ind, f"if {node} is UNEVALUATED:")
+            self.line(ind + 1, f"{node} = s.char_outcome({pos})")
         self.line(ind, f"if {test}:")
         self.line(ind + 1, f"if {at} >= s._fail_pos:")
         self.line(ind + 2, f"s.record_failure({at}, {label})")
@@ -676,7 +756,12 @@ class ParseSession:
         evaluator=None,
         config: EngineConfig | None = None,
     ):
-        prep = _prepare(grammar)
+        cls = type(self)
+        hooked = (
+            cls.apply is not ParseSession.apply
+            or cls.char_outcome is not ParseSession.char_outcome
+        )
+        prep, code = _prepare(grammar, hooked)
         self.grammar = grammar
         self.text = text
         self.evaluator = evaluator
@@ -685,7 +770,7 @@ class ParseSession:
         self.matrix: list[list] = [[UNEVALUATED] * n1 for _ in grammar.rules]
         self.char_row: list = [UNEVALUATED] * n1
         self._active: list[tuple[int, int]] = []
-        self._code = prep.code
+        self._code = code
         self._expr_code = prep.expr_code
         self._depth_limit = self.config.depth_limit
         self._cells_evaluated = 0
@@ -719,55 +804,63 @@ class ParseSession:
         such a session must be discarded.  A rule outside
         ``0..len(rules) - 1`` or a position outside ``0..len(text)``
         raises ValueError.
+
+        The rule's generated function does the forcing (see
+        :meth:`_Function.prologue`); ``apply`` is the entry from outside
+        the generated code, and from inside it only in the hooked
+        variant.  Generated frames do not unwind the active stack, so an
+        exception restores it here.
         """
         if rule < 0 or pos < 0:
             raise self._bad_cell(rule, pos)
         try:
-            row = self.matrix[rule]
-            cell = row[pos]
+            cell = self.matrix[rule][pos]
         except IndexError:
             raise self._bad_cell(rule, pos) from None
-        if cell is UNEVALUATED:
-            active = self._active
-            depth = len(active)
-            if depth >= self._depth_limit:
-                raise DepthExceeded(
-                    self._depth_limit,
-                    f"while applying rule {self.grammar.rule_name(rule)!r} at {pos}",
-                )
-            row[pos] = INPROGRESS
+        if cell is not UNEVALUATED and cell is not INPROGRESS:
+            return cell
+        active = self._active
+        depth = len(active)
+        if not depth:
+            _enter_deep()
+        try:
+            return self._code[rule](self, pos)
+        except RecursionError:
+            raise DepthExceeded(
+                self._depth_limit, "interpreter frame budget exhausted"
+            ) from None
+        finally:
+            del active[depth:]
             if not depth:
-                _enter_deep()
-            active.append((rule, pos))
-            if depth >= self._max_active_depth:
-                self._max_active_depth = depth + 1
-            try:
-                out = self._code[rule](self, pos)
-            except RecursionError:
-                raise DepthExceeded(
-                    self._depth_limit, "interpreter frame budget exhausted"
-                ) from None
-            finally:
-                active.pop()
-                if not depth:
-                    _leave_deep()
-            if row[pos] is not INPROGRESS:
-                raise RuntimeError(f"memo cell ({rule}, {pos}) evaluated twice")
-            row[pos] = out
-            self._cells_evaluated += 1
-            return out
-        if cell is INPROGRESS:
-            try:
-                first = self._active.index((rule, pos))
-            except ValueError:
-                raise RuntimeError(
-                    f"memo cell ({rule}, {pos}) is InProgress with no active "
-                    "call: an earlier parse in this session was aborted by an "
-                    "error and left it InProgress; discard the session"
-                ) from None
-            cycle = tuple(self._active[first:]) + ((rule, pos),)
-            raise LeftRecursion(cycle, self.grammar.names)
-        return cell
+                _leave_deep()
+
+    def _deeper(self, rule: int, pos: int) -> None:
+        """Called by a rule's function before it pushes an application
+        at least as deep as any so far: raise DepthExceeded past the
+        limit, else record the new maximum depth."""
+        depth = len(self._active)
+        if depth >= self._depth_limit:
+            raise DepthExceeded(
+                self._depth_limit,
+                f"while applying rule {self.grammar.rule_name(rule)!r} at {pos}",
+            )
+        self._max_active_depth = depth + 1
+
+    def _reentered(self, rule: int, pos: int) -> None:
+        """Called by a rule's function that finds its cell InProgress."""
+        try:
+            first = self._active.index((rule, pos))
+        except ValueError:
+            raise RuntimeError(
+                f"memo cell ({rule}, {pos}) is InProgress with no active "
+                "call: an earlier parse in this session was aborted by an "
+                "error and left it InProgress; discard the session"
+            ) from None
+        cycle = tuple(self._active[first:]) + ((rule, pos),)
+        raise LeftRecursion(cycle, self.grammar.names)
+
+    def _evaluated_twice(self, rule: int, pos: int) -> None:
+        raise RuntimeError(f"memo cell ({rule}, {pos}) evaluated twice")
 
     def eval_expr(self, e: PegExpr, pos: int) -> Outcome:
         """Evaluate one expression structurally at ``pos``.
@@ -775,20 +868,31 @@ class ParseSession:
         A match that contributes exactly one node returns that node;
         any other match is wrapped in an anonymous node spanning it, so
         a success is always a single tree.  The expression's code is
-        generated on its first evaluation and kept on the grammar.  An
-        expression that fails validation's structural checks raises
-        :class:`InvalidGrammarError` and is not kept; its issues carry
-        ``rule=None``.  A position outside ``0..len(text)`` raises
-        ValueError.
+        generated on its first evaluation and kept on the grammar, in
+        the hooked variant, so each rule it applies enters through
+        :meth:`apply`.  An expression that cannot be hashed, such as a
+        ``Seq`` whose parts are a list, is evaluated the same way but
+        generated anew on each call.  An expression that fails
+        validation's structural checks raises
+        :class:`InvalidGrammarError`, whose message names it, and is not
+        kept; its issues carry ``rule=None``.  A position outside
+        ``0..len(text)`` raises ValueError.
         """
         if not 0 <= pos <= len(self.text):
             raise self._bad_position(pos)
-        run = self._expr_code.get(e)
+        try:
+            run = self._expr_code.get(e)
+            hashable = True
+        except TypeError:
+            run, hashable = None, False
         if run is None:
+            names = self.grammar.names
             errors = _structural_errors(self.grammar, [(None, e)])
             if errors:
-                raise InvalidGrammarError(tuple(errors))
-            run = self._expr_code[e] = _generate((e,), self.grammar.names)[0]
+                raise InvalidGrammarError(tuple(errors), _expression_text(e, names))
+            run = _generate((e,), names, hooked=True)[0]
+            if hashable:
+                self._expr_code[e] = run
         out = run(self, pos)
         if out is not FAIL and len(out.children) == 1:
             return out.children[0]
@@ -827,6 +931,15 @@ class ParseSession:
             self._fail_labels = {label}
         else:
             self._fail_labels.add(label)
+
+
+def _expression_text(e, names: tuple[str, ...]) -> str:
+    """``e`` in the notation, or its ``repr`` where it holds an object
+    that is no expression node."""
+    try:
+        return run_deep(render_expr, e, names)
+    except TypeError:
+        return repr(e)
 
 
 def new_session(

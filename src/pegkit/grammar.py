@@ -305,9 +305,12 @@ class PreparedGrammar:
     * ``errors``: the error-severity issues of :func:`validate`, filled
       by ``load_grammar``, the engine or an oracle, whichever sees the
       grammar first;
-    * ``code``: the engine's generated function of each rule body,
-      ``run(session, pos)``, which returns the rule's memo cell, in
-      rule order;
+    * ``code``: the engine's generated function of each rule,
+      ``run(session, pos)``, which forces and returns the rule's memo
+      cell, in rule order;
+    * ``hooked_code``: the same with each rule application and character
+      test made through the session's ``apply`` and ``char_outcome``,
+      for session classes that override them;
     * ``expr_code``: the engine's generated function of each expression
       that ``ParseSession.eval_expr`` has evaluated, keyed by the
       expression;
@@ -321,6 +324,7 @@ class PreparedGrammar:
         "nullability",
         "errors",
         "code",
+        "hooked_code",
         "expr_code",
         "tabular_schedule",
         "cfg_refusal",
@@ -330,6 +334,7 @@ class PreparedGrammar:
         self.nullability = nullability
         self.errors: tuple[ValidationIssue, ...] | None = None
         self.code: tuple[Callable, ...] | None = None
+        self.hooked_code: tuple[Callable, ...] | None = None
         self.expr_code: dict[PegExpr, Callable] | None = None
         self.tabular_schedule: tuple[int, ...] | Callable[[], Exception] | None = None
         self.cfg_refusal: tuple[str, ...] | None = None
@@ -449,9 +454,20 @@ def validation_errors(g: Grammar) -> tuple[ValidationIssue, ...]:
 
 
 class InvalidGrammarError(Exception):
-    """The grammar has error-severity validation issues, kept in ``issues``."""
+    """Error-severity validation issues, kept in ``issues``: a grammar's,
+    or those of the expression whose text is ``expression``, refused by
+    ``ParseSession.eval_expr``."""
 
-    def __init__(self, issues: tuple[ValidationIssue, ...]):
-        lines = [f"{i.code} in rule {i.rule!r}: {i.message}" for i in issues]
-        super().__init__("grammar has validation errors:\n  " + "\n  ".join(lines))
+    def __init__(
+        self, issues: tuple[ValidationIssue, ...], expression: str | None = None
+    ):
+        if expression is None:
+            head = "grammar"
+            lines = [f"{i.code} in rule {i.rule!r}: {i.message}" for i in issues]
+        else:
+            head = "expression"
+            lines = [
+                f"{i.code} in expression {expression!r}: {i.message}" for i in issues
+            ]
+        super().__init__(f"{head} has validation errors:\n  " + "\n  ".join(lines))
         self.issues = issues

@@ -95,15 +95,16 @@ def cells_digest():
     """Callable: md5 of every cell of ``grammar`` on each of ``texts``.
 
     The cells are forced rule by rule, position by position, in one
-    session per text.  Each contributes its full tree (or the error it
-    raised, after which a fresh session takes over) and the session's
-    stats() and furthest failure after it.
+    session per text, made by ``session(grammar, text, config=config)``.
+    Each contributes its full tree (or the error it raised, after which
+    a fresh session takes over) and the session's stats() and furthest
+    failure after it.
     """
 
-    def digest(grammar, texts, config=None) -> str:
+    def digest(grammar, texts, config=None, session=new_session) -> str:
         h = hashlib.md5()
         for text in texts:
-            s = new_session(grammar, text, config=config)
+            s = session(grammar, text, config=config)
             for rule in range(len(grammar.rules)):
                 for pos in range(len(text) + 1):
                     fresh = False
@@ -113,7 +114,7 @@ def cells_digest():
                         out, fresh = f"{type(exc).__name__}: {exc}", True
                     h.update(f"{text!r} {rule} {pos} {out} {session_text(s)}\n".encode())
                     if fresh:
-                        s = new_session(grammar, text, config=config)
+                        s = session(grammar, text, config=config)
         return h.hexdigest()
 
     return digest

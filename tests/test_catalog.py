@@ -106,6 +106,22 @@ def test_catalog_outputs_are_pinned(entries, parses_digest, cells_digest):
     assert got == PINNED
 
 
+def test_hooked_sessions_give_the_pinned_cells(
+    entries, cells_digest, counting_session_cls
+):
+    # a session class that overrides apply runs the hooked variant of the
+    # generated code; its cells, stats and furthest failures are the same
+    for name in sorted(entries):
+        g = entries[name].grammar
+        texts = short_texts(entries[name].exhaustive_alphabet, 2)
+        got = cells_digest(g, texts, session=counting_session_cls)
+        assert got == PINNED[name][1], name
+        config = EngineConfig(depth_limit=3)
+        assert cells_digest(
+            g, texts, config, session=counting_session_cls
+        ) == cells_digest(g, texts, config), name
+
+
 def evaluate(entry, text):
     node = parse_complete(new_session(entry.grammar, text))
     return entry.evaluator(node, text)

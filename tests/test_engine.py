@@ -47,8 +47,8 @@ from pegkit import (
     validate,
 )
 from pegkit import engine
-from pegkit.engine import INPROGRESS, UNEVALUATED
-from pegkit.grammar import Char, prepared
+from pegkit.engine import INPROGRESS, UNEVALUATED, ParseSession
+from pegkit.grammar import Char, Seq, prepared
 from pegkit.oracles import naive_parse
 
 FIGURE_INPUT = "2*(3+4)"
@@ -224,23 +224,27 @@ class TestParseOutcomes:
 
     # each used to leak TypeError, ValueError, IndexError or the
     # repetition guard's RuntimeError from the generated code
+    # the message names the expression in the notation
     @pytest.mark.parametrize(
-        "e, code, message",
+        "e, text, code, message",
         [
-            (MyChar("a"), "UnknownNode", "MyChar is not an expression node type"),
-            (ref("Decimal"), "UnknownRef", "reference to unknown rule 'Decimal'"),
-            (ref(99), "UnknownRef", "reference to unknown rule 99"),
-            (seq(), "EmptyChoice", "Seq with no elements"),
-            (choice(), "EmptyChoice", "Choice with no elements"),
+            (MyChar("a"), "'a'", "UnknownNode", "MyChar is not an expression node type"),
+            (ref("Decimal"), "Decimal", "UnknownRef", "reference to unknown rule 'Decimal'"),
+            (ref(99), "99", "UnknownRef", "reference to unknown rule 99"),
+            (seq(), "", "EmptyChoice", "Seq with no elements"),
+            (choice(), "", "EmptyChoice", "Choice with no elements"),
             (
                 star(EMPTY),
+                "()*",
                 "NullableRepetition",
                 "Star body can match empty and would repeat forever",
             ),
         ],
         ids=["subclass", "name", "index", "seq", "choice", "star"],
     )
-    def test_eval_expr_refuses_what_validation_refuses(self, arith, e, code, message):
+    def test_eval_expr_refuses_what_validation_refuses(
+        self, arith, e, text, code, message
+    ):
         s = new_session(arith.grammar, "1+2")
         for _ in range(2):
             with pytest.raises(InvalidGrammarError) as exc:
@@ -249,10 +253,25 @@ class TestParseOutcomes:
                 (code, None, ())
             ]
             assert str(exc.value) == (
-                f"grammar has validation errors:\n  {code} in rule None: {message}"
+                f"expression has validation errors:\n"
+                f"  {code} in expression {text!r}: {message}"
             )
         assert e not in prepared(arith.grammar).expr_code
         assert s.eval_expr(ref(arith.grammar.start), 0).span == (0, 3)
+
+    def test_eval_expr_takes_an_unhashable_expression(self, arith):
+        # a Seq whose parts are a list used to leak "unhashable type"
+        s = new_session(arith.grammar, "1+2")
+        got = s.eval_expr(Seq([Char("1"), Char("+")]), 0)
+        assert got == s.eval_expr(seq(char("1"), char("+")), 0)
+        assert got.span == (0, 2)
+        assert s.eval_expr(Seq([Char("1")]), 0).span == (0, 1)
+        with pytest.raises(InvalidGrammarError, match="in expression 'x': "):
+            s.eval_expr(Seq([ref("x")]), 0)
+        # an object that is no expression node is named by its repr
+        with pytest.raises(InvalidGrammarError) as exc:
+            s.eval_expr(Seq((1,)), 0)
+        assert "UnknownNode in expression 'Seq(parts=(1,))': " in str(exc.value)
 
     def test_predicates_are_zero_width(self, arith):
         s = new_session(arith.grammar, "2*2")
@@ -350,6 +369,31 @@ class TestErrors:
             ):
                 parse_complete(s)
 
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    @pytest.mark.parametrize(
+        "name, text, depth_limit, error",
+        [
+            ("left_recursive_arith", "1+2", 100, LeftRecursion),
+            ("arith", "(" * 30 + "1" + ")" * 30, 20, DepthExceeded),
+        ],
+    )
+    def test_an_aborted_application_empties_the_active_stack(
+        self, entries, counting_session_cls, hooked, name, text, depth_limit, error
+    ):
+        # the generated functions push and pop the stack but leave it to
+        # the outermost apply to unwind it after an error
+        g = entries[name].grammar
+        cls = counting_session_cls if hooked else ParseSession
+        s = cls(g, text, config=EngineConfig(depth_limit=depth_limit))
+        with pytest.raises(error):
+            s.apply(g.start, 0)
+        assert s._active == []
+        with pytest.raises(
+            RuntimeError, match=rf"\({g.start}, 0\) .*discard the session"
+        ):
+            s.apply(g.start, 0)
+        assert s._active == []
+
     def test_star_over_nullable_is_unreachable_at_runtime(self):
         # the validator refuses it, so the engine guard stays internal
         g = make_grammar([("S", star(opt(char("a"))))])
@@ -422,6 +466,22 @@ class TestDeepInputs:
                 parse(new_session(lexed, self.CHAIN, config=config))
             assert exc.value.limit == k - 1
 
+    def test_depth_limit_is_an_exact_count_in_the_hooked_code(
+        self, lexed, counting_session_cls
+    ):
+        s = counting_session_cls(lexed, self.CHAIN)
+        parse_complete(s)
+        k = stats(s).max_active_depth
+        config = EngineConfig(depth_limit=k)
+        s = counting_session_cls(lexed, self.CHAIN, config=config)
+        assert parse_complete(s).end == len(self.CHAIN)
+        config = EngineConfig(depth_limit=k - 1)
+        s = counting_session_cls(lexed, self.CHAIN, config=config)
+        with pytest.raises(DepthExceeded) as exc:
+            parse_complete(s)
+        assert exc.value.limit == k - 1
+        assert s._active == []
+
     def test_recursion_limit_is_restored(self, lexed):
         def state():
             return sys.getrecursionlimit(), gc.isenabled()
@@ -470,13 +530,28 @@ class TestDeepInputs:
         assert before < 5000
         config = EngineConfig(depth_limit=10**9)
         # each "+1" nests one more Additive application, and every
-        # application takes at least two interpreter frames
+        # application takes at least one interpreter frame
         chain = "1" + "+1" * engine.DEEP_RECURSION_LIMIT
         s = new_session(lexed, chain, config=config)
         with pytest.raises(DepthExceeded) as exc:
             parse_complete(s)
         assert exc.value.limit == 10**9
         assert sys.getrecursionlimit() == before
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_the_backstop_empties_the_active_stack(
+        self, lexed, monkeypatch, counting_session_cls, hooked
+    ):
+        monkeypatch.setattr(engine, "DEEP_RECURSION_LIMIT", 5000)
+        config = EngineConfig(depth_limit=10**9)
+        chain = "1" + "+1" * engine.DEEP_RECURSION_LIMIT
+        cls = counting_session_cls if hooked else ParseSession
+        s = cls(lexed, chain, config=config)
+        with pytest.raises(DepthExceeded, match="frame budget"):
+            s.apply(lexed.start, 0)
+        assert s._active == []
+        with pytest.raises(RuntimeError, match="discard the session"):
+            s.apply(lexed.start, 0)
 
 
 #: An accepted and a rejected input of each catalog grammar.  Both end

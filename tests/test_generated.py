@@ -1,5 +1,6 @@
 """The engine's generated rule functions: outlining, grammar text kept out
-of the source, frames per rule application and the eval_expr cache."""
+of the source, frames per rule application in the plain and the hooked
+code, and the eval_expr cache."""
 
 from __future__ import annotations
 
@@ -118,9 +119,10 @@ def test_catalog_generated_source_is_pinned(monkeypatch):
     monkeypatch.setattr(engine, "compile", spy, raising=False)
     for entry in registry().values():
         new_session(entry.grammar, "")
-    assert len(sources) == 9
+    # one compile per rule of the nine grammars
+    assert len(sources) == 49
     digest = hashlib.md5("".join(sources).encode()).hexdigest()
-    assert digest == "79c1d2ee7bf739c3c2633a18ef02e70f"
+    assert digest == "4632b0ebc0351b547be28e7011c2bddd"
 
 
 def test_three_hundred_nested_predicates():
@@ -251,28 +253,71 @@ def test_generated_source_holds_no_grammar_text(monkeypatch):
     s = new_session(g, "{0}")
     parse_complete(s)
     s.eval_expr(not_(lit("'''")), 0)
-    assert len(sources) == 2
+    # one compile per rule, and one for the expression
+    assert len(sources) == 4
     for source in sources:
         # no string literal, escape, f-string field or comment
         assert not set(source) & set("'\"\\{}#"), source
 
 
-def test_a_rule_application_costs_two_frames():
+class Hooked(ParseSession):
+    """A session class that overrides ``apply`` and so gets the hooked
+    code, in which every rule application enters through ``apply``."""
+
+    def apply(self, rule, pos):
+        return super().apply(rule, pos)
+
+
+class HookedChars(ParseSession):
+    """Overriding ``char_outcome`` also selects the hooked code."""
+
+    def char_outcome(self, pos):
+        return super().char_outcome(pos)
+
+
+# the hooked code's two frames are ``apply`` and the rule's function; an
+# override of ``apply`` that calls it adds a frame of its own
+@pytest.mark.parametrize(
+    "cls, frames",
+    [(ParseSession, 1), (HookedChars, 2), (Hooked, 3)],
+    ids=["plain", "hooked-chars", "hooked-apply"],
+)
+def test_a_rule_application_costs_one_frame_or_two_when_hooked(cls, frames):
     g = load_grammar("A <- 'x' A / 'y' ;")
     depths: dict[int, int] = {}
 
-    class Probe(ParseSession):
-        def char_outcome(self, pos):
-            frame, depth = sys._getframe(), 0
+    def probe(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "_f0":
+            pos, depth = frame.f_locals["pos"], 0
             while frame is not None:
                 frame, depth = frame.f_back, depth + 1
-            depths.setdefault(pos, depth)
-            return super().char_outcome(pos)
+            depths[pos] = depth
 
-    parse_complete(Probe(g, "xxxy"))
-    # the first character test at each position is made by A applied
-    # there, one application deeper than at the previous position
-    assert [depths[p + 1] - depths[p] for p in range(3)] == [2, 2, 2]
+    s = cls(g, "xxxy")
+    sys.setprofile(probe)
+    try:
+        parse_complete(s)
+    finally:
+        sys.setprofile(None)
+    # A applied at each position is one application deeper than at the
+    # previous position
+    assert [depths[p + 1] - depths[p] for p in range(3)] == [frames] * 3
+
+
+def test_hooked_code_is_freed_with_its_grammar():
+    g = load_grammar("S <- " + "(" * 120 + "'a' 'b'?" + ")+" * 120 + " ;")
+    parse_complete(Hooked(g, "ab"))
+    # only the variant a session asks for is generated
+    assert prepared(g).code is None
+    functions = [weakref.ref(f) for f in prepared(g).hooked_code]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del g
+        assert [f() for f in functions] == [None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_eval_expr_generates_each_expression_once(monkeypatch):
