@@ -28,14 +28,13 @@ and returns it.  Inside it every subexpression is straight-line code on
 local variables, and a ``Ref`` calls its rule's function directly, so a
 rule application costs one interpreter frame.  A terminal reads the
 character row, calling :meth:`ParseSession.char_outcome` only for an
-Unevaluated cell.  :meth:`ParseSession.apply` is the entry point from
-outside the generated code.  A session class that overrides ``apply``
-or ``char_outcome`` gets a second variant of the code, generated on
-demand, in which every ``Ref`` calls ``apply`` and every terminal
-``char_outcome``, so the override sees every request; there an
-application costs two frames.  Both variants open and close a rule's
-function alike, and the session's counters (``stats``) are kept up to
-date as each cell becomes Done.
+Unevaluated cell.  The session's counters (``stats``) are kept up to
+date as each cell becomes Done.  :meth:`ParseSession.apply` and
+:meth:`ParseSession.eval_expr` are the entry points from outside the
+generated code, which never calls them: a session class that overrides
+``apply`` sees only the requests made from outside.  Every rule
+application, from outside or inside, calls the session's ``_code``
+entry for the rule, which is where a session can observe each one.
 
 Hitting an InProgress cell means the rule re-entered itself at the same
 position with no input consumed, so the session raises a structured
@@ -203,14 +202,12 @@ DEFAULT_DEPTH_LIMIT = 100_000
 #: Interpreter recursion limit while a parse or a :func:`run_deep` call
 #: is live: room for ``DEFAULT_DEPTH_LIMIT`` nested rule applications at
 #: up to 13 interpreter frames each.  One application costs one frame,
-#: the rule's generated function (two in the hooked code, which enters
-#: it through ``apply``), plus one per chunk (see ``_OUTLINE_PAST``)
-#: between the rule body and the ``Ref`` that applies the next rule.  A
-#: function inlines at least six levels of non-``Seq`` nodes, two
-#: indentation levels each at most, so 12 chunks (11 in the hooked code)
-#: take a ``Ref`` more than 71 (65) such levels deep in its rule body;
-#: the catalog grammars have no chunk.  The value dates from two frames
-#: per application and is kept, since it bounds frames, not applications.
+#: the rule's generated function, plus one per chunk (see
+#: ``_OUTLINE_PAST``) between the rule body and the ``Ref`` that applies
+#: the next rule.  A function inlines at least six levels of non-``Seq``
+#: nodes, two indentation levels each at most, so 12 chunks take a
+#: ``Ref`` more than 71 such levels deep in its rule body; the catalog
+#: grammars have no chunk.
 DEEP_RECURSION_LIMIT = 1_344_177
 
 
@@ -286,32 +283,24 @@ def run_deep(fn, *args, **kwargs):
         _leave_deep()
 
 
-def _prepare(grammar: Grammar, hooked: bool) -> tuple[PreparedGrammar, tuple]:
-    """The grammar's handle, validated and with the engine's fields set,
-    and the code of its rules in the variant ``hooked`` asks for: the
-    one whose ``Ref`` calls ``apply`` (see :func:`_generate`).
+def _prepare(grammar: Grammar) -> PreparedGrammar:
+    """The grammar's handle, validated and with the engine's fields set:
+    ``code`` holds the generated function of each rule (see
+    :func:`_generate`).
 
-    Validation and the generation of each variant of the code run once
-    per grammar object.  An invalid grammar raises
-    :class:`InvalidGrammarError` on every call.
+    Validation and code generation run once per grammar object.  An
+    invalid grammar raises :class:`InvalidGrammarError` on every call.
     """
     prep = prepared(grammar)
     if prep.errors is None:
         prep.errors = validation_errors(grammar)
     if prep.errors:
         raise InvalidGrammarError(prep.errors)
-    if prep.expr_code is None:
+    if prep.code is None:
         prep.expr_code = {}
-    code = prep.hooked_code if hooked else prep.code
-    if code is None:
-        code = _generate(
-            [r.body for r in grammar.rules], grammar.names, rules=True, hooked=hooked
-        )
-        if hooked:
-            prep.hooked_code = code
-        else:
-            prep.code = code
-    return prep, code
+        bodies = [r.body for r in grammar.rules]
+        prep.code = _generate(bodies, grammar.names, rules=True)
+    return prep
 
 
 #: Indentation level past which :meth:`_Function.expr` outlines a node
@@ -323,9 +312,7 @@ def _prepare(grammar: Grammar, hooked: bool) -> tuple[PreparedGrammar, tuple]:
 _OUTLINE_PAST = 12
 
 
-def _generate(
-    bodies, names: tuple[str, ...], rules: bool = False, hooked: bool = False
-) -> tuple:
+def _generate(bodies, names: tuple[str, ...], rules: bool = False) -> tuple:
     """One generated function ``run(s, pos)`` per expression.
 
     ``run`` evaluates its expression at ``pos`` in session ``s`` and
@@ -336,20 +323,18 @@ def _generate(
     it builds is that cell, labelled ``i``, whose bytes it adds to
     ``s._memo_bytes``.  Otherwise the node is anonymous (``rule`` is
     None) and its caller takes the children.  A ``Ref`` calls its rule's
-    function ``s._code[i]`` directly, and a terminal reads the character
-    row; with ``hooked`` they call ``s.apply`` and ``s.char_outcome``
-    instead, so that a session class that overrides either sees every
-    request.  ``run`` adds to ``s._expr_steps`` one step per expression
-    node visited, as an interpreter of the tree would, and flushes them
-    before each call that can raise.  Terminals and ``Not`` record their
-    failure label for diagnostics: "any character" for ``AnyChar``,
-    otherwise the node rendered once here with the grammar's rule
-    ``names``.
+    function ``s._code[i]`` directly, not through ``s.apply``, and a
+    terminal reads the character row.  ``run`` adds to ``s._expr_steps``
+    one step per expression node visited, as an interpreter of the tree
+    would, and flushes them before each call that can raise.  Terminals
+    and ``Not`` record their failure label for diagnostics: "any
+    character" for ``AnyChar``, otherwise the node rendered once here
+    with the grammar's rule ``names``.
     """
     # the generator recurses a few frames deep per nesting level
     _enter_deep()
     try:
-        src = _Source(names, hooked)
+        src = _Source(names)
         for i, e in enumerate(bodies):
             _Function(src, f"_f{i}", e, i if rules else None)
         return src.build(len(bodies))
@@ -369,9 +354,8 @@ class _Source:
     globals form a reference cycle.
     """
 
-    def __init__(self, names: tuple[str, ...], hooked: bool):
+    def __init__(self, names: tuple[str, ...]):
         self.names = names
-        self.hooked = hooked
         self.functions: list[str] = []
         self.ns: dict = {
             "FAIL": FAIL,
@@ -558,7 +542,7 @@ class _Function:
         src = self.src
         t = type(e)
         if ind > _OUTLINE_PAST and t is not Seq and _children(e):
-            chunk = src.const(_generate((e,), src.names, hooked=src.hooked)[0])
+            chunk = src.const(_generate((e,), src.names)[0])
             self.flush(ind)
             node = self.var()
             self.line(ind, f"{node} = {chunk}(s, {pos})")
@@ -569,10 +553,7 @@ class _Function:
         if t is Ref:
             self.flush(ind)
             node = self.var()
-            if src.hooked:
-                self.line(ind, f"{node} = s.apply({e.rule}, {pos})")
-            else:
-                self.line(ind, f"{node} = s._code[{e.rule}](s, {pos})")
+            self.line(ind, f"{node} = s._code[{e.rule}](s, {pos})")
             self.line(ind, f"if {node} is FAIL:")
             self.fail(ind + 1, fail)
             return f"{node}.end", [node]
@@ -620,12 +601,9 @@ class _Function:
         if accepted is not None:
             self.uses_text = True
             test += f" or text[{pos}] not in {self.src.const(accepted)}"
-        if self.src.hooked:
-            self.line(ind, f"{node} = s.char_outcome({pos})")
-        else:
-            self.line(ind, f"{node} = s.char_row[{pos}]")
-            self.line(ind, f"if {node} is UNEVALUATED:")
-            self.line(ind + 1, f"{node} = s.char_outcome({pos})")
+        self.line(ind, f"{node} = s.char_row[{pos}]")
+        self.line(ind, f"if {node} is UNEVALUATED:")
+        self.line(ind + 1, f"{node} = s.char_outcome({pos})")
         self.line(ind, f"if {test}:")
         self.line(ind + 1, f"if {at} >= s._fail_pos:")
         self.line(ind + 2, f"s.record_failure({at}, {label})")
@@ -756,12 +734,7 @@ class ParseSession:
         evaluator=None,
         config: EngineConfig | None = None,
     ):
-        cls = type(self)
-        hooked = (
-            cls.apply is not ParseSession.apply
-            or cls.char_outcome is not ParseSession.char_outcome
-        )
-        prep, code = _prepare(grammar, hooked)
+        prep = _prepare(grammar)
         self.grammar = grammar
         self.text = text
         self.evaluator = evaluator
@@ -770,7 +743,7 @@ class ParseSession:
         self.matrix: list[list] = [[UNEVALUATED] * n1 for _ in grammar.rules]
         self.char_row: list = [UNEVALUATED] * n1
         self._active: list[tuple[int, int]] = []
-        self._code = code
+        self._code = prep.code
         self._expr_code = prep.expr_code
         self._depth_limit = self.config.depth_limit
         self._cells_evaluated = 0
@@ -806,10 +779,11 @@ class ParseSession:
         raises ValueError.
 
         The rule's generated function does the forcing (see
-        :meth:`_Function.prologue`); ``apply`` is the entry from outside
-        the generated code, and from inside it only in the hooked
-        variant.  Generated frames do not unwind the active stack, so an
-        exception restores it here.
+        :meth:`_Function.prologue`).  ``apply`` is the entry from outside
+        the generated code, which applies a rule by calling its function
+        directly: an override of ``apply`` sees the requests of
+        ``parse_complete``, the differential checker, the combinators
+        and direct callers, not those of one rule to another.
         """
         if rule < 0 or pos < 0:
             raise self._bad_cell(rule, pos)
@@ -819,12 +793,23 @@ class ParseSession:
             raise self._bad_cell(rule, pos) from None
         if cell is not UNEVALUATED and cell is not INPROGRESS:
             return cell
+        return self._outermost(self._code[rule], pos)
+
+    def _outermost(self, run, pos: int) -> Outcome:
+        """``run(self, pos)``, for generated code entered from outside.
+
+        The outermost entry raises the recursion limit and pauses the
+        collector while it runs (see :func:`run_deep`), and interpreter
+        stack exhaustion becomes :class:`DepthExceeded`.  Generated
+        frames do not unwind the active stack, so an exception restores
+        it here.
+        """
         active = self._active
         depth = len(active)
         if not depth:
             _enter_deep()
         try:
-            return self._code[rule](self, pos)
+            return run(self, pos)
         except RecursionError:
             raise DepthExceeded(
                 self._depth_limit, "interpreter frame budget exhausted"
@@ -868,14 +853,14 @@ class ParseSession:
         A match that contributes exactly one node returns that node;
         any other match is wrapped in an anonymous node spanning it, so
         a success is always a single tree.  The expression's code is
-        generated on its first evaluation and kept on the grammar, in
-        the hooked variant, so each rule it applies enters through
-        :meth:`apply`.  An expression that cannot be hashed, such as a
-        ``Seq`` whose parts are a list, is evaluated the same way but
-        generated anew on each call.  An expression that fails
-        validation's structural checks raises
-        :class:`InvalidGrammarError`, whose message names it, and is not
-        kept; its issues carry ``rule=None``.  A position outside
+        generated on its first evaluation and kept on the grammar; it
+        applies rules as rule code does, not through :meth:`apply`, and
+        runs with the same outermost handling of depth and errors.  An
+        expression that cannot be hashed, such as a ``Seq`` whose parts
+        are a list, is evaluated the same way but generated anew on each
+        call.  An expression that fails validation's structural checks
+        raises :class:`InvalidGrammarError`, whose message names it, and
+        is not kept; its issues carry ``rule=None``.  A position outside
         ``0..len(text)`` raises ValueError.
         """
         if not 0 <= pos <= len(self.text):
@@ -890,10 +875,10 @@ class ParseSession:
             errors = _structural_errors(self.grammar, [(None, e)])
             if errors:
                 raise InvalidGrammarError(tuple(errors), _expression_text(e, names))
-            run = _generate((e,), names, hooked=True)[0]
+            run = _generate((e,), names)[0]
             if hashable:
                 self._expr_code[e] = run
-        out = run(self, pos)
+        out = self._outermost(run, pos)
         if out is not FAIL and len(out.children) == 1:
             return out.children[0]
         return out

@@ -261,23 +261,39 @@ def make_grammar(
     return Grammar(resolved, start_id)
 
 
-def _expr_nullable(e: PegExpr, table: Sequence[bool]) -> bool:
-    if isinstance(e, (Empty, Star, Opt, And, Not)):
-        return True
-    if isinstance(e, (Char, Class, AnyChar)):
-        return False
-    if isinstance(e, Literal):
-        return e.text == ""
-    if isinstance(e, Seq):
-        return all(_expr_nullable(p, table) for p in e.parts)
-    if isinstance(e, Choice):
-        return any(_expr_nullable(a, table) for a in e.alts)
-    if isinstance(e, Plus):
-        return _expr_nullable(e.body, table)
-    if isinstance(e, Ref):
-        if isinstance(e.rule, int) and 0 <= e.rule < len(table):
-            return table[e.rule]
-    return False
+def _expr_nullable(
+    e: PegExpr, table: Sequence[bool], memo: dict[int, bool] | None = None
+) -> bool:
+    """Can ``e`` match empty, given each rule's answer in ``table``?
+
+    The walk keeps its own stack, so any nesting depth is fine.
+    ``memo`` maps ``id(node)`` to the answers already worked out, which
+    a caller may share across calls on nodes it keeps alive meanwhile.
+    """
+    memo = {} if memo is None else memo
+    stack = [(e, False)]
+    while stack:
+        x, kids_done = stack.pop()
+        if id(x) in memo:
+            continue
+        if isinstance(x, (Seq, Choice, Plus)) and not kids_done:
+            stack.append((x, True))
+            stack.extend((k, False) for k in _children(x))
+            continue
+        if isinstance(x, (Empty, Star, Opt, And, Not)):
+            memo[id(x)] = True
+        elif isinstance(x, Literal):
+            memo[id(x)] = x.text == ""
+        elif isinstance(x, Choice):
+            memo[id(x)] = any(memo[id(a)] for a in x.alts)
+        elif isinstance(x, (Seq, Plus)):
+            memo[id(x)] = all(memo[id(k)] for k in _children(x))
+        elif isinstance(x, Ref):
+            t = x.rule
+            memo[id(x)] = isinstance(t, int) and 0 <= t < len(table) and table[t]
+        else:  # a terminal, or an object that is no expression node
+            memo[id(x)] = False
+    return memo[id(e)]
 
 
 def _rule_nullability(g: Grammar) -> tuple[bool, ...]:
@@ -307,10 +323,8 @@ class PreparedGrammar:
       grammar first;
     * ``code``: the engine's generated function of each rule,
       ``run(session, pos)``, which forces and returns the rule's memo
-      cell, in rule order;
-    * ``hooked_code``: the same with each rule application and character
-      test made through the session's ``apply`` and ``char_outcome``,
-      for session classes that override them;
+      cell, in rule order; every session on the grammar, of any class,
+      runs it;
     * ``expr_code``: the engine's generated function of each expression
       that ``ParseSession.eval_expr`` has evaluated, keyed by the
       expression;
@@ -324,7 +338,6 @@ class PreparedGrammar:
         "nullability",
         "errors",
         "code",
-        "hooked_code",
         "expr_code",
         "tabular_schedule",
         "cfg_refusal",
@@ -334,7 +347,6 @@ class PreparedGrammar:
         self.nullability = nullability
         self.errors: tuple[ValidationIssue, ...] | None = None
         self.code: tuple[Callable, ...] | None = None
-        self.hooked_code: tuple[Callable, ...] | None = None
         self.expr_code: dict[PegExpr, Callable] | None = None
         self.tabular_schedule: tuple[int, ...] | Callable[[], Exception] | None = None
         self.cfg_refusal: tuple[str, ...] | None = None
@@ -418,6 +430,8 @@ def _structural_errors(g: Grammar, roots) -> list[ValidationIssue]:
     ``(rule name, body)`` pairs ``roots``, in root-then-preorder order."""
     issues: list[ValidationIssue] = []
     nrules = len(g.rules)
+    table = prepared(g).nullability
+    memo: dict[int, bool] = {}  # by id, as the roots keep the nodes alive
     # a path is a link (child index, parent's link) up to a root's (),
     # spelt out only when an issue is reported
     stack = [(name, e, ()) for name, e in reversed(roots)]
@@ -435,7 +449,7 @@ def _structural_errors(g: Grammar, roots) -> list[ValidationIssue]:
                 code, message = "UnknownRef", f"reference to unknown rule {e.rule!r}"
             elif (t is Seq or t is Choice) and not kids:
                 code, message = "EmptyChoice", f"{t.__name__} with no elements"
-            elif (t is Star or t is Plus) and nullable(g, e.body):
+            elif (t is Star or t is Plus) and _expr_nullable(e.body, table, memo):
                 code = "NullableRepetition"
                 message = f"{t.__name__} body can match empty and would repeat forever"
             else:

@@ -37,18 +37,28 @@ class CountingSession(ParseSession):
     ``eval_counts[(rule, pos)]`` increments exactly when the cell goes
     from Unevaluated to Done; comparing its total against the session's
     own ``cells_evaluated`` counter exposes any hidden re-evaluation.
+    Every rule application, from ``apply`` or from generated code, calls
+    the session's ``_code`` entry for the rule, so the session wraps
+    each entry.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.eval_counts: Counter[tuple[int, int]] = Counter()
+        self._code = tuple(
+            self._counted(rule, run) for rule, run in enumerate(self._code)
+        )
 
-    def apply(self, rule: int, pos: int):
-        fresh = self.matrix[rule][pos] is UNEVALUATED
-        out = super().apply(rule, pos)
-        if fresh:
-            self.eval_counts[(rule, pos)] += 1
-        return out
+    @staticmethod
+    def _counted(rule: int, run):
+        def counted(s, pos):
+            fresh = s.matrix[rule][pos] is UNEVALUATED
+            out = run(s, pos)
+            if fresh:
+                s.eval_counts[(rule, pos)] += 1
+            return out
+
+        return counted
 
 
 @pytest.fixture(scope="session")

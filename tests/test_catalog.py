@@ -106,11 +106,11 @@ def test_catalog_outputs_are_pinned(entries, parses_digest, cells_digest):
     assert got == PINNED
 
 
-def test_hooked_sessions_give_the_pinned_cells(
+def test_counting_sessions_give_the_pinned_cells(
     entries, cells_digest, counting_session_cls
 ):
-    # a session class that overrides apply runs the hooked variant of the
-    # generated code; its cells, stats and furthest failures are the same
+    # a session that wraps each rule's code to count its applications
+    # gives the same cells, stats and furthest failures
     for name in sorted(entries):
         g = entries[name].grammar
         texts = short_texts(entries[name].exhaustive_alphabet, 2)

@@ -369,7 +369,7 @@ class TestErrors:
             ):
                 parse_complete(s)
 
-    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    @pytest.mark.parametrize("counting", [False, True], ids=["plain", "counting"])
     @pytest.mark.parametrize(
         "name, text, depth_limit, error",
         [
@@ -378,12 +378,12 @@ class TestErrors:
         ],
     )
     def test_an_aborted_application_empties_the_active_stack(
-        self, entries, counting_session_cls, hooked, name, text, depth_limit, error
+        self, entries, counting_session_cls, counting, name, text, depth_limit, error
     ):
         # the generated functions push and pop the stack but leave it to
         # the outermost apply to unwind it after an error
         g = entries[name].grammar
-        cls = counting_session_cls if hooked else ParseSession
+        cls = counting_session_cls if counting else ParseSession
         s = cls(g, text, config=EngineConfig(depth_limit=depth_limit))
         with pytest.raises(error):
             s.apply(g.start, 0)
@@ -466,7 +466,7 @@ class TestDeepInputs:
                 parse(new_session(lexed, self.CHAIN, config=config))
             assert exc.value.limit == k - 1
 
-    def test_depth_limit_is_an_exact_count_in_the_hooked_code(
+    def test_depth_limit_is_an_exact_count_in_a_counting_session(
         self, lexed, counting_session_cls
     ):
         s = counting_session_cls(lexed, self.CHAIN)
@@ -481,6 +481,37 @@ class TestDeepInputs:
             parse_complete(s)
         assert exc.value.limit == k - 1
         assert s._active == []
+
+    def test_eval_expr_runs_a_deep_chain_with_the_outermost_handling(
+        self, lexed, monkeypatch
+    ):
+        def state():
+            return sys.getrecursionlimit(), gc.isenabled()
+
+        before = state()
+        s = new_session(lexed, self.CHAIN)
+        s.apply(lexed.start, 0)
+        k, cells = stats(s).max_active_depth, stats(s).cells_evaluated
+        s = new_session(lexed, self.CHAIN, config=EngineConfig(depth_limit=k))
+        node = s.eval_expr(ref(lexed.start), 0)
+        # the rule's memo cell, filled as apply fills it (a tree this deep
+        # is too deep to compare with ==)
+        assert node.end == len(self.CHAIN) and s.apply(lexed.start, 0) is node
+        assert stats(s).cells_evaluated == cells
+        assert state() == before
+        s = new_session(lexed, self.CHAIN, config=EngineConfig(depth_limit=k - 1))
+        with pytest.raises(DepthExceeded) as exc:
+            s.eval_expr(ref(lexed.start), 0)
+        assert exc.value.limit == k - 1
+        assert s._active == []
+        assert state() == before
+        monkeypatch.setattr(engine, "DEEP_RECURSION_LIMIT", 5000)
+        chain = "1" + "+1" * engine.DEEP_RECURSION_LIMIT
+        s = new_session(lexed, chain, config=EngineConfig(depth_limit=10**9))
+        with pytest.raises(DepthExceeded, match="frame budget"):
+            s.eval_expr(ref(lexed.start), 0)
+        assert s._active == []
+        assert state() == before
 
     def test_recursion_limit_is_restored(self, lexed):
         def state():
@@ -538,14 +569,14 @@ class TestDeepInputs:
         assert exc.value.limit == 10**9
         assert sys.getrecursionlimit() == before
 
-    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    @pytest.mark.parametrize("counting", [False, True], ids=["plain", "counting"])
     def test_the_backstop_empties_the_active_stack(
-        self, lexed, monkeypatch, counting_session_cls, hooked
+        self, lexed, monkeypatch, counting_session_cls, counting
     ):
         monkeypatch.setattr(engine, "DEEP_RECURSION_LIMIT", 5000)
         config = EngineConfig(depth_limit=10**9)
         chain = "1" + "+1" * engine.DEEP_RECURSION_LIMIT
-        cls = counting_session_cls if hooked else ParseSession
+        cls = counting_session_cls if counting else ParseSession
         s = cls(lexed, chain, config=config)
         with pytest.raises(DepthExceeded, match="frame budget"):
             s.apply(lexed.start, 0)

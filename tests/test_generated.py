@@ -1,6 +1,6 @@
 """The engine's generated rule functions: outlining, grammar text kept out
-of the source, frames per rule application in the plain and the hooked
-code, and the eval_expr cache."""
+of the source, frames per rule application, one code variant for every
+session class, and the eval_expr cache."""
 
 from __future__ import annotations
 
@@ -260,29 +260,51 @@ def test_generated_source_holds_no_grammar_text(monkeypatch):
         assert not set(source) & set("'\"\\{}#"), source
 
 
-class Hooked(ParseSession):
-    """A session class that overrides ``apply`` and so gets the hooked
-    code, in which every rule application enters through ``apply``."""
+class ApplyCounting(ParseSession):
+    """A session class that overrides ``apply`` and counts its calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.applied = 0
 
     def apply(self, rule, pos):
+        self.applied += 1
         return super().apply(rule, pos)
 
 
-class HookedChars(ParseSession):
-    """Overriding ``char_outcome`` also selects the hooked code."""
+def test_an_apply_override_sees_only_requests_from_outside(monkeypatch):
+    generated = []
+    real = engine._generate
 
-    def char_outcome(self, pos):
-        return super().char_outcome(pos)
+    def counting(bodies, *args, **kwargs):
+        generated.append(tuple(bodies))
+        return real(bodies, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_generate", counting)
+    g = load_grammar(grammar_text("arith"))  # a fresh object, not yet generated
+    text = "2*(3+4)"
+    plain = new_session(g, text)
+    parse_complete(plain)
+    s = ApplyCounting(g, text)
+    parse_complete(s)
+    # rule code applies rules without going through apply
+    assert s.applied == 1
+    assert stats(s).cells_evaluated > len(g.rules)
+    assert (s.matrix, s.char_row) == (plain.matrix, plain.char_row)
+    assert stats(s) == stats(plain)
+    assert furthest_failure(s) == furthest_failure(plain)
+    # both classes run the one variant of the code, generated once
+    assert s._code is plain._code is prepared(g).code
+    assert len(generated) == 1
 
 
-# the hooked code's two frames are ``apply`` and the rule's function; an
-# override of ``apply`` that calls it adds a frame of its own
+# the counting session's wrapper of each rule's code adds a frame
 @pytest.mark.parametrize(
-    "cls, frames",
-    [(ParseSession, 1), (HookedChars, 2), (Hooked, 3)],
-    ids=["plain", "hooked-chars", "hooked-apply"],
+    "counting, frames", [(False, 1), (True, 2)], ids=["plain", "counting"]
 )
-def test_a_rule_application_costs_one_frame_or_two_when_hooked(cls, frames):
+def test_a_rule_application_costs_one_frame_or_two_when_counted(
+    counting_session_cls, counting, frames
+):
     g = load_grammar("A <- 'x' A / 'y' ;")
     depths: dict[int, int] = {}
 
@@ -293,7 +315,7 @@ def test_a_rule_application_costs_one_frame_or_two_when_hooked(cls, frames):
                 frame, depth = frame.f_back, depth + 1
             depths[pos] = depth
 
-    s = cls(g, "xxxy")
+    s = (counting_session_cls if counting else ParseSession)(g, "xxxy")
     sys.setprofile(probe)
     try:
         parse_complete(s)
@@ -302,22 +324,6 @@ def test_a_rule_application_costs_one_frame_or_two_when_hooked(cls, frames):
     # A applied at each position is one application deeper than at the
     # previous position
     assert [depths[p + 1] - depths[p] for p in range(3)] == [frames] * 3
-
-
-def test_hooked_code_is_freed_with_its_grammar():
-    g = load_grammar("S <- " + "(" * 120 + "'a' 'b'?" + ")+" * 120 + " ;")
-    parse_complete(Hooked(g, "ab"))
-    # only the variant a session asks for is generated
-    assert prepared(g).code is None
-    functions = [weakref.ref(f) for f in prepared(g).hooked_code]
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        del g
-        assert [f() for f in functions] == [None]
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def test_eval_expr_generates_each_expression_once(monkeypatch):

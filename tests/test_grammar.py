@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -304,6 +305,23 @@ class TestValidate:
         assert [(i.code, i.path) for i in issues] == [
             ("NullableRepetition", (0, 1) * 20_000)
         ]
+
+    def test_nullability_is_linear_and_stack_safe_in_nesting(self):
+        # a recursive walk ran out of stack at 3,000 levels, and each Plus
+        # walked its body again
+        assert sys.getrecursionlimit() < 20_000
+        e = char("a")
+        for _ in range(20_000):
+            e = plus(e)
+        start = time.process_time()
+        g = Grammar((Rule("S", e),))
+        assert validate(g) == ()
+        assert not nullable(g, e)
+        assert nullable(g, star(e))
+        g = Grammar((Rule("S", plus(choice(e, EMPTY))),))
+        issues = validate(g)
+        assert time.process_time() - start < 2
+        assert [(i.code, i.path) for i in issues] == [("NullableRepetition", ())]
 
     @pytest.mark.parametrize("name", sorted(PINNED_ISSUES))
     def test_issues_are_pinned(self, name):

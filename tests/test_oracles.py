@@ -337,30 +337,6 @@ def random_expr(rng: random.Random, depth: int, nrules: int, repeat: bool, budge
     return {"opt": opt, "and": and_, "not": not_, "star": star, "plus": plus}[kind](body)
 
 
-def test_random_grammars_agree_in_both_code_variants(cells_digest, counting_session_cls):
-    # the grammars and inputs of test_random_grammars_agree_three_ways,
-    # drawn in the same order: a plain session and one whose class
-    # overrides apply (the hooked code) give the same cells, stats() and
-    # furthest failures
-    rng = random.Random(20061)
-    compared = 0
-    for index in range(600):
-        nrules, repeat = rng.randint(1, 4), index % 2 == 0
-        g = make_grammar([
-            (f"R{i}", random_expr(rng, rng.randint(1, 12), nrules, repeat, [12]))
-            for i in range(nrules)
-        ])
-        if validation_errors(g):
-            continue
-        texts = ["".join(rng.choices("ab", k=rng.randint(0, 6))) for _ in range(3)]
-        plain = cells_digest(g, texts)
-        assert cells_digest(g, texts, session=counting_session_cls) == plain, (
-            format_grammar(g), texts
-        )
-        compared += 1
-    assert compared == 424  # as in test_random_grammars_agree_three_ways
-
-
 def engine_verdict(session, rid: int, pos: int):
     try:
         out = session.apply(rid, pos)
