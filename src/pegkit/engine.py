@@ -26,10 +26,13 @@ it is Done, and otherwise evaluates the rule body, stores the cell
 (``FAIL`` or the node it built from the locals that hold the children)
 and returns it.  Inside it every subexpression is straight-line code on
 local variables, and a ``Ref`` calls its rule's function directly, so a
-rule application costs one interpreter frame.  A terminal reads the
-character row, calling :meth:`ParseSession.char_outcome` only for an
-Unevaluated cell.  The session's counters (``stats``) are kept up to
-date as each cell becomes Done.  :meth:`ParseSession.apply` and
+rule application costs one interpreter frame.  The function takes the
+number of applications it is nested in as an argument and passes it on
+one higher, so the interpreter stack is the stack of active
+applications and the engine keeps no copy of it.  A terminal reads the
+character row, making the character cell only where it is Unevaluated.
+The session's counters (``stats``) are kept up to date as each cell
+becomes Done.  :meth:`ParseSession.apply` and
 :meth:`ParseSession.eval_expr` are the entry points from outside the
 generated code, which never calls them: a session class that overrides
 ``apply`` sees only the requests made from outside.  Every rule
@@ -38,7 +41,8 @@ entry for the rule, which is where a session can observe each one.
 
 Hitting an InProgress cell means the rule re-entered itself at the same
 position with no input consumed, so the session raises a structured
-:class:`LeftRecursion` error instead of looping.  Recursion depth is
+:class:`LeftRecursion` error instead of looping; its cycle is read from
+the interpreter frames of the applications in progress.  Recursion depth is
 also bounded: ``EngineConfig.depth_limit`` is the exact number of
 nested rule applications a session allows, and interpreter stack
 exhaustion is translated into :class:`DepthExceeded` as a backstop, so
@@ -60,7 +64,7 @@ parse leaves.
 
 Sessions are single-owner: no concurrent use, no reentrant callbacks.
 After LeftRecursion or DepthExceeded a session may hold InProgress
-cells and should be discarded.
+cells and should be discarded: forcing one raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ class _Fail:
 FAIL = _Fail()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ParseTreeNode:
     """Span of input labelled by the rule that matched it.
 
@@ -135,6 +139,10 @@ class ParseTreeNode:
     A Done success cell of the memo matrix is a node: rule row ``r`` at
     position ``p`` holds a node with ``rule == r`` and ``start == p``,
     and the character row holds one leaf per input character.
+
+    Two nodes are equal when their fields are, children compared as
+    trees.  Equality walks the trees with its own stack and hashing
+    reads the top node only, so both work on trees of any depth.
     """
 
     rule: int | None
@@ -146,6 +154,32 @@ class ParseTreeNode:
     def span(self) -> tuple[int, int]:
         return (self.start, self.end)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or not isinstance(a, ParseTreeNode):
+                # a child that is no node compares as a tuple item would
+                if a == b:
+                    continue
+                return False
+            if (
+                a.rule != b.rule
+                or a.start != b.start
+                or a.end != b.end
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        return hash((self.rule, self.start, self.end, len(self.children)))
+
 
 #: What a Done cell holds: the node of a success, or ``FAIL``.
 Outcome = ParseTreeNode | _Fail
@@ -155,7 +189,7 @@ class _Unfrozen:
 
     It has :class:`ParseTreeNode`'s slots without the frozen
     dataclass's ``__setattr__``, so the generated rule functions and
-    ``char_outcome`` set each field by a plain attribute store and then
+    :func:`_char` set each field by a plain attribute store and then
     turn the cell into a ``ParseTreeNode`` by assigning ``__class__``,
     which CPython allows only between classes of identical layout.  That
     takes about 0.35 µs per cell, against 0.7 µs through the slot
@@ -313,23 +347,25 @@ _OUTLINE_PAST = 12
 
 
 def _generate(bodies, names: tuple[str, ...], rules: bool = False) -> tuple:
-    """One generated function ``run(s, pos)`` per expression.
+    """One generated function ``run(s, pos, d)`` per expression.
 
-    ``run`` evaluates its expression at ``pos`` in session ``s`` and
-    returns ``FAIL`` or the node of the match, built where the match
-    succeeds from the locals that hold its children.  With ``rules``,
-    function ``i`` is rule ``i``'s application: it forces the rule's
-    memo cell at ``pos`` (see :meth:`_Function.prologue`), and the node
-    it builds is that cell, labelled ``i``, whose bytes it adds to
-    ``s._memo_bytes``.  Otherwise the node is anonymous (``rule`` is
-    None) and its caller takes the children.  A ``Ref`` calls its rule's
-    function ``s._code[i]`` directly, not through ``s.apply``, and a
-    terminal reads the character row.  ``run`` adds to ``s._expr_steps``
-    one step per expression node visited, as an interpreter of the tree
-    would, and flushes them before each call that can raise.  Terminals
-    and ``Not`` record their failure label for diagnostics: "any
-    character" for ``AnyChar``, otherwise the node rendered once here
-    with the grammar's rule ``names``.
+    ``run`` evaluates its expression at ``pos`` in session ``s``, inside
+    ``d`` active rule applications, and returns ``FAIL`` or the node of
+    the match, built where the match succeeds from the locals that hold
+    its children.  With ``rules``, function ``i`` is rule ``i``'s
+    application: it forces the rule's memo cell at ``pos`` (see
+    :meth:`_Function.prologue`), and the node it builds is that cell,
+    labelled ``i``, whose bytes it adds to ``s._memo_bytes``.  Otherwise
+    the node is anonymous (``rule`` is None) and its caller takes the
+    children.  A ``Ref`` calls its rule's function ``s._code[i]``
+    directly, not through ``s.apply``, and passes ``d`` on; a terminal
+    reads the character row and makes an Unevaluated cell with
+    :func:`_char`.  ``run`` adds to ``s._expr_steps`` one step per
+    expression node visited, as an interpreter of the tree would, and
+    flushes them before each call that can raise.  Terminals and ``Not``
+    record their failure label for diagnostics: "any character" for
+    ``AnyChar``, otherwise a :class:`_Label` of the node, rendered with
+    the grammar's rule ``names`` when it is first read.
     """
     # the generator recurses a few frames deep per nesting level
     _enter_deep()
@@ -363,6 +399,7 @@ class _Source:
             "INPROGRESS": INPROGRESS,
             "ParseTreeNode": ParseTreeNode,
             "_Unfrozen": _Unfrozen,
+            "_char": _char,
         }
         self._consts: dict = {}
 
@@ -375,13 +412,51 @@ class _Source:
         return name
 
     def label(self, e: PegExpr) -> str:
-        return self.const(render_expr(e, self.names))
+        return self.const(_Label(e, self.names))
 
     def build(self, count: int) -> tuple:
         ns = self.ns
         for source in self.functions:
             exec(compile(source, "<pegkit generated>", "exec"), ns)
         return tuple(ns.pop(f"_f{i}") for i in range(count))
+
+
+class _Label:
+    """The failure label of expression node ``expr``: its notation, with
+    the rule ``names``, rendered when the label is first read as a string
+    and kept.  Rendering every label while generating code would write
+    Θ(k²) characters for a k-level predicate chain."""
+
+    __slots__ = ("expr", "names", "text")
+
+    def __init__(self, expr: PegExpr, names: tuple[str, ...]):
+        self.expr = expr
+        self.names = names
+        self.text: str | None = None
+
+    def __str__(self) -> str:
+        if self.text is None:
+            self.text = run_deep(render_expr, self.expr, self.names)
+        return self.text
+
+
+def _char(s, pos: int) -> Outcome:
+    """Make the character-row cell at ``pos``, which must be Unevaluated
+    and within ``0..len(s.text)``: a leaf for an input character, ``FAIL``
+    at the end of the input."""
+    if pos < len(s.text):
+        cell = _Unfrozen()
+        cell.rule = None
+        cell.start = pos
+        cell.end = pos + 1
+        cell.children = ()
+        cell.__class__ = ParseTreeNode
+        s._memo_bytes += _CHAR_CELL_BYTES
+    else:
+        cell = FAIL
+    s.char_row[pos] = cell
+    s._char_cells += 1
+    return cell
 
 
 def _tuple(kids: list[str]) -> str:
@@ -410,7 +485,9 @@ class _Function:
     A rule's function opens with its :meth:`prologue` and runs its body
     in a ``while True`` loop whose ``break`` is the body's failure: the
     one failing exit follows the loop.  Each exit stores the cell
-    (:meth:`store`).
+    (:meth:`store`).  Every function takes ``d``, the number of active
+    rule applications it runs in; a rule's prologue adds its own, and
+    every ``Ref`` and chunk call passes ``d`` on.
     """
 
     def __init__(self, src: _Source, name: str, e: PegExpr, rule: int | None):
@@ -424,7 +501,7 @@ class _Function:
         self.tail(e, "pos", "return FAIL" if rule is None else "break", ind, [])
         if self.uses_text:
             self.body.insert(0, "    " * ind + "text = s.text")
-        lines = [f"def {name}(s, pos):"]
+        lines = [f"def {name}(s, pos, d):"]
         if rule is not None:
             self.store(1, "FAIL")
             lines += self.prologue()
@@ -435,9 +512,10 @@ class _Function:
     def prologue(self) -> list[str]:
         """Force the memo cell: a Done cell is returned; an InProgress
         one is a re-entry, reported by the session; an Unevaluated one
-        is marked InProgress and pushed onto the active stack, after the
-        depth check.  The depth limit is at least ``_max_active_depth``,
-        so a depth below that needs neither the check nor the update."""
+        is marked InProgress after the depth check, and the application
+        counts itself in ``d``.  The depth limit is at least
+        ``_max_active_depth``, so a depth below that needs neither the
+        check nor the update."""
         rule = self.rule
         return [
             f"    row = s.matrix[{rule}]",
@@ -446,22 +524,20 @@ class _Function:
             "        if n is INPROGRESS:",
             f"            s._reentered({rule}, pos)",
             "        return n",
-            "    active = s._active",
-            "    if len(active) >= s._max_active_depth:",
-            f"        s._deeper({rule}, pos)",
+            "    if d >= s._max_active_depth:",
+            f"        s._deeper({rule}, pos, d)",
             "    row[pos] = INPROGRESS",
-            f"    active.append(({rule}, pos))",
+            "    d += 1",
             "    while True:",
         ]
 
     def store(self, ind: int, cell: str) -> None:
-        """Fill the rule's memo cell with ``cell``, count it, pop the
-        active stack and return the cell."""
+        """Fill the rule's memo cell with ``cell``, count it and return
+        the cell."""
         self.line(ind, "if row[pos] is not INPROGRESS:")
         self.line(ind + 1, f"s._evaluated_twice({self.rule}, pos)")
         self.line(ind, f"row[pos] = {cell}")
         self.line(ind, "s._cells_evaluated += 1")
-        self.line(ind, "active.pop()")
         self.line(ind, f"return {cell}")
 
     def line(self, ind: int, text: str) -> None:
@@ -545,7 +621,7 @@ class _Function:
             chunk = src.const(_generate((e,), src.names)[0])
             self.flush(ind)
             node = self.var()
-            self.line(ind, f"{node} = {chunk}(s, {pos})")
+            self.line(ind, f"{node} = {chunk}(s, {pos}, d)")
             self.line(ind, f"if {node} is FAIL:")
             self.fail(ind + 1, fail)
             return f"{node}.end", [f"*{node}.children"]
@@ -553,7 +629,7 @@ class _Function:
         if t is Ref:
             self.flush(ind)
             node = self.var()
-            self.line(ind, f"{node} = s._code[{e.rule}](s, {pos})")
+            self.line(ind, f"{node} = s._code[{e.rule}](s, {pos}, d)")
             self.line(ind, f"if {node} is FAIL:")
             self.fail(ind + 1, fail)
             return f"{node}.end", [node]
@@ -603,7 +679,7 @@ class _Function:
             test += f" or text[{pos}] not in {self.src.const(accepted)}"
         self.line(ind, f"{node} = s.char_row[{pos}]")
         self.line(ind, f"if {node} is UNEVALUATED:")
-        self.line(ind + 1, f"{node} = s.char_outcome({pos})")
+        self.line(ind + 1, f"{node} = _char(s, {pos})")
         self.line(ind, f"if {test}:")
         self.line(ind + 1, f"if {at} >= s._fail_pos:")
         self.line(ind + 2, f"s.record_failure({at}, {label})")
@@ -742,7 +818,6 @@ class ParseSession:
         n1 = len(text) + 1
         self.matrix: list[list] = [[UNEVALUATED] * n1 for _ in grammar.rules]
         self.char_row: list = [UNEVALUATED] * n1
-        self._active: list[tuple[int, int]] = []
         self._code = prep.code
         self._expr_code = prep.expr_code
         self._depth_limit = self.config.depth_limit
@@ -752,7 +827,7 @@ class ParseSession:
         self._expr_steps = 0
         self._max_active_depth = 0
         self._fail_pos = -1
-        self._fail_labels: set[str] = set()
+        self._fail_labels: set = set()
 
     def _bad_position(self, pos) -> ValueError:
         return ValueError(
@@ -783,7 +858,10 @@ class ParseSession:
         the generated code, which applies a rule by calling its function
         directly: an override of ``apply`` sees the requests of
         ``parse_complete``, the differential checker, the combinators
-        and direct callers, not those of one rule to another.
+        and direct callers, not those of one rule to another.  An
+        ``apply`` called from inside generated code, such as from a
+        wrapper of a ``_code`` entry, starts its own count of nested
+        applications for the depth limit.
         """
         if rule < 0 or pos < 0:
             raise self._bad_cell(rule, pos)
@@ -796,34 +874,28 @@ class ParseSession:
         return self._outermost(self._code[rule], pos)
 
     def _outermost(self, run, pos: int) -> Outcome:
-        """``run(self, pos)``, for generated code entered from outside.
+        """``run(self, pos, 0)``, for generated code entered from outside,
+        at depth 0.
 
-        The outermost entry raises the recursion limit and pauses the
-        collector while it runs (see :func:`run_deep`), and interpreter
-        stack exhaustion becomes :class:`DepthExceeded`.  Generated
-        frames do not unwind the active stack, so an exception restores
-        it here.
+        The entry raises the recursion limit and pauses the collector
+        while it runs (see :func:`run_deep`), and interpreter stack
+        exhaustion becomes :class:`DepthExceeded`.
         """
-        active = self._active
-        depth = len(active)
-        if not depth:
-            _enter_deep()
+        _enter_deep()
         try:
-            return run(self, pos)
+            return run(self, pos, 0)
         except RecursionError:
             raise DepthExceeded(
                 self._depth_limit, "interpreter frame budget exhausted"
             ) from None
         finally:
-            del active[depth:]
-            if not depth:
-                _leave_deep()
+            _leave_deep()
 
-    def _deeper(self, rule: int, pos: int) -> None:
-        """Called by a rule's function before it pushes an application
-        at least as deep as any so far: raise DepthExceeded past the
-        limit, else record the new maximum depth."""
-        depth = len(self._active)
+    def _deeper(self, rule: int, pos: int, depth: int) -> None:
+        """Called by a rule's function that is about to become the
+        ``depth + 1``-th nested application, at least as deep as any so
+        far: raise DepthExceeded past the limit, else record the new
+        maximum depth."""
         if depth >= self._depth_limit:
             raise DepthExceeded(
                 self._depth_limit,
@@ -832,17 +904,36 @@ class ParseSession:
         self._max_active_depth = depth + 1
 
     def _reentered(self, rule: int, pos: int) -> None:
-        """Called by a rule's function that finds its cell InProgress."""
-        try:
-            first = self._active.index((rule, pos))
-        except ValueError:
-            raise RuntimeError(
-                f"memo cell ({rule}, {pos}) is InProgress with no active "
-                "call: an earlier parse in this session was aborted by an "
-                "error and left it InProgress; discard the session"
-            ) from None
-        cycle = tuple(self._active[first:]) + ((rule, pos),)
-        raise LeftRecursion(cycle, self.grammar.names)
+        """Called by a rule's function that finds its cell InProgress.
+
+        The applications in progress are the interpreter frames of the
+        grammar's rule functions that run in this session; chunks,
+        expression code and wrappers of ``_code`` entries are passed
+        over.  Walking outward from the caller's caller, the frames are
+        collected until the one that applied (rule, pos) is reached:
+        with the re-entry, they are the cycle.  Positions never decrease
+        inward, so a frame at a position before ``pos``, or the end of
+        the stack, means that no call of this session holds the cell:
+        an error aborted the parse that marked it.
+        """
+        rules = {f.__code__: i for i, f in enumerate(prepared(self.grammar).code)}
+        trail = [(rule, pos)]
+        frame = sys._getframe(2)
+        while frame is not None:
+            r = rules.get(frame.f_code)
+            if r is not None and frame.f_locals["s"] is self:
+                at = frame.f_locals["pos"]
+                if at < pos:
+                    break
+                trail.append((r, at))
+                if (r, at) == (rule, pos):
+                    raise LeftRecursion(tuple(reversed(trail)), self.grammar.names)
+            frame = frame.f_back
+        raise RuntimeError(
+            f"memo cell ({rule}, {pos}) is InProgress with no active "
+            "call: an earlier parse in this session was aborted by an "
+            "error and left it InProgress; discard the session"
+        )
 
     def _evaluated_twice(self, rule: int, pos: int) -> None:
         raise RuntimeError(f"memo cell ({rule}, {pos}) evaluated twice")
@@ -893,22 +984,13 @@ class ParseSession:
         except IndexError:
             raise self._bad_position(pos) from None
         if cell is UNEVALUATED:
-            if pos < len(self.text):
-                cell = _Unfrozen()
-                cell.rule = None
-                cell.start = pos
-                cell.end = pos + 1
-                cell.children = ()
-                cell.__class__ = ParseTreeNode
-                self._memo_bytes += _CHAR_CELL_BYTES
-            else:
-                cell = FAIL
-            self.char_row[pos] = cell
-            self._char_cells += 1
+            return _char(self, pos)
         return cell
 
-    def record_failure(self, pos: int, label: str) -> None:
-        """Note a match failure for rightmost-failure diagnostics."""
+    def record_failure(self, pos: int, label) -> None:
+        """Note a match failure for rightmost-failure diagnostics.
+        ``label`` is the text that :func:`furthest_failure` reports, or
+        an object whose ``str`` it is."""
         if pos < self._fail_pos:
             return
         if pos > self._fail_pos:
@@ -966,8 +1048,9 @@ def _parse_complete_inline(s: ParseSession) -> ParseTreeNode:
 
 def furthest_failure(s: ParseSession) -> tuple[int, frozenset[str]]:
     """Rightmost position where a terminal or predicate failed, with
-    the set of labels attempted there.  (-1, empty) if nothing failed."""
-    return s._fail_pos, frozenset(s._fail_labels)
+    the set of labels attempted there.  (-1, empty) if nothing failed.
+    A label of generated code is rendered when it is first read here."""
+    return s._fail_pos, frozenset(map(str, s._fail_labels))
 
 
 def stats(s: ParseSession) -> Stats:

@@ -51,9 +51,9 @@ class CountingSession(ParseSession):
 
     @staticmethod
     def _counted(rule: int, run):
-        def counted(s, pos):
+        def counted(s, pos, d):
             fresh = s.matrix[rule][pos] is UNEVALUATED
-            out = run(s, pos)
+            out = run(s, pos, d)
             if fresh:
                 s.eval_counts[(rule, pos)] += 1
             return out

@@ -54,6 +54,12 @@ from pegkit.oracles import naive_parse
 FIGURE_INPUT = "2*(3+4)"
 
 
+def _nested_opts(e, levels):
+    for _ in range(levels):
+        e = opt(e)
+    return e
+
+
 class MyChar(Char):
     pass
 
@@ -380,25 +386,138 @@ class TestErrors:
     def test_an_aborted_application_empties_the_active_stack(
         self, entries, counting_session_cls, counting, name, text, depth_limit, error
     ):
-        # the generated functions push and pop the stack but leave it to
-        # the outermost apply to unwind it after an error
+        # the interpreter stack is the stack of active applications, so
+        # nothing of the aborted one stays active: its InProgress cell
+        # refuses reuse, and a later application starts at depth 0
         g = entries[name].grammar
         cls = counting_session_cls if counting else ParseSession
-        s = cls(g, text, config=EngineConfig(depth_limit=depth_limit))
+        config = EngineConfig(depth_limit=depth_limit)
+        s = cls(g, text, config=config)
         with pytest.raises(error):
             s.apply(g.start, 0)
-        assert s._active == []
-        with pytest.raises(
-            RuntimeError, match=rf"\({g.start}, 0\) .*discard the session"
-        ):
-            s.apply(g.start, 0)
-        assert s._active == []
+        for _ in range(2):
+            with pytest.raises(
+                RuntimeError, match=rf"\({g.start}, 0\) .*discard the session"
+            ):
+                s.apply(g.start, 0)
+
+        def outcome(s, pos):
+            try:
+                return s.apply(g.start, pos)
+            except LeftRecursion as exc:
+                return exc.cycle
+
+        # a position the aborted application did not reach: "2" and "(1)"
+        later = {"left_recursive_arith": 2, "arith": 29}[name]
+        assert outcome(s, later) == outcome(cls(g, text, config=config), later)
+
+    def test_a_stale_cell_under_another_sessions_frames_refuses_reuse(self):
+        # Outer's wrapper of B applies A at 0 in `stale`, whose cell was
+        # left InProgress, while Outer's own application of A at 0 is on
+        # the stack: only the frames of `stale`'s own calls count
+        g = make_grammar(
+            [("A", choice(ref("B"), char("a"))), ("B", seq(ref("A"), char("b")))]
+        )
+        stale = ParseSession(g, "ab")
+        with pytest.raises(LeftRecursion):
+            stale.apply(0, 0)
+
+        class Outer(ParseSession):
+            def __init__(self, *args):
+                super().__init__(*args)
+                code = self._code
+
+                def b(s, pos, d):
+                    stale.apply(0, pos)
+                    return code[1](s, pos, d)
+
+                self._code = (code[0], b)
+
+        with pytest.raises(RuntimeError, match=r"\(0, 0\) .*discard the session"):
+            Outer(g, "ab").apply(0, 0)
 
     def test_star_over_nullable_is_unreachable_at_runtime(self):
         # the validator refuses it, so the engine guard stays internal
         g = make_grammar([("S", star(opt(char("a"))))])
         with pytest.raises(InvalidGrammarError):
             new_session(g, "aaa")
+
+
+class TestCyclesFromFrames:
+    """A LeftRecursion cycle is read from the interpreter frames of the
+    applications in progress."""
+
+    # A reaches B through 20 nested options, past the indentation where
+    # the generator outlines code into a chunk; B applies A again
+    GRAMMAR = make_grammar(
+        [
+            (
+                "A",
+                choice(seq(_nested_opts(seq(ref("B"), char("x")), 20), char("y")), char("a")),
+            ),
+            ("B", seq(ref("A"), char("b"))),
+        ]
+    )
+    CYCLE = ((0, 1), (1, 1), (0, 1))
+
+    def test_the_cycle_passes_through_a_chunk(self, monkeypatch):
+        compiled = []
+
+        def spy(source, *args):
+            compiled.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(engine, "compile", spy, raising=False)
+        g = make_grammar([(r.name, r.body) for r in self.GRAMMAR.rules])
+        s = new_session(g, "zyy")
+        # one function per rule and at least one chunk
+        assert len(compiled) > len(g.rules)
+        with pytest.raises(LeftRecursion) as exc:
+            s.apply(0, 1)
+        assert exc.value.cycle == self.CYCLE
+        with pytest.raises(RuntimeError, match=r"\(0, 1\) .*discard the session"):
+            s.apply(0, 1)
+
+    def test_a_counting_session_reads_the_same_cycle(self, counting_session_cls):
+        s = counting_session_cls(self.GRAMMAR, "zyy")
+        with pytest.raises(LeftRecursion) as exc:
+            s.apply(0, 1)
+        assert exc.value.cycle == self.CYCLE
+
+    def test_eval_expr_reads_the_same_cycle(self):
+        s = new_session(self.GRAMMAR, "zyy")
+        with pytest.raises(LeftRecursion) as exc:
+            s.eval_expr(seq(ref(0), char("y")), 1)
+        assert exc.value.cycle == self.CYCLE
+
+    def test_an_idle_session_on_the_grammar_is_not_read(self):
+        # the idle session holds InProgress cells of the same rules
+        idle = new_session(self.GRAMMAR, "zyy")
+        with pytest.raises(LeftRecursion):
+            idle.apply(1, 0)
+        cells = [list(row) for row in idle.matrix]
+        s = new_session(self.GRAMMAR, "zyy")
+        with pytest.raises(LeftRecursion) as exc:
+            s.apply(0, 1)
+        assert exc.value.cycle == self.CYCLE
+        assert [list(row) for row in idle.matrix] == cells
+        with pytest.raises(LeftRecursion) as exc:
+            idle.apply(0, 1)
+        assert exc.value.cycle == self.CYCLE
+
+    def test_a_longer_cycle_is_read_from_its_first_cell_inward(self):
+        g = make_grammar(
+            [
+                ("A", seq(char("x"), ref("B"))),
+                ("B", choice(ref("C"), char("b"))),
+                ("C", seq(ref("D"), char("c"))),
+                ("D", choice(seq(ref("B"), char("d")), char("e"))),
+            ]
+        )
+        with pytest.raises(LeftRecursion) as exc:
+            new_session(g, "xb").apply(0, 0)
+        assert exc.value.cycle == ((1, 1), (2, 1), (3, 1), (1, 1))
+        assert str(exc.value) == "left recursion detected: B@1 -> C@1 -> D@1 -> B@1"
 
 
 class TestRunDeep:
@@ -480,7 +599,8 @@ class TestDeepInputs:
         with pytest.raises(DepthExceeded) as exc:
             parse_complete(s)
         assert exc.value.limit == k - 1
-        assert s._active == []
+        with pytest.raises(RuntimeError, match="discard the session"):
+            parse_complete(s)
 
     def test_eval_expr_runs_a_deep_chain_with_the_outermost_handling(
         self, lexed, monkeypatch
@@ -503,15 +623,50 @@ class TestDeepInputs:
         with pytest.raises(DepthExceeded) as exc:
             s.eval_expr(ref(lexed.start), 0)
         assert exc.value.limit == k - 1
-        assert s._active == []
+        with pytest.raises(RuntimeError, match="discard the session"):
+            s.eval_expr(ref(lexed.start), 0)
         assert state() == before
         monkeypatch.setattr(engine, "DEEP_RECURSION_LIMIT", 5000)
         chain = "1" + "+1" * engine.DEEP_RECURSION_LIMIT
         s = new_session(lexed, chain, config=EngineConfig(depth_limit=10**9))
         with pytest.raises(DepthExceeded, match="frame budget"):
             s.eval_expr(ref(lexed.start), 0)
-        assert s._active == []
+        with pytest.raises(RuntimeError, match="discard the session"):
+            s.eval_expr(ref(lexed.start), 0)
         assert state() == before
+
+    # the same length as CHAIN, differing only past its 9,998th "+1"
+    OTHER = "1" + "+1" * 9_998 + "+11 "
+
+    def test_deep_trees_compare_and_hash(self, lexed):
+        a, b, c = (
+            parse_complete(new_session(lexed, text))
+            for text in (self.CHAIN, self.CHAIN, self.OTHER)
+        )
+        assert a is not b and a.span == c.span
+        assert a == b and not a != b
+        assert a != c and not a == c
+        assert hash(a) == hash(b)
+        assert a == ParseTreeNode(a.rule, a.start, a.end, b.children)
+        assert a != ParseTreeNode(a.rule, a.start, a.end, c.children)
+
+    def test_deep_trees_compare_under_run_deep(self):
+        # in a subprocess: a comparison that recursed in C per tree level
+        # overflowed the C stack under the raised recursion limit
+        script = f"""
+from pegkit import grammar_text, load_grammar, new_session, parse_complete, run_deep
+g = load_grammar(grammar_text("arith_lexed"))
+a, b, c = (parse_complete(new_session(g, t)) for t in {[self.CHAIN, self.CHAIN, self.OTHER]!r})
+print(run_deep(a.__eq__, b), run_deep(a.__eq__, c), run_deep(a.__ne__, c))
+print(run_deep(hash, a) == hash(b))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(pegkit.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == "True False True\nTrue\n"
 
     def test_recursion_limit_is_restored(self, lexed):
         def state():
@@ -580,9 +735,19 @@ class TestDeepInputs:
         s = cls(lexed, chain, config=config)
         with pytest.raises(DepthExceeded, match="frame budget"):
             s.apply(lexed.start, 0)
-        assert s._active == []
         with pytest.raises(RuntimeError, match="discard the session"):
             s.apply(lexed.start, 0)
+        # the last "1", which the aborted application did not reach, is
+        # applied as in a fresh session, whose depth limit is exact
+        assert s.apply(lexed.start, len(chain) - 1).end == len(chain)
+        fresh = cls(lexed, chain)
+        fresh.apply(lexed.start, len(chain) - 1)
+        k = stats(fresh).max_active_depth
+        fresh = cls(lexed, chain, config=EngineConfig(depth_limit=k))
+        assert fresh.apply(lexed.start, len(chain) - 1).end == len(chain)
+        fresh = cls(lexed, chain, config=EngineConfig(depth_limit=k - 1))
+        with pytest.raises(DepthExceeded):
+            fresh.apply(lexed.start, len(chain) - 1)
 
 
 #: An accepted and a rejected input of each catalog grammar.  Both end

@@ -11,6 +11,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -38,7 +39,8 @@ from pegkit import (
 import pegkit
 from pegkit import engine
 from pegkit.engine import ParseSession
-from pegkit.grammar import Grammar, prepared
+from pegkit.grammar import Char, Grammar, Literal, Not, Rule, Seq, prepared
+from pegkit.notation import render_expr
 
 
 # Recorded with the closure compiler that the generator replaced: the
@@ -122,7 +124,7 @@ def test_catalog_generated_source_is_pinned(monkeypatch):
     # one compile per rule of the nine grammars
     assert len(sources) == 49
     digest = hashlib.md5("".join(sources).encode()).hexdigest()
-    assert digest == "4632b0ebc0351b547be28e7011c2bddd"
+    assert digest == "626b375c37e82151d8e9d1f7a3feb471"
 
 
 def test_three_hundred_nested_predicates():
@@ -196,6 +198,35 @@ def test_generated_code_is_freed_with_its_grammar():
     finally:
         if enabled:
             gc.enable()
+
+
+def not_chain(levels: int):
+    """``S <- !!…!('a' 'b') "ab"`` with ``levels`` predicates, and the
+    chain's nodes from ``'a' 'b'`` outward."""
+    e = Seq((Char("a"), Char("b")))
+    chain = [e]
+    for _ in range(levels):
+        e = Not(e)
+        chain.append(e)
+    return Grammar((Rule("S", Seq((e, Literal("ab")))),)), chain
+
+
+def test_failure_labels_are_rendered_when_read():
+    # The labels of a k-level predicate chain add up to Θ(k²) characters:
+    # rendered while generating the code, 4,000 levels took ~10 s.
+    g, _ = not_chain(4_000)
+    start = time.process_time()
+    s = new_session(g, "ab")
+    assert parse_complete(s).span == (0, 2)
+    assert time.process_time() - start < 3.0
+    # every odd level's predicate failed at 0; the labels read are the
+    # text that was rendered eagerly
+    g, chain = not_chain(30)
+    s = new_session(g, "ab")
+    parse_complete(s)
+    expected = frozenset(render_expr(e, g.names) for e in chain[1::2])
+    assert len(expected) == 15
+    assert furthest_failure(s) == (0, expected)
 
 
 START = "q\"uote's"
