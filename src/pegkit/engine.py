@@ -436,7 +436,7 @@ class _Label:
 
     def __str__(self) -> str:
         if self.text is None:
-            self.text = run_deep(render_expr, self.expr, self.names)
+            self.text = render_expr(self.expr, self.names)
         return self.text
 
 
@@ -948,10 +948,11 @@ class ParseSession:
         applies rules as rule code does, not through :meth:`apply`, and
         runs with the same outermost handling of depth and errors.  An
         expression that cannot be hashed, such as a ``Seq`` whose parts
-        are a list, is evaluated the same way but generated anew on each
-        call.  An expression that fails validation's structural checks
-        raises :class:`InvalidGrammarError`, whose message names it, and
-        is not kept; its issues carry ``rule=None``.  A position outside
+        are a list or one nested past the recursion limit, is evaluated
+        the same way but generated anew on each call.  An expression
+        that fails validation's structural checks raises
+        :class:`InvalidGrammarError`, whose message names it, and is not
+        kept; its issues carry ``rule=None``.  A position outside
         ``0..len(text)`` raises ValueError.
         """
         if not 0 <= pos <= len(self.text):
@@ -959,13 +960,17 @@ class ParseSession:
         try:
             run = self._expr_code.get(e)
             hashable = True
-        except TypeError:
+        except (TypeError, RecursionError):
             run, hashable = None, False
         if run is None:
             names = self.grammar.names
             errors = _structural_errors(self.grammar, [(None, e)])
             if errors:
-                raise InvalidGrammarError(tuple(errors), _expression_text(e, names))
+                try:
+                    text = render_expr(e, names)
+                except TypeError:  # it holds an object that is no expression node
+                    text = repr(e)
+                raise InvalidGrammarError(tuple(errors), text)
             run = _generate((e,), names)[0]
             if hashable:
                 self._expr_code[e] = run
@@ -998,15 +1003,6 @@ class ParseSession:
             self._fail_labels = {label}
         else:
             self._fail_labels.add(label)
-
-
-def _expression_text(e, names: tuple[str, ...]) -> str:
-    """``e`` in the notation, or its ``repr`` where it holds an object
-    that is no expression node."""
-    try:
-        return run_deep(render_expr, e, names)
-    except TypeError:
-        return repr(e)
 
 
 def new_session(

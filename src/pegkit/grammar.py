@@ -230,16 +230,38 @@ def walk_exprs(g: Grammar) -> Iterator[PegExpr]:
     return preorder(*(r.body for r in g.rules))
 
 
+def postorder(root: PegExpr, visit: Callable, memo: dict | None = None):
+    """The result of ``visit(node, its children's results)`` at ``root``,
+    children first, from an explicit stack: any depth is fine.  ``memo``
+    maps ``id(node)`` to the results worked out, so a node met twice is
+    visited once; callers may share it while they keep the nodes alive."""
+    memo = {} if memo is None else memo
+    stack = [(root, None)]  # (node, its children once they are queued)
+    while stack:
+        x, kids = stack.pop()
+        if kids is None:
+            if id(x) in memo:
+                continue
+            kids = _children(x)
+            if kids:
+                stack.append((x, kids))
+                stack.extend((k, None) for k in reversed(kids))
+                continue
+        memo[id(x)] = visit(x, [memo[id(k)] for k in kids])
+    return memo[id(root)]
+
+
 def _resolve(e: PegExpr, index: dict[str, int]) -> PegExpr:
-    if isinstance(e, Ref):
-        if isinstance(e.rule, str) and e.rule in index:
-            return Ref(index[e.rule])
-        return e
-    kids = _children(e)
-    if not kids:
-        return e
-    kids = tuple(_resolve(k, index) for k in kids)
-    return type(e)(kids) if isinstance(e, (Seq, Choice)) else type(e)(*kids)
+    def visit(x, kids):
+        if isinstance(x, Ref):
+            t = x.rule
+            return Ref(index[t]) if isinstance(t, str) and t in index else x
+        old = _children(x)  # a list of parts is rebuilt as a tuple
+        if not old or type(old) is tuple and all(k is o for k, o in zip(kids, old)):
+            return x
+        return type(x)(tuple(kids)) if isinstance(x, (Seq, Choice)) else type(x)(*kids)
+
+    return postorder(e, visit)
 
 
 def make_grammar(
@@ -265,35 +287,23 @@ def _expr_nullable(
     e: PegExpr, table: Sequence[bool], memo: dict[int, bool] | None = None
 ) -> bool:
     """Can ``e`` match empty, given each rule's answer in ``table``?
+    ``memo`` is that of :func:`postorder`."""
 
-    The walk keeps its own stack, so any nesting depth is fine.
-    ``memo`` maps ``id(node)`` to the answers already worked out, which
-    a caller may share across calls on nodes it keeps alive meanwhile.
-    """
-    memo = {} if memo is None else memo
-    stack = [(e, False)]
-    while stack:
-        x, kids_done = stack.pop()
-        if id(x) in memo:
-            continue
-        if isinstance(x, (Seq, Choice, Plus)) and not kids_done:
-            stack.append((x, True))
-            stack.extend((k, False) for k in _children(x))
-            continue
+    def visit(x, kids):
         if isinstance(x, (Empty, Star, Opt, And, Not)):
-            memo[id(x)] = True
-        elif isinstance(x, Literal):
-            memo[id(x)] = x.text == ""
-        elif isinstance(x, Choice):
-            memo[id(x)] = any(memo[id(a)] for a in x.alts)
-        elif isinstance(x, (Seq, Plus)):
-            memo[id(x)] = all(memo[id(k)] for k in _children(x))
-        elif isinstance(x, Ref):
+            return True
+        if isinstance(x, Literal):
+            return x.text == ""
+        if isinstance(x, Choice):
+            return any(kids)
+        if isinstance(x, (Seq, Plus)):
+            return all(kids)
+        if isinstance(x, Ref):
             t = x.rule
-            memo[id(x)] = isinstance(t, int) and 0 <= t < len(table) and table[t]
-        else:  # a terminal, or an object that is no expression node
-            memo[id(x)] = False
-    return memo[id(e)]
+            return isinstance(t, int) and 0 <= t < len(table) and table[t]
+        return False  # a terminal, or an object that is no expression node
+
+    return postorder(e, visit, memo)
 
 
 def _rule_nullability(g: Grammar) -> tuple[bool, ...]:
@@ -321,10 +331,10 @@ class PreparedGrammar:
     * ``errors``: the error-severity issues of :func:`validate`, filled
       by ``load_grammar``, the engine or an oracle, whichever sees the
       grammar first;
-    * ``code``: the engine's generated function of each rule,
-      ``run(session, pos)``, which forces and returns the rule's memo
-      cell, in rule order; every session on the grammar, of any class,
-      runs it;
+    * ``code``: the engine's generated function of each rule, in rule
+      order: ``run(s, pos, d)`` forces and returns the rule's memo cell
+      at ``pos`` in session ``s``, inside ``d`` active applications;
+      every session on the grammar, of any class, runs it;
     * ``expr_code``: the engine's generated function of each expression
       that ``ParseSession.eval_expr`` has evaluated, keyed by the
       expression;

@@ -25,7 +25,6 @@ equal grammar.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .grammar import (
@@ -213,10 +212,8 @@ class _Scanner:
 
 #: Most groups and operators on one path through an expression.  The
 #: parser refuses the token that passes it, so the position depends on
-#: the text alone.  It keeps the walks over the tree that recurse
-#: through C code (name resolution, ``nullable``) far from the end of
-#: the C stack, and a chain of prefix or suffix operators at the cap
-#: renders (two frames each) within the default recursion limit.
+#: the text alone.  It bounds the recursion of the parser, which runs in
+#: the engine's deep section; the later walks over the tree keep stacks.
 _MAX_NESTING = 350
 
 _PRIMARY_STARTS = {"ident", "charlit", "strlit", "class", "dot", "lparen", "amp", "bang"}
@@ -367,9 +364,15 @@ def parse_grammar(text: str) -> Grammar:
     result may still carry validation issues (see
     :func:`pegkit.grammar.validate`).
     """
-    with _deep():
+    # the parser recurses past the default limit at the cap: run it deep
+    from .engine import _enter_deep, _leave_deep  # the engine imports this module
+
+    _enter_deep()
+    try:
         rules, start = _Parser(text).parse_file()
-        return make_grammar(rules, start=start)
+    finally:
+        _leave_deep()
+    return make_grammar(rules, start=start)
 
 
 def load_grammar(text: str) -> Grammar:
@@ -379,26 +382,11 @@ def load_grammar(text: str) -> Grammar:
     input and :class:`~pegkit.grammar.InvalidGrammarError` when the
     parsed grammar has error-severity validation issues.
     """
-    with _deep():
-        g = parse_grammar(text)
-        errors = prepared(g).errors = validation_errors(g)
+    g = parse_grammar(text)
+    errors = prepared(g).errors = validation_errors(g)
     if errors:
         raise InvalidGrammarError(errors)
     return g
-
-
-@contextmanager
-def _deep():
-    # The parser, make_grammar and nullable recurse a few frames per level
-    # of nesting, past the default recursion limit at the cap, so they run
-    # in the engine's counted deep section.
-    from .engine import _enter_deep, _leave_deep  # the engine imports this module
-
-    _enter_deep()
-    try:
-        yield
-    finally:
-        _leave_deep()
 
 
 _CHOICE, _SEQ, _PREFIX, _SUFFIX, _ATOM = range(5)
@@ -440,47 +428,52 @@ def _render_class(chars: frozenset[str]) -> str:
 
 
 def render_expr(e: PegExpr, names: tuple[str, ...] = ()) -> str:
-    """Render one expression; ``names`` supplies rule names for refs."""
-    return _render(e, names, _CHOICE)
-
-
-def _render(e: PegExpr, names: tuple[str, ...], level: int) -> str:
-    text, mine = _render_inner(e, names)
-    if mine < level:
-        return "(" + text + ")"
-    return text
-
-
-def _render_inner(e: PegExpr, names: tuple[str, ...]) -> tuple[str, int]:
-    if isinstance(e, Empty):
-        return "()", _ATOM
-    if isinstance(e, AnyChar):
-        return ".", _ATOM
-    if isinstance(e, Char):
-        return "'" + _escape_text(e.char, "'") + "'", _ATOM
-    if isinstance(e, Literal):
-        return '"' + _escape_text(e.text, '"') + '"', _ATOM
-    if isinstance(e, Class):
-        return _render_class(e.chars), _ATOM
-    if isinstance(e, Ref):
-        if isinstance(e.rule, int) and 0 <= e.rule < len(names):
-            return names[e.rule], _ATOM
-        return str(e.rule), _ATOM
-    if isinstance(e, Seq):
-        return " ".join(_render(p, names, _PREFIX) for p in e.parts), _SEQ
-    if isinstance(e, Choice):
-        return " / ".join(_render(a, names, _SEQ) for a in e.alts), _CHOICE
-    if isinstance(e, And):
-        return "&" + _render(e.body, names, _PREFIX), _PREFIX
-    if isinstance(e, Not):
-        return "!" + _render(e.body, names, _PREFIX), _PREFIX
-    if isinstance(e, Star):
-        return _render(e.body, names, _ATOM) + "*", _SUFFIX
-    if isinstance(e, Plus):
-        return _render(e.body, names, _ATOM) + "+", _SUFFIX
-    if isinstance(e, Opt):
-        return _render(e.body, names, _ATOM) + "?", _SUFFIX
-    raise TypeError(f"not a PegExpr: {e!r}")
+    """Render one expression; ``names`` supplies rule names for refs.
+    The text is written left to right from one explicit stack of strings
+    and ``(node, level its place requires)`` pairs: any depth renders,
+    in time linear in the text."""
+    out: list[str] = []
+    stack: list = [(e, _CHOICE)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        x, level = item
+        # own level, text before, children, separator, their level, text after
+        mine, head, kids, sep, inner, tail = _ATOM, "", (), "", _ATOM, ""
+        if isinstance(x, (Empty, AnyChar)):
+            head = "()" if isinstance(x, Empty) else "."
+        elif isinstance(x, Char):
+            head = "'" + _escape_text(x.char, "'") + "'"
+        elif isinstance(x, Literal):
+            head = '"' + _escape_text(x.text, '"') + '"'
+        elif isinstance(x, Class):
+            head = _render_class(x.chars)
+        elif isinstance(x, Ref):
+            t = x.rule
+            head = names[t] if isinstance(t, int) and 0 <= t < len(names) else str(t)
+        elif isinstance(x, Seq):
+            mine, kids, sep, inner = _SEQ, x.parts, " ", _PREFIX
+        elif isinstance(x, Choice):
+            mine, kids, sep, inner = _CHOICE, x.alts, " / ", _SEQ
+        elif isinstance(x, (And, Not)):
+            mine, kids, inner = _PREFIX, (x.body,), _PREFIX
+            head = "&" if isinstance(x, And) else "!"
+        elif isinstance(x, (Star, Plus, Opt)):
+            mine, kids = _SUFFIX, (x.body,)
+            tail = "*" if isinstance(x, Star) else "+" if isinstance(x, Plus) else "?"
+        else:
+            raise TypeError(f"not a PegExpr: {x!r}")
+        if mine < level:
+            head, tail = "(" + head, tail + ")"
+        out.append(head)
+        stack.append(tail)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], inner))
+            if i:
+                stack.append(sep)
+    return "".join(out)
 
 
 def format_grammar(g: Grammar) -> str:

@@ -51,7 +51,7 @@ from .grammar import (
     Seq,
     Star,
     _children,
-    nullable,
+    _expr_nullable,
     preorder,
     prepared,
     validation_errors,
@@ -242,21 +242,22 @@ class TabularMatrix:
         return len(self.fill_order)
 
 
-def _same_position_refs(g: Grammar, e: PegExpr, acc: set[int]) -> None:
-    # rules reachable from e before any input is consumed
+def _same_position_refs(e: PegExpr, table, memo: dict, acc: set[int]) -> None:
+    # rules reachable from e before any input is consumed; see _expr_nullable
     if isinstance(e, Ref):
         acc.add(e.rule)
     for kid in _children(e):
-        _same_position_refs(g, kid, acc)
-        if isinstance(e, Seq) and not nullable(g, kid):
+        _same_position_refs(kid, table, memo, acc)
+        if isinstance(e, Seq) and not _expr_nullable(kid, table, memo):
             break  # later parts start after consumed input
 
 
 def _topological_rules(g: Grammar) -> tuple[int, ...]:
     graph: dict[int, set[int]] = {}
+    table, memo = prepared(g).nullability, {}  # by id: g keeps the nodes alive
     for rid, rule in enumerate(g.rules):
         acc: set[int] = set()
-        _same_position_refs(g, rule.body, acc)
+        _same_position_refs(rule.body, table, memo, acc)
         graph[rid] = acc
     order: list[int] = []
     color = {}  # 1 = on stack, 2 = done

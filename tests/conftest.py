@@ -4,20 +4,34 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 from collections import Counter
 
 import pytest
 
 from pegkit import (
+    ANY,
+    EMPTY,
     FAIL,
     DepthExceeded,
     LeftRecursion,
     ParseFailed,
+    and_,
+    char,
+    charclass,
+    choice,
     dump_matrix,
     furthest_failure,
+    lit,
     new_session,
+    not_,
+    opt,
     parse_complete,
+    plus,
+    ref,
     registry,
+    seq,
+    star,
     stats,
 )
 from pegkit.engine import UNEVALUATED, ParseSession
@@ -84,6 +98,33 @@ def accepts():
 @pytest.fixture(scope="session")
 def counting_session_cls():
     return CountingSession
+
+
+def random_expr(rng: random.Random, depth: int, nrules: int, repeat: bool, budget):
+    """A random expression nested at most ``depth`` deep, with Star and
+    Plus only if ``repeat``; ``budget`` (a one-item list) caps the
+    composite nodes of one rule body."""
+    if depth == 0 or budget[0] <= 0 or rng.random() < 0.3:
+        return rng.choice([
+            EMPTY, ANY, char("a"), char("b"), charclass("ab"), lit("ab"),
+            lit(""), ref(rng.randrange(nrules)), ref(rng.randrange(nrules)),
+        ])
+    budget[0] -= 1
+    kinds = ["seq", "choice", "opt", "and", "not"] + ["star", "plus"] * repeat
+    kind = rng.choice(kinds)
+    if kind in ("seq", "choice"):
+        parts = [
+            random_expr(rng, depth - 1, nrules, repeat, budget)
+            for _ in range(rng.randint(2, 3))
+        ]
+        return seq(*parts) if kind == "seq" else choice(*parts)
+    body = random_expr(rng, depth - 1, nrules, repeat, budget)
+    return {"opt": opt, "and": and_, "not": not_, "star": star, "plus": plus}[kind](body)
+
+
+@pytest.fixture(name="random_expr", scope="session")
+def random_expr_fixture():
+    return random_expr
 
 
 def tree_text(out) -> str:

@@ -668,6 +668,71 @@ print(run_deep(hash, a) == hash(b))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout == "True False True\nTrue\n"
 
+    DEEP_SEQ = """
+from pegkit import *
+k = 20_000
+e = char("a")
+for _ in range(k):
+    e = seq(char("x"), e)
+text = "'x' " + "('x' " * (k - 1) + "'a'" + ")" * (k - 1)
+"""
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            # the failure label of the predicate is rendered when read
+            DEEP_SEQ + """
+s = new_session(Grammar((Rule("S", seq(not_(e), char("x"))),)), "x" * k + "a")
+try:
+    parse_complete(s)
+except ParseFailed:
+    print(furthest_failure(s) == (0, frozenset({"!(" + text + ")"})))
+""",
+            DEEP_SEQ + "print(run_deep(render_expr, e) == text)",
+            DEEP_SEQ + """
+e = ref("S")
+for _ in range(k):
+    e = plus(seq(char("x"), e))
+print(run_deep(validate, run_deep(make_grammar, [("S", e)])) == ())
+""",
+        ],
+        ids=["parse", "render", "make_grammar"],
+    )
+    def test_deep_grammars_build_and_render_under_run_deep(self, script):
+        # in a subprocess: rendering and name resolution recursed in C per
+        # tree level and overflowed the C stack under the raised limit
+        env = {**os.environ, "PYTHONPATH": str(Path(pegkit.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == "True\n"
+
+    def test_eval_expr_of_an_expression_too_deep_to_hash(self):
+        # hashing it for the code cache raised RecursionError
+        g = make_grammar([("S", char("x"))])
+        e = char("y")
+        for _ in range(2_000):
+            e = opt(seq(char("x"), e))
+        s = new_session(g, "x" * 2_000 + "y")
+        kept = len(prepared(g).expr_code)
+        assert s.eval_expr(e, 0).end == 2_001
+        assert s.eval_expr(e, 1_000).end == 2_000  # the y needs 2,000 x before it
+        assert len(prepared(g).expr_code) == kept
+
+    def test_eval_expr_names_an_invalid_expression_of_any_depth(self):
+        g = make_grammar([("S", char("x"))])
+        e = ref("missing")
+        for _ in range(20_000):
+            e = seq(char("x"), e)
+        s = new_session(g, "x")
+        with pytest.raises(InvalidGrammarError) as exc:
+            s.eval_expr(e, 0)
+        assert [i.code for i in exc.value.issues] == ["UnknownRef"]
+        text = "'x' " + "('x' " * 19_999 + "missing" + ")" * 19_999
+        assert f"UnknownRef in expression {text!r}" in str(exc.value)
+
     def test_recursion_limit_is_restored(self, lexed):
         def state():
             return sys.getrecursionlimit(), gc.isenabled()

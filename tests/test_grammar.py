@@ -21,6 +21,7 @@ from pegkit import (
     char,
     charclass,
     choice,
+    format_grammar,
     lit,
     make_grammar,
     new_session,
@@ -29,6 +30,7 @@ from pegkit import (
     opt,
     plus,
     ref,
+    render_expr,
     seq,
     star,
     validate,
@@ -349,3 +351,41 @@ class TestWalkExprs:
         assert nodes[3] == star(char("b"))
         assert nodes[4] == char("b")
         assert len(nodes) == 5
+
+
+# one level of each chain around the expression e, and its text around e's
+CHAIN_LEVELS = {
+    "Plus": (lambda e: plus(seq(char("x"), e)), "('x' ", ")+"),
+    "Star": (lambda e: star(seq(char("x"), e)), "('x' ", ")*"),
+    "Opt": (lambda e: opt(seq(char("x"), e)), "('x' ", ")?"),
+    "And": (lambda e: and_(seq(char("x"), e)), "&('x' ", ")"),
+    "Not": (lambda e: not_(seq(char("x"), e)), "!('x' ", ")"),
+    "Seq": (lambda e: seq(char("x"), e), "('x' ", ")"),
+    "Choice": (lambda e: choice(char("x"), e), "('x' / ", ")"),
+}
+
+
+class TestDeepTrees:
+    """Building, validating, ``nullable``, rendering and formatting keep
+    their own stacks: no depth needs a raised recursion limit."""
+
+    @pytest.mark.parametrize("kind", list(CHAIN_LEVELS))
+    def test_a_deep_chain_goes_through_every_tree_pass(self, kind):
+        # recursive name resolution raised RecursionError at 500 levels,
+        # and rendering at 400
+        k = 20_000
+        assert sys.getrecursionlimit() < k
+        level, before, after = CHAIN_LEVELS[kind]
+        e = ref("B")
+        for _ in range(k):
+            e = level(e)
+        text = before * k + "B" + after * k
+        if kind in ("Seq", "Choice"):
+            text = text[1:-1]  # the outermost level needs no parentheses
+        start = time.process_time()
+        g = make_grammar([("A", e), ("B", char("y"))])
+        assert validate(g) == ()  # Ref("B") resolved
+        assert nullable(g, g.rules[0].body) == (kind in ("Star", "Opt", "And", "Not"))
+        assert render_expr(g.rules[0].body, g.names) == text
+        assert format_grammar(g) == f"A <- {text} ;\nB <- 'y' ;\n"
+        assert time.process_time() - start < 6

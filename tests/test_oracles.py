@@ -6,25 +6,24 @@ import gc
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 from pegkit import (
-    ANY,
     EMPTY,
     FAIL,
+    Grammar,
     LeftRecursion,
-    and_,
+    Rule,
     char,
     charclass,
     choice,
     format_grammar,
-    lit,
     load_grammar,
     make_grammar,
     new_session,
-    not_,
     opt,
     parse_complete,
     plus,
@@ -179,6 +178,18 @@ class TestTabularParse:
         with pytest.raises(SamePositionCycle):
             tabular_parse(g, "zy")
 
+    def test_schedule_is_linear_in_nesting(self):
+        # each Seq part's nullability walked the part's subtree again: the
+        # first call took ~1 s at this depth
+        e = char("y")
+        for _ in range(600):
+            e = seq(opt(char("x")), e)
+        g = Grammar((Rule("S", e),))
+        start = time.process_time()
+        tab = tabular_parse(g, "xxy")
+        assert time.process_time() - start < 0.25
+        assert [tab.verdict(0, p) for p in range(4)] == [3, 3, 3, None]
+
     def test_repeated_calls_leave_no_garbage_behind(self, entries):
         # An outer tuple built from a generator, once freed, stayed on
         # CPython's tuple free list: 3000 calls held ~280 KB until a
@@ -315,28 +326,6 @@ def test_oracle_outputs_are_pinned(entries, oracles_digest):
 # -- seeded random grammars: engine, naive and tabular verdicts agree ---
 
 
-def random_expr(rng: random.Random, depth: int, nrules: int, repeat: bool, budget):
-    """A random expression nested at most ``depth`` deep, with Star and
-    Plus only if ``repeat``; ``budget`` (a one-item list) caps the
-    composite nodes of one rule body."""
-    if depth == 0 or budget[0] <= 0 or rng.random() < 0.3:
-        return rng.choice([
-            EMPTY, ANY, char("a"), char("b"), charclass("ab"), lit("ab"),
-            lit(""), ref(rng.randrange(nrules)), ref(rng.randrange(nrules)),
-        ])
-    budget[0] -= 1
-    kinds = ["seq", "choice", "opt", "and", "not"] + ["star", "plus"] * repeat
-    kind = rng.choice(kinds)
-    if kind in ("seq", "choice"):
-        parts = [
-            random_expr(rng, depth - 1, nrules, repeat, budget)
-            for _ in range(rng.randint(2, 3))
-        ]
-        return seq(*parts) if kind == "seq" else choice(*parts)
-    body = random_expr(rng, depth - 1, nrules, repeat, budget)
-    return {"opt": opt, "and": and_, "not": not_, "star": star, "plus": plus}[kind](body)
-
-
 def engine_verdict(session, rid: int, pos: int):
     try:
         out = session.apply(rid, pos)
@@ -352,7 +341,7 @@ def naive_verdict(g, rid: int, pos: int, text: str):
         return "left-recursion"
 
 
-def test_random_grammars_agree_three_ways():
+def test_random_grammars_agree_three_ways(random_expr):
     # 1-4 rules nested up to 12 deep, with predicates, and repetitions in
     # every other grammar, since the tabular oracle refuses Star and Plus
     rng = random.Random(20061)
