@@ -5,8 +5,11 @@ verdict (Fail vs end position) of the packrat engine, the naive
 backtracking interpreter, and the tabular right-to-left filler, over a
 deterministic input corpus.  A rule's verdict at a position depends only
 on the input from that position on, so the naive interpreter, the
-costly one, runs once per distinct (rule, suffix) of a grammar's corpus
-and its verdict serves every cell that shares them.  Where the grammar
+costly one, runs at most once per distinct (rule, suffix) of a
+grammar's corpus and its verdict serves every cell that shares them.
+A run also yields the verdicts of the inner calls it completed, and
+those (rule, suffix) pairs are never run again (see
+:func:`_naive_verdict` for why they are exact).  Where the grammar
 lies in the CFG-friendly fragment it additionally checks every engine
 success against the context-free all-end-sets oracle (every parsed span
 must be derivable), and counts complete-input verdict splits between
@@ -165,27 +168,42 @@ _UNSEEN = object()
 
 
 def _naive_verdict(
-    g: Grammar, rid: int, pos: int, text: str, seen: dict, cfg: CheckConfig
+    g: Grammar,
+    rid: int,
+    pos: int,
+    text: str,
+    naive_seen: list[dict[str, int | str | None]],
+    cfg: CheckConfig,
 ) -> int | str | None:
     """The naive oracle's verdict for rule ``rid`` at ``pos``.
 
     The oracle reads only ``text[pos:]``, so its verdict relative to
-    ``pos`` depends on the rule and that suffix alone.  ``seen`` maps
-    the suffixes already run for this rule to that relative verdict,
-    and a suffix met again is not re-run.  In exhaustive mode every
-    suffix of an input is itself a shorter input checked earlier.
+    ``pos`` depends on the rule and that suffix alone.  ``naive_seen[r]``
+    maps the suffixes known for rule ``r`` to that relative verdict, and
+    a (rule, suffix) met again is not re-run.  A run stores, besides its
+    own verdict, that of every call it completed (its report's
+    ``ends_by_cell``).  That is exact: a run started at such a cell
+    makes the same calls with fewer active calls and interpreter frames
+    below them, so it stays within the call budget, depth limit and
+    frames that the inner call stayed within, and meets no active cell,
+    as the inner call met none.  A run that exceeds its call budget or
+    depth limit stores that for its own cell only.  In exhaustive mode
+    every suffix of an input is itself a shorter input checked earlier.
     """
+    seen = naive_seen[rid]
     suffix = text[pos:]
     rel = seen.get(suffix, _UNSEEN)
     if rel is _UNSEEN:
         try:
-            end = naive_parse(g, rid, pos, text, call_budget=cfg.call_budget).outcome
-            rel = None if end is None else end - pos
+            report = naive_parse(g, rid, pos, text, call_budget=cfg.call_budget)
         except CallBudgetExceeded:
-            rel = "budget-exceeded"
+            rel = seen[suffix] = "budget-exceeded"
         except DepthExceeded:
-            rel = "depth-exceeded"
-        seen[suffix] = rel
+            rel = seen[suffix] = "depth-exceeded"
+        else:
+            for (r, p), end in report.ends_by_cell.items():
+                naive_seen[r].setdefault(text[p:], None if end is None else end - p)
+            rel = seen[suffix]
     return pos + rel if isinstance(rel, int) else rel
 
 
@@ -261,7 +279,7 @@ def _check_entry(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck:
                 out = session.apply(rid, pos)
                 peg = None if out is FAIL else out.end
                 row.append(peg)
-                nai = _naive_verdict(g, rid, pos, text, naive_seen[rid], cfg)
+                nai = _naive_verdict(g, rid, pos, text, naive_seen, cfg)
                 tabv = tab.verdict(rid, pos)
                 result.cells += 1
                 if not (peg == nai == tabv):

@@ -948,11 +948,10 @@ class ParseSession:
         applies rules as rule code does, not through :meth:`apply`, and
         runs with the same outermost handling of depth and errors.  An
         expression that cannot be hashed, such as a ``Seq`` whose parts
-        are a list or one nested past the recursion limit, is evaluated
-        the same way but generated anew on each call.  An expression
-        that fails validation's structural checks raises
-        :class:`InvalidGrammarError`, whose message names it, and is not
-        kept; its issues carry ``rule=None``.  A position outside
+        are a list, is evaluated the same way but generated anew on each
+        call.  An expression that fails validation's structural checks
+        raises :class:`InvalidGrammarError`, whose message names it, and
+        is not kept; its issues carry ``rule=None``.  A position outside
         ``0..len(text)`` raises ValueError.
         """
         if not 0 <= pos <= len(self.text):
@@ -960,7 +959,7 @@ class ParseSession:
         try:
             run = self._expr_code.get(e)
             hashable = True
-        except (TypeError, RecursionError):
+        except TypeError:
             run, hashable = None, False
         if run is None:
             names = self.grammar.names

@@ -69,39 +69,95 @@ class Literal:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
-class Seq:
+class _Composite:
+    """``==`` and ``hash`` of the nodes with children, by structure, as
+    the dataclass methods would compare and hash their one field.  Both
+    walk the tree with their own stack, so they work at any depth; the
+    dataclass methods recurse through C once per level.  A subclass that
+    defines its own method is compared or hashed by it."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            t = a.__class__
+            if t is b.__class__ and t.__eq__ is _Composite.__eq__:
+                pairs.append((_field(a), _field(b)))
+            elif t is b.__class__ and (t is tuple or t is list):
+                if len(a) != len(b):
+                    return False
+                pairs.extend(zip(a, b))
+            elif not a == b:  # a leaf, or a node of its own equality
+                return False
+        return True
+
+    def __hash__(self):
+        done: list[int] = []  # the hashes of the items finished, in order
+        stack = [(self, None)]  # (item, how many items it holds once queued)
+        while stack:
+            x, k = stack.pop()
+            if k is None:
+                if type(x).__hash__ is _Composite.__hash__:
+                    kids = (_field(x),)
+                elif isinstance(x, tuple):
+                    kids = x
+                else:
+                    done.append(hash(x))  # a list raises TypeError, as ever
+                    continue
+                stack.append((x, len(kids)))
+                stack.extend((kid, None) for kid in reversed(kids))
+            else:
+                h = hash(tuple(done[len(done) - k:]))
+                del done[len(done) - k:]
+                done.append(h)
+        return done[0]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Seq(_Composite):
     parts: tuple["PegExpr", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Choice:
+@dataclass(frozen=True, slots=True, eq=False)
+class Choice(_Composite):
     alts: tuple["PegExpr", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Star:
+@dataclass(frozen=True, slots=True, eq=False)
+class Star(_Composite):
     body: "PegExpr"
 
 
-@dataclass(frozen=True, slots=True)
-class Plus:
+@dataclass(frozen=True, slots=True, eq=False)
+class Plus(_Composite):
     body: "PegExpr"
 
 
-@dataclass(frozen=True, slots=True)
-class Opt:
+@dataclass(frozen=True, slots=True, eq=False)
+class Opt(_Composite):
     body: "PegExpr"
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+@dataclass(frozen=True, slots=True, eq=False)
+class And(_Composite):
     body: "PegExpr"
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+@dataclass(frozen=True, slots=True, eq=False)
+class Not(_Composite):
     body: "PegExpr"
+
+
+def _field(e: _Composite):
+    if isinstance(e, Seq):
+        return e.parts
+    return e.alts if isinstance(e, Choice) else e.body
 
 
 @dataclass(frozen=True, slots=True)

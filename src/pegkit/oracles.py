@@ -6,7 +6,8 @@ from the engine and from each other:
 * :func:`naive_parse` - a direct recursive-descent interpreter with no
   memoization.  Same ordered-choice semantics as the engine, but it
   re-evaluates rules freely, so its call count exposes the redundancy
-  that memoization removes (exponential on crafted grammars).
+  that memoization removes (exponential on crafted grammars).  Its
+  report lists the verdict of every call it completed.
 * :func:`tabular_parse` - fills the whole rule-by-position matrix from
   the rightmost column leftwards, callees before callers inside each
   column.  This only works when no rule can invoke another at the same
@@ -14,9 +15,9 @@ from the engine and from each other:
   repetition, so Star/Plus are rejected outright.
 * :func:`cfg_all_ends` - reads the grammar as a context-free grammar
   (unordered choice) and computes, per rule and start position, the set
-  of all reachable end positions by exhaustive memoized search.  Only
-  Seq/Choice/Char/Literal/Ref/Empty are meaningful under CFG reading;
-  everything else is rejected.
+  of all reachable end positions by Kleene iteration, column by column
+  from the right.  Only Seq/Choice/Char/Literal/Ref/Empty are
+  meaningful under CFG reading; everything else is rejected.
 
 Each is a plain interpreter that picks a case by the node's exact type,
 most frequent first; validation refuses any other type, a subclass of a
@@ -100,12 +101,17 @@ class NaiveReport:
     ``outcome`` is the end position or None.  ``calls`` counts every
     rule invocation, including redundant re-evaluations; the per-cell
     breakdown lives in ``calls_by_cell`` keyed by (rule, position).
+    ``ends_by_cell`` holds, under the same keys, the end position or
+    None of every call that completed.  Such a call met no active cell
+    and stayed within the run's limits, and it reads only the input from
+    its position on, so its verdict is that of a run started at its cell.
     """
 
     outcome: int | None
     calls: int
     max_depth: int
     calls_by_cell: dict[tuple[int, int], int] = field(default_factory=dict)
+    ends_by_cell: dict[tuple[int, int], int | None] = field(default_factory=dict)
 
 
 def naive_parse(
@@ -119,6 +125,8 @@ def naive_parse(
 ) -> NaiveReport:
     """Backtracking interpretation with no memo table.
 
+    The report records every call's verdict (``ends_by_cell``) but the
+    run never reads one back: each call is evaluated afresh.
     Verdict-identical to the engine on any grammar both accept; left
     recursion is cut off by an active-call cycle guard and reported as
     :class:`LeftRecursion` rather than looping.  ``call_budget`` and
@@ -139,6 +147,7 @@ def naive_parse(
     bodies = [r.body for r in g.rules]
     calls = max_depth = 0
     by_cell: dict[tuple[int, int], int] = {}
+    ends: dict[tuple[int, int], int | None] = {}
     # the active calls, outermost first: insertion order is the stack
     active: dict[tuple[int, int], None] = {}
 
@@ -159,7 +168,8 @@ def naive_parse(
         if depth >= max_depth:
             max_depth = depth + 1
         try:
-            return walk(bodies[r], p)
+            ends[key] = end = walk(bodies[r], p)
+            return end
         finally:
             active.popitem()
 
@@ -216,7 +226,7 @@ def naive_parse(
         # The two closures refer to each other and walk to itself; unbound
         # here, they are freed at once instead of by the cyclic collector.
         del walk, call_rule
-    return NaiveReport(outcome, calls, max_depth, by_cell)
+    return NaiveReport(outcome, calls, max_depth, by_cell, ends)
 
 
 _UNFILLED = object()
@@ -405,7 +415,11 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
     """All-end-sets for every (rule, position) under CFG reading.
 
     Kleene iteration on a monotone table, so (unlike the PEG engines)
-    left-recursive grammars converge to their full end-sets.
+    left-recursive grammars converge to their full end-sets.  It runs
+    column by column, right to left: in this fragment a cell at ``p``
+    reads only cells at positions ``q >= p``, so each column is iterated
+    to its own fixpoint once the columns right of it are final, which
+    gives the least fixpoint of the whole table.
     """
     _require_valid(g)
     check_cfg_compatible(g)
@@ -416,7 +430,7 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
     def ends(e: PegExpr, p: int) -> set[int]:
         t = type(e)
         if t is Ref:
-            return set(table[e.rule][p])
+            return table[e.rule][p]  # the cell itself: no caller changes a result
         if t is Seq:
             front = {p}
             for part in e.parts:
@@ -440,13 +454,13 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
             return {p}
         raise TypeError(f"unexpected construct in CFG walk: {e!r}")
 
-    changed = True
+    bodies = [r.body for r in g.rules]
     try:
-        while changed:
-            changed = False
-            for rid in range(nrules):
-                body = g.rules[rid].body
-                for p in range(n + 1):
+        for p in range(n, -1, -1):
+            changed = True
+            while changed:
+                changed = False
+                for rid, body in enumerate(bodies):
                     new = ends(body, p)
                     if not new <= table[rid][p]:
                         table[rid][p] |= new

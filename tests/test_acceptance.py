@@ -210,7 +210,7 @@ def test_packrat_naive_and_tabular_verdicts_agree(entries):
     for structured cycle errors from all three backends, and only the
     grammar built to split the ordered-choice and context-free readings
     may report complete-input divergences.  Both report texts are pinned
-    byte for byte by their md5.  Exact, under 2 min.
+    byte for byte by their md5.  Exact; 17-23 s on 2 cores with Python 3.11.7.
     """
     t0 = time.perf_counter()
     catalog = list(entries.values())

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from pegkit import diffcheck
 from pegkit.catalog import CatalogEntry, registry
 from pegkit.diffcheck import (
     CheckConfig,
@@ -15,6 +16,7 @@ from pegkit.diffcheck import (
     run_check,
 )
 from pegkit import char, choice, make_grammar, ref, seq
+from pegkit.oracles import naive_parse
 
 
 class TestCorpora:
@@ -118,3 +120,24 @@ class TestRunCheck:
         # positions each
         assert result.inputs == 7
         assert result.cells == 1 + 2 * 2 + 3 * 4
+
+    def test_naive_oracle_runs_no_cell_an_earlier_run_recorded(
+        self, entries, monkeypatch
+    ):
+        recorded: set[tuple[int, int, str]] = set()  # (grammar, rule, suffix)
+        runs = calls = 0
+
+        def counted(g, rule, pos, text, **limits):
+            nonlocal runs, calls
+            assert (id(g), rule, text[pos:]) not in recorded, (rule, text[pos:])
+            runs += 1
+            report = naive_parse(g, rule, pos, text, **limits)
+            calls += report.calls
+            recorded.update((id(g), r, text[p:]) for r, p in report.ends_by_cell)
+            return report
+
+        monkeypatch.setattr(diffcheck, "naive_parse", counted)
+        cfg = CheckConfig(max_len=12, mode="random", trials=8, seed=0)
+        assert run_check(list(entries.values()), cfg).ok
+        # a run used to serve only its own cell: 2,184 runs and 98,931 calls
+        assert (runs, calls) == (748, 40_368)

@@ -695,12 +695,21 @@ for _ in range(k):
     e = plus(seq(char("x"), e))
 print(run_deep(validate, run_deep(make_grammar, [("S", e)])) == ())
 """,
+            DEEP_SEQ + """
+a = b = char("y")
+for _ in range(k):
+    a, b = opt(seq(char("x"), a)), opt(seq(char("x"), b))
+c = opt(seq(char("x"), e))
+print(run_deep(hash, a) == run_deep(hash, b) and run_deep(a.__eq__, b)
+      and not run_deep(a.__eq__, c) and run_deep(a.__ne__, opt(b)))
+""",
         ],
-        ids=["parse", "render", "make_grammar"],
+        ids=["parse", "render", "make_grammar", "hash"],
     )
     def test_deep_grammars_build_and_render_under_run_deep(self, script):
-        # in a subprocess: rendering and name resolution recursed in C per
-        # tree level and overflowed the C stack under the raised limit
+        # in a subprocess: rendering, name resolution, and the dataclass
+        # hash and == of expressions recursed in C per tree level and
+        # overflowed the C stack under the raised limit
         env = {**os.environ, "PYTHONPATH": str(Path(pegkit.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True,
@@ -710,7 +719,8 @@ print(run_deep(validate, run_deep(make_grammar, [("S", e)])) == ())
         assert proc.stdout == "True\n"
 
     def test_eval_expr_of_an_expression_too_deep_to_hash(self):
-        # hashing it for the code cache raised RecursionError
+        # hashing it for the code cache raised RecursionError; expressions
+        # now hash with their own stack, so its code is kept
         g = make_grammar([("S", char("x"))])
         e = char("y")
         for _ in range(2_000):
@@ -719,7 +729,7 @@ print(run_deep(validate, run_deep(make_grammar, [("S", e)])) == ())
         kept = len(prepared(g).expr_code)
         assert s.eval_expr(e, 0).end == 2_001
         assert s.eval_expr(e, 1_000).end == 2_000  # the y needs 2,000 x before it
-        assert len(prepared(g).expr_code) == kept
+        assert len(prepared(g).expr_code) == kept + 1
 
     def test_eval_expr_names_an_invalid_expression_of_any_depth(self):
         g = make_grammar([("S", char("x"))])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 
@@ -376,16 +377,45 @@ class TestDeepTrees:
         k = 20_000
         assert sys.getrecursionlimit() < k
         level, before, after = CHAIN_LEVELS[kind]
-        e = ref("B")
-        for _ in range(k):
-            e = level(e)
+
+        def chain(name):
+            e = ref(name)
+            for _ in range(k):
+                e = level(e)
+            return make_grammar([("A", e), ("B", char("y"))])
+
         text = before * k + "B" + after * k
         if kind in ("Seq", "Choice"):
             text = text[1:-1]  # the outermost level needs no parentheses
         start = time.process_time()
-        g = make_grammar([("A", e), ("B", char("y"))])
+        g = chain("B")
         assert validate(g) == ()  # Ref("B") resolved
         assert nullable(g, g.rules[0].body) == (kind in ("Star", "Opt", "And", "Not"))
         assert render_expr(g.rules[0].body, g.names) == text
         assert format_grammar(g) == f"A <- {text} ;\nB <- 'y' ;\n"
+        twin, other = chain("B"), chain("C")  # other differs at the bottom
+        assert g == twin and hash(g) == hash(twin) and g != other
         assert time.process_time() - start < 6
+
+
+def test_expressions_compare_and_hash_by_structure(random_expr):
+    # equal exactly when their reprs are, as with the dataclass methods
+    rng = random.Random(1911)
+    draws = [random_expr(rng, rng.randint(0, 3), 2, True, [3]) for _ in range(400)]
+    equal = 0
+    for a in draws:
+        for b in draws[:40]:
+            same = repr(a) == repr(b)
+            assert (a == b) is same and (a != b) is not same, (a, b)
+            if same:
+                equal += 1
+                assert hash(a) == hash(b)
+    assert equal > 400
+    a = char("a")
+    assert seq(a) != choice(a) and opt(a) != star(a)
+    assert MySeq((a,)) == MySeq((a,)) and MySeq((a,)) != seq(a) != MySeq((a,))
+    listed = Seq([a, opt(a)])
+    assert listed == Seq([a, opt(a)]) and listed != seq(a, opt(a))
+    for unhashable in (listed, not_(listed)):
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            hash(unhashable)

@@ -33,6 +33,7 @@ from pegkit import (
     validation_errors,
 )
 from pegkit.bench import make_input
+from pegkit.engine import DepthExceeded
 from pegkit.oracles import (
     CallBudgetExceeded,
     SamePositionCycle,
@@ -341,11 +342,11 @@ def naive_verdict(g, rid: int, pos: int, text: str):
         return "left-recursion"
 
 
-def test_random_grammars_agree_three_ways(random_expr):
-    # 1-4 rules nested up to 12 deep, with predicates, and repetitions in
-    # every other grammar, since the tabular oracle refuses Star and Plus
+def random_grammars(random_expr):
+    """The valid grammars drawn from seed 20061, each with three inputs:
+    1-4 rules nested up to 12 deep, with predicates, and repetitions in
+    every other grammar, since the tabular oracle refuses Star and Plus."""
     rng = random.Random(20061)
-    valid = tabulated = cells = cycles = 0
     for index in range(600):
         nrules, repeat = rng.randint(1, 4), index % 2 == 0
         g = make_grammar([
@@ -354,6 +355,13 @@ def test_random_grammars_agree_three_ways(random_expr):
         ])
         if validation_errors(g):
             continue
+        yield g, ["".join(rng.choices("ab", k=rng.randint(0, 6))) for _ in range(3)]
+
+
+def test_random_grammars_agree_three_ways(random_expr):
+    valid = tabulated = cells = cycles = 0
+    for g, texts in random_grammars(random_expr):
+        nrules = len(g.rules)
         valid += 1
         try:
             tabular_parse(g, "")
@@ -361,8 +369,7 @@ def test_random_grammars_agree_three_ways(random_expr):
             tabular = True
         except (UnsupportedConstruct, SamePositionCycle):
             tabular = False
-        for _ in range(3):
-            text = "".join(rng.choices("ab", k=rng.randint(0, 6)))
+        for text in texts:
             session = new_session(g, text)
             tab = tabular_parse(g, text) if tabular else None
             for rid in range(nrules):
@@ -380,3 +387,27 @@ def test_random_grammars_agree_three_ways(random_expr):
     # seed 20061 gives 424 valid grammars, 245 of them tabulated, and
     # 12,492 cells, 1,925 of them left-recursive
     assert valid > 350 and tabulated > 200 and cells > 10_000 and cycles > 1000
+
+
+def test_recorded_verdicts_are_those_of_runs_at_their_cells(random_expr):
+    # every call a naive run completed gives the outcome that a run
+    # started at its cell, under the same limits, gives
+    completed = recorded = 0
+    for limits in ({}, {"call_budget": 7}, {"depth_limit": 3}):
+        for g, texts in random_grammars(random_expr):
+            for text in texts:
+                for rid in range(len(g.rules)):
+                    for pos in range(len(text) + 1):
+                        try:
+                            report = naive_parse(g, rid, pos, text, **limits)
+                        except (LeftRecursion, CallBudgetExceeded, DepthExceeded):
+                            continue
+                        completed += 1
+                        assert report.ends_by_cell.keys() <= report.calls_by_cell.keys()
+                        assert report.ends_by_cell[(rid, pos)] == report.outcome
+                        for (r, p), end in report.ends_by_cell.items():
+                            recorded += 1
+                            again = naive_parse(g, r, p, text, **limits).outcome
+                            assert again == end, (format_grammar(g), text, r, p, limits)
+    # 31,631 of the 37,476 runs complete, recording 38,099 cells
+    assert completed > 25_000 and recorded > 30_000
