@@ -60,7 +60,18 @@ finished memo matrix is acyclic, and a parse leaves no cyclic garbage
 would only rescan the growing matrix again and again.  A caller that
 had already disabled the collector finds it still disabled afterwards;
 cyclic garbage made by other threads meanwhile waits until the last
-parse leaves.
+parse leaves.  When that last parse leaves, the young generation may
+hold the whole matrix, far more objects than its threshold, and the
+next collection would scan them all and free nothing.  So if the young
+count is past what the young generations hold by the collector's own
+thresholds (``t0 * (t1 + 1)``), every tracked object is moved to the
+oldest generation unscanned (``gc.freeze()`` then ``gc.unfreeze()``)
+before the collector is switched back on.  That moves every young
+object, not only the matrix: the caller's own, made before the parse,
+and other threads', made during it; cyclic garbage among them waits
+for the next full collection.  Nothing is moved while the collector
+stays off for a caller, while the caller has frozen objects of its own,
+or when ``t0`` is 0.
 
 Sessions are single-owner: no concurrent use, no reentrant callbacks.
 After LeftRecursion or DepthExceeded a session may hold InProgress
@@ -293,6 +304,12 @@ def _leave_deep() -> None:
         if _deep_callers == 0:
             sys.setrecursionlimit(_deep_saved_limit)
             if _deep_saved_gc:
+                # promote the matrix unscanned (see the module docstring);
+                # the freeze-count test keeps a caller's frozen objects frozen
+                t0, t1, _ = gc.get_threshold()
+                if t0 and gc.get_count()[0] > t0 * (t1 + 1) and not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
 
 
@@ -307,6 +324,13 @@ def run_deep(fn, *args, **kwargs):
     only if it was enabled when the first of those callers entered, so
     a caller's own ``gc.disable()`` is kept; cyclic garbage made on any
     thread meanwhile is collected only after the last caller leaves.
+    If at that point the young generation holds more objects than the
+    collector's thresholds let the young generations hold, every tracked
+    object on any thread is first moved to the oldest generation
+    without a scan, unless the caller has frozen objects (see the
+    module docstring): the young collection that would follow frees
+    nothing from a memo matrix.  Cyclic garbage among the moved objects
+    is freed by the next full collection.
     ``fn`` should make little cyclic garbage: a parse makes none.
     Exceptions propagate to the caller.
     """

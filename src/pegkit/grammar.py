@@ -30,6 +30,7 @@ computed once per :class:`Grammar` object and kept on its
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Union, get_args
@@ -330,8 +331,9 @@ def make_grammar(
     :func:`validate` to report.  The start rule defaults to the first.
     """
     names = [name for name, _ in rules]
-    for name in names:
-        if names.count(name) > 1:
+    counts = Counter(names)
+    for name in names:  # in order: the first name that occurs twice
+        if counts[name] > 1:
             raise ValueError(f"duplicate rule name {name!r}")
     index = {name: i for i, name in enumerate(names)}
     resolved = tuple(Rule(name, _resolve(body, index)) for name, body in rules)

@@ -28,6 +28,7 @@ failure; oracle results carry no parse trees.
 from __future__ import annotations
 
 import functools
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -252,45 +253,49 @@ class TabularMatrix:
         return len(self.fill_order)
 
 
-def _same_position_refs(e: PegExpr, table, memo: dict, acc: set[int]) -> None:
+def _same_position_refs(e: PegExpr, table, memo: dict) -> set[int]:
     # rules reachable from e before any input is consumed; see _expr_nullable
-    if isinstance(e, Ref):
-        acc.add(e.rule)
-    for kid in _children(e):
-        _same_position_refs(kid, table, memo, acc)
-        if isinstance(e, Seq) and not _expr_nullable(kid, table, memo):
-            break  # later parts start after consumed input
+    acc: set[int] = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Ref):
+            acc.add(x.rule)
+        for kid in _children(x):
+            stack.append(kid)
+            if isinstance(x, Seq) and not _expr_nullable(kid, table, memo):
+                break  # later parts start after consumed input
+    return acc
 
 
 def _topological_rules(g: Grammar) -> tuple[int, ...]:
-    graph: dict[int, set[int]] = {}
     table, memo = prepared(g).nullability, {}  # by id: g keeps the nodes alive
-    for rid, rule in enumerate(g.rules):
-        acc: set[int] = set()
-        _same_position_refs(rule.body, table, memo, acc)
-        graph[rid] = acc
+    graph = [sorted(_same_position_refs(r.body, table, memo)) for r in g.rules]
     order: list[int] = []
-    color = {}  # 1 = on stack, 2 = done
-
-    def visit(r: int, trail: list[int]) -> None:
-        if color.get(r) == 2:
-            return
-        if color.get(r) == 1:
-            cycle = trail[trail.index(r):] + [r]
-            raise SamePositionCycle(tuple(cycle), g.names)
-        color[r] = 1
-        trail.append(r)
-        for s in sorted(graph[r]):
-            visit(s, trail)
-        trail.pop()
-        color[r] = 2
-        order.append(r)
-
-    try:
-        for r in range(len(g.rules)):
-            visit(r, [])
-    finally:
-        del visit  # it refers to itself; see naive_parse
+    color = {}  # 1 = on the trail, 2 = done
+    for root in range(len(g.rules)):
+        if root in color:
+            continue
+        # depth first, callees in rule order; trail[i]'s callees not yet
+        # visited are left in todo[i]
+        color[root] = 1
+        trail, todo = [root], [iter(graph[root])]
+        while todo:
+            for s in todo[-1]:
+                if color.get(s) == 2:
+                    continue
+                if color.get(s) == 1:
+                    cycle = trail[trail.index(s):] + [s]
+                    raise SamePositionCycle(tuple(cycle), g.names)
+                color[s] = 1
+                trail.append(s)
+                todo.append(iter(graph[s]))
+                break
+            else:
+                todo.pop()
+                r = trail.pop()
+                color[r] = 2
+                order.append(r)
     return tuple(order)
 
 
@@ -314,6 +319,11 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
     Rejects Star/Plus (no tabulation schedule exists for unbounded
     repetition) with :class:`UnsupportedConstruct` and grammars whose
     same-position call graph is cyclic with :class:`SamePositionCycle`.
+    The schedule is worked out on explicit stacks, so any number of rules
+    and any nesting depth is fine.  The fill recurses once per nesting
+    level and runs in the engine's counted deep section, as
+    :func:`naive_parse` does; if the interpreter's frames still run out,
+    it raises :class:`DepthExceeded`.
     """
     prep = _require_valid(g)
     order = prep.tabular_schedule
@@ -365,12 +375,19 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
             return p if walk(e.body, p) is not None else None
         raise TypeError(f"unexpected construct in tabular walk: {e!r}")
 
+    # walk recurses once per nesting level
+    _enter_deep()
     try:
         for pos in range(n, -1, -1):
             for rid in order:
                 table[rid][pos] = walk(g.rules[rid].body, pos)
                 fill_order.append((rid, pos))
+    except RecursionError:
+        raise DepthExceeded(
+            sys.getrecursionlimit(), "tabular walk: interpreter frame budget exhausted"
+        ) from None
     finally:
+        _leave_deep()
         del walk  # it refers to itself and holds the table; see naive_parse
 
     return TabularMatrix(

@@ -7,6 +7,7 @@ import itertools
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,13 @@ def _nested_opts(e, levels):
 
 class MyChar(Char):
     pass
+
+
+class Cyclic:
+    """An instance that refers to itself: garbage only the collector frees."""
+
+    def __init__(self):
+        self.me = self
 
 
 @pytest.fixture
@@ -784,6 +792,61 @@ print(run_deep(hash, a) == run_deep(hash, b) and run_deep(a.__eq__, b)
         finally:
             if was_enabled:
                 gc.enable()
+
+    # 8,001 characters: a parse leaves ~46,000 young tracked objects, far
+    # more than the young generations hold by the default thresholds
+    EIGHT_K = "1" + "+1" * 4_000
+
+    @pytest.fixture
+    def collector_on(self):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        yield
+        if not was_enabled:
+            gc.disable()
+
+    def test_a_large_parse_leaves_nothing_for_a_young_collection(
+        self, lexed, collector_on
+    ):
+        t0 = gc.get_threshold()[0]
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        s = new_session(lexed, self.EIGHT_K)
+        parse_complete(s)
+        assert gc.get_count()[0] <= t0
+        gc.callbacks.append(record)
+        try:
+            Cyclic()
+        finally:
+            gc.callbacks.remove(record)
+        assert started == []
+
+    def test_a_callers_frozen_objects_stay_frozen(self, lexed, collector_on):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            parse_complete(new_session(lexed, self.EIGHT_K))
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    @pytest.mark.parametrize("size", ["small", "8k"])
+    def test_cyclic_garbage_made_before_a_parse(self, lexed, collector_on, size):
+        # A large parse moves every young object, this cycle too, to the
+        # oldest generation, so only a full collection frees it.
+        text = "12 + 3*(45 + 6) * 78" if size == "small" else self.EIGHT_K
+        s = new_session(lexed, text)
+        gc.collect()
+        cycle = weakref.ref(Cyclic())
+        parse_complete(s)
+        gc.collect(1)
+        assert (cycle() is None) == (size == "small")
+        gc.collect()
+        assert cycle() is None
 
     def test_interpreter_limit_is_a_backstop(self, lexed, monkeypatch):
         monkeypatch.setattr(engine, "DEEP_RECURSION_LIMIT", 5000)

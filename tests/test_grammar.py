@@ -213,6 +213,20 @@ class TestMakeGrammar:
         with pytest.raises(ValueError, match="duplicate"):
             make_grammar([("S", char("a")), ("S", char("b"))])
 
+    def test_the_first_name_that_occurs_twice_is_reported(self):
+        rules = [("A", char("a")), ("B", char("b")), ("B", char("b")), ("A", char("a"))]
+        with pytest.raises(ValueError, match="duplicate rule name 'A'"):
+            make_grammar(rules)
+
+    def test_many_rules_build_in_linear_time(self):
+        # counting each name's occurrences in the whole list took ~7 s here
+        rules = [(f"R{i}", choice(ref(f"R{i + 1}"), char("b"))) for i in range(19_999)]
+        rules.append(("R19999", char("a")))
+        start = time.process_time()
+        g = make_grammar(rules)
+        assert time.process_time() - start < 1
+        assert g.rules[0].body == choice(ref(1), char("b"))
+
     def test_start_defaults_to_first_rule(self):
         g = make_grammar([("A", char("a")), ("B", char("b"))])
         assert g.start == 0

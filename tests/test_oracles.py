@@ -32,6 +32,7 @@ from pegkit import (
     star,
     validation_errors,
 )
+from pegkit import engine
 from pegkit.bench import make_input
 from pegkit.engine import DepthExceeded
 from pegkit.oracles import (
@@ -190,6 +191,41 @@ class TestTabularParse:
         tab = tabular_parse(g, "xxy")
         assert time.process_time() - start < 0.25
         assert [tab.verdict(0, p) for p in range(4)] == [3, 3, 3, None]
+
+    @pytest.mark.parametrize("shape", ["deep", "long"])
+    def test_deep_and_long_grammars_at_the_default_recursion_limit(self, shape):
+        # 2,000 nesting levels, or a chain of 3,000 rules each applying
+        # the next at the same position: the schedule once recursed on both
+        if shape == "deep":
+            e = char("y")
+            for _ in range(2_000):
+                e = seq(opt(char("x")), e)
+            g, text = make_grammar([("S", e)]), "xxyxy"
+        else:
+            rules = [(f"R{i}", choice(ref(f"R{i + 1}"), char("b"))) for i in range(2_999)]
+            g, text = make_grammar(rules + [("R2999", char("a"))]), "abab"
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            tab = tabular_parse(g, text)
+        finally:
+            sys.setrecursionlimit(before)
+        s = new_session(g, text)
+        for rid in range(len(g.rules)):
+            for pos in range(len(text) + 1):
+                out = s.apply(rid, pos)
+                assert tab.verdict(rid, pos) == (None if out is FAIL else out.end)
+
+    def test_frame_exhaustion_is_a_depth_error(self, monkeypatch):
+        monkeypatch.setattr(engine, "DEEP_RECURSION_LIMIT", 5_000)
+        e = char("y")
+        for _ in range(20_000):
+            e = seq(opt(char("x")), e)
+        g = make_grammar([("S", e)])
+        before = sys.getrecursionlimit()
+        with pytest.raises(DepthExceeded, match="frame budget"):
+            tabular_parse(g, "xy")
+        assert sys.getrecursionlimit() == before
 
     def test_repeated_calls_leave_no_garbage_behind(self, entries):
         # An outer tuple built from a generator, once freed, stayed on
