@@ -23,7 +23,7 @@ and kept on the grammar's :class:`~pegkit.grammar.PreparedGrammar`
 handle.  As in the paper, where applying a nonterminal forces its memo
 field, the function is the rule's application: it returns the cell if
 it is Done, and otherwise evaluates the rule body, stores the cell
-(``FAIL`` or the node it built from the locals that hold the children)
+(``FAIL`` or the node it built from the children it gathered)
 and returns it.  Inside it every subexpression is straight-line code on
 local variables, and a ``Ref`` calls its rule's function directly, so a
 rule application costs one interpreter frame.  The function takes the
@@ -313,6 +313,19 @@ def _leave_deep() -> None:
                 gc.enable()
 
 
+def _deep(limit: int | None, detail: str, fn, *args):
+    """``fn(*args)`` in the counted deep section (see :func:`run_deep`),
+    interpreter stack exhaustion raised as ``DepthExceeded(limit, detail)``
+    (``limit`` None: the recursion limit in force)."""
+    _enter_deep()
+    try:
+        return fn(*args)
+    except RecursionError:
+        raise DepthExceeded(limit or sys.getrecursionlimit(), detail) from None
+    finally:
+        _leave_deep()
+
+
 def run_deep(fn, *args, **kwargs):
     """Call ``fn`` on this thread with the recursion limit raised and
     the cyclic garbage collector paused.
@@ -371,35 +384,32 @@ _OUTLINE_PAST = 12
 
 
 def _generate(bodies, names: tuple[str, ...], rules: bool = False) -> tuple:
-    """One generated function ``run(s, pos, d)`` per expression.
+    """One generated function per expression.
 
-    ``run`` evaluates its expression at ``pos`` in session ``s``, inside
-    ``d`` active rule applications, and returns ``FAIL`` or the node of
-    the match, built where the match succeeds from the locals that hold
-    its children.  With ``rules``, function ``i`` is rule ``i``'s
-    application: it forces the rule's memo cell at ``pos`` (see
-    :meth:`_Function.prologue`), and the node it builds is that cell,
-    labelled ``i``, whose bytes it adds to ``s._memo_bytes``.  Otherwise
-    the node is anonymous (``rule`` is None) and its caller takes the
-    children.  A ``Ref`` calls its rule's function ``s._code[i]``
-    directly, not through ``s.apply``, and passes ``d`` on; a terminal
-    reads the character row and makes an Unevaluated cell with
-    :func:`_char`.  ``run`` adds to ``s._expr_steps`` one step per
-    expression node visited, as an interpreter of the tree would, and
-    flushes them before each call that can raise.  Terminals and ``Not``
-    record their failure label for diagnostics: "any character" for
-    ``AnyChar``, otherwise a :class:`_Label` of the node, rendered with
-    the grammar's rule ``names`` when it is first read.
+    With ``rules``, function ``i`` is rule ``i``'s application
+    ``run(s, pos, d)``: inside ``d`` active rule applications it forces
+    the rule's memo cell at ``pos`` in session ``s`` (see
+    :meth:`_Function.prologue`) and returns ``FAIL`` or the node of the
+    match, labelled ``i``, whose bytes it adds to ``s._memo_bytes``.
+    Otherwise ``run(s, pos, d, c)`` appends the children of the match to
+    the list ``c`` and returns ``FAIL`` or the end of the match; after a
+    failure ``c`` may hold nodes past its length before the call.  A
+    ``Ref`` calls its rule's function ``s._code[i]`` directly, not
+    through ``s.apply``, and passes ``d`` on; a terminal reads the
+    character row and makes an Unevaluated cell with :func:`_char`.
+    ``run`` adds to ``s._expr_steps`` one step per expression node
+    visited, as an interpreter of the tree would, and flushes them
+    before each call that can raise.  Terminals and ``Not`` record their
+    failure label for diagnostics: "any character" for ``AnyChar``,
+    otherwise a :class:`_Label` of the node, rendered with the grammar's
+    rule ``names`` when it is first read.
     """
-    # the generator recurses a few frames deep per nesting level
-    _enter_deep()
-    try:
-        src = _Source(names)
-        for i, e in enumerate(bodies):
-            _Function(src, f"_f{i}", e, i if rules else None)
-        return src.build(len(bodies))
-    finally:
-        _leave_deep()
+    src = _Source(names)
+    for i, e in enumerate(bodies):
+        # the generator recurses a few frames deep per nesting level
+        _deep(None, "code generation: interpreter frame budget exhausted",
+              _Function, src, f"_f{i}", e, i if rules else None)
+    return src.build(len(bodies))
 
 
 class _Source:
@@ -483,9 +493,8 @@ def _char(s, pos: int) -> Outcome:
     return cell
 
 
-def _tuple(kids: list[str]) -> str:
-    """A tuple display of ``kids``."""
-    return "(" + ", ".join(kids) + ("," if len(kids) == 1 else "") + ")"
+class _NeedsList(Exception):
+    """Raised to write a rule body again with the children list."""
 
 
 class _Function:
@@ -495,16 +504,22 @@ class _Function:
     subexpression falls through on success and runs its ``fail``
     statement, which leaves for the failure target, otherwise.  A
     subexpression written by :meth:`expr` leaves the expression of its
-    end position and its children: a list of locals that each hold one
-    node, and starred locals (``*v3``) that hold the nodes collected by
-    a choice, an option or a repetition.  A subexpression written by
-    :meth:`tail` ends the function instead: every path on which it
-    matches returns the function's node, so a choice there needs no
-    merge.  Expression steps are counted at generation time in
-    ``pending`` and written to the session before every rule
-    application or chunk call, at every exit and wherever control flow
-    merges.  The code relies on validation: node types are exact, every
-    ``Ref`` names a rule, and no repetition's body can match empty.
+    end position and its children; one written by :meth:`tail` ends the
+    function instead: every path on which it matches returns.
+    Expression steps are counted at generation time in ``pending`` and
+    written to the session before every rule application or chunk call,
+    at every exit and wherever control flow merges.  The code relies on
+    validation: node types are exact, every ``Ref`` names a rule, and no
+    repetition's body can match empty.
+
+    A rule body of sequences, terminals, ``Ref``s, predicates and a
+    choice that ends it keeps each child in a local.  Any other body is
+    written again with one list ``c``: each terminal and ``Ref`` node
+    is appended as it is made, and an alternative, an option, an
+    iteration or a predicate's body notes ``len(c)`` before it runs and
+    cuts ``c`` back to it when it fails (a predicate's, when it ends).
+    A rule owns its list; a chunk or an expression's function appends to
+    its caller's and returns its end or ``FAIL``.
 
     A rule's function opens with its :meth:`prologue` and runs its body
     in a ``while True`` loop whose ``break`` is the body's failure: the
@@ -517,21 +532,26 @@ class _Function:
     def __init__(self, src: _Source, name: str, e: PegExpr, rule: int | None):
         self.src = src
         self.rule = rule
-        self.body: list[str] = []
-        self.pending = 0
-        self.nvars = 0
-        self.uses_text = False
+        self.listed = rule is None
         ind = 1 if rule is None else 2
-        self.tail(e, "pos", "return FAIL" if rule is None else "break", ind, [])
+        while True:
+            self.body: list[str] = []
+            self.pending = self.nvars = 0
+            self.uses_text = False
+            try:
+                self.tail(e, "pos", "return FAIL" if rule is None else "break", ind, [])
+                break
+            except _NeedsList:  # the constants made so far stay unused
+                self.listed = True
         if self.uses_text:
             self.body.insert(0, "    " * ind + "text = s.text")
-        lines = [f"def {name}(s, pos, d):"]
+        lines = [f"def {name}(s, pos, d{', c' if rule is None else ''}):"]
         if rule is not None:
+            if self.listed:
+                self.body.insert(0, "    " * ind + "c = []")
             self.store(1, "FAIL")
             lines += self.prologue()
-        # a slot left unfilled is blank
-        lines.extend(line for line in self.body if line.strip())
-        src.functions.append("\n".join(lines) + "\n")
+        src.functions.append("\n".join(lines + self.body) + "\n")
 
     def prologue(self) -> list[str]:
         """Force the memo cell: a Done cell is returned; an InProgress
@@ -567,11 +587,6 @@ class _Function:
     def line(self, ind: int, text: str) -> None:
         self.body.append("    " * ind + text)
 
-    def slot(self, ind: int) -> int:
-        """Reserve a line at ``ind``, for :meth:`merge` to fill."""
-        self.body.append("    " * ind)
-        return len(self.body) - 1
-
     def var(self) -> str:
         self.nvars += 1
         return f"v{self.nvars}"
@@ -586,38 +601,46 @@ class _Function:
             self.line(ind, f"s._expr_steps += {self.pending}")
         self.line(ind, fail)
 
+    def kid(self, ind: int, node: str) -> list[str]:
+        """``node``'s local as a child: itself, or appended to ``c``."""
+        if self.listed:
+            self.line(ind, f"c.append({node})")
+        return [] if self.listed else [node]
+
+    def mark(self, ind: int) -> str | None:
+        """With ``c``, a new local that holds its length."""
+        if self.listed:
+            mark = self.var()
+            self.line(ind, f"{mark} = len(c)")
+            return mark
+
     def exit(self, ind: int, end: str, kids: list[str]) -> None:
-        """Return the function's node: ``pos`` to ``end``, with ``kids``.
+        """Return ``end``, or a rule's node from ``pos`` to ``end`` with
+        ``kids`` or the children in ``c``.
 
         The node is built as :class:`_Unfrozen` and becomes a
-        :class:`ParseTreeNode` by ``__class__`` assignment.  A rule's
-        node is its memo cell, so its bytes are charged here, by the
-        model of :class:`Stats`: a constant when the number of children
-        is known here.
+        :class:`ParseTreeNode` by ``__class__`` assignment.  It is the
+        rule's memo cell, so its bytes are charged here, by the model of
+        :class:`Stats`: a constant when the children are locals.
         """
         self.flush(ind)
+        if self.rule is None:
+            self.line(ind, f"return {end}")
+            return
         self.line(ind, "n = _Unfrozen()")
         self.line(ind, f"n.rule = {self.rule}")
         self.line(ind, "n.start = pos")
         self.line(ind, f"n.end = {end}")
-        if self.rule is None:
-            self.line(ind, f"n.children = {_tuple(kids)}")
-        elif not any(k.startswith("*") for k in kids):
-            self.line(ind, f"n.children = {_tuple(kids)}")
+        if self.listed:
+            self.line(ind, "n.children = c = tuple(c)")
+            self.line(ind, f"s._memo_bytes += {_NODE_BYTES + _TUPLE_BYTES} + "
+                           f"{_PTR_BYTES} * len(c) if c else {_NODE_BYTES}")
+        else:
+            self.line(ind, f"n.children = ({', '.join(kids)}{',' * (len(kids) == 1)})")
             size = _NODE_BYTES + (_TUPLE_BYTES + _PTR_BYTES * len(kids) if kids else 0)
             self.line(ind, f"s._memo_bytes += {size}")
-        else:
-            self.line(ind, f"n.children = c = {_tuple(kids)}")
-            self.line(
-                ind,
-                f"s._memo_bytes += {_NODE_BYTES + _TUPLE_BYTES} + {_PTR_BYTES} * len(c)"
-                f" if c else {_NODE_BYTES}",
-            )
         self.line(ind, "n.__class__ = ParseTreeNode")
-        if self.rule is None:
-            self.line(ind, "return n")
-        else:
-            self.store(ind, "n")
+        self.store(ind, "n")
 
     def tail(self, e: PegExpr, pos: str, fail: str, ind: int, kids: list[str]) -> None:
         """Write ``e`` at ``pos`` to end the function, after ``kids``."""
@@ -629,9 +652,12 @@ class _Function:
         elif t is Choice and ind <= _OUTLINE_PAST:
             # each alternative but the last fails by leaving its loop
             self.pending += 1
+            mark = self.mark(ind)
             for alt in e.alts[:-1]:
                 self.line(ind, "while True:")
                 self.tail(alt, pos, "break", ind + 1, kids)
+                if mark:
+                    self.line(ind, f"del c[{mark}:]")
             self.tail(e.alts[-1], pos, fail, ind, kids)
         else:
             end, more = self.expr(e, pos, fail, ind)
@@ -642,13 +668,15 @@ class _Function:
         src = self.src
         t = type(e)
         if ind > _OUTLINE_PAST and t is not Seq and _children(e):
+            if not self.listed:
+                raise _NeedsList
             chunk = src.const(_generate((e,), src.names)[0])
             self.flush(ind)
-            node = self.var()
-            self.line(ind, f"{node} = {chunk}(s, {pos}, d)")
-            self.line(ind, f"if {node} is FAIL:")
+            end = self.var()
+            self.line(ind, f"{end} = {chunk}(s, {pos}, d, c)")
+            self.line(ind, f"if {end} is FAIL:")
             self.fail(ind + 1, fail)
-            return f"{node}.end", [f"*{node}.children"]
+            return end, []
         self.pending += 1
         if t is Ref:
             self.flush(ind)
@@ -656,37 +684,31 @@ class _Function:
             self.line(ind, f"{node} = s._code[{e.rule}](s, {pos}, d)")
             self.line(ind, f"if {node} is FAIL:")
             self.fail(ind + 1, fail)
-            return f"{node}.end", [node]
+            return f"{node}.end", self.kid(ind, node)
         if t is AnyChar:
             node = self.terminal(ind, pos, None, pos, src.const("any character"), fail)
-            return f"{node}.end", [node]
+            return f"{node}.end", self.kid(ind, node)
         if t is Char or t is Class:
             # a one-character string is "in" a Class's set and "in" itself
             accepted = e.chars if t is Class else e.char
             node = self.terminal(ind, pos, accepted, pos, src.label(e), fail)
-            return f"{node}.end", [node]
+            return f"{node}.end", self.kid(ind, node)
         if t is Literal:
             label = src.label(e) if e.text else None
             end, kids = pos, []
             for ch in e.text:
                 node = self.terminal(ind, end, ch, pos, label, fail)
                 end = f"{node}.end"
-                kids.append(node)
+                kids += self.kid(ind, node)
             return end, kids
         if t is Empty:
             return pos, []
         if t is Seq:
             return self.seq(e.parts, pos, fail, ind)
         if t is Choice:
-            return self.choice(e.alts, pos, fail, ind)
-        if t is Star or t is Plus:
-            return self.repeat(e, pos, fail, ind)
-        if t is Opt:
-            end = self.var()
-            self.line(ind, f"{end} = {pos}")
-            missing = self.slot(ind)
-            present = self.attempt(e.body, pos, end, ind)
-            return end, self.merge([(missing, []), present])
+            return self.choice(e.alts, pos, fail, ind), []
+        if t is Star or t is Plus or t is Opt:
+            return self.repeat(e, pos, fail, ind), []
         # validation leaves only And and Not
         return self.predicate(e, pos, fail, ind), []
 
@@ -717,63 +739,65 @@ class _Function:
             kids += more
         return pos, kids
 
-    def choice(self, alts, pos: str, fail: str, ind: int):
+    def choice(self, alts, pos: str, fail: str, ind: int) -> str:
+        if not self.listed:
+            raise _NeedsList
         end = self.var()
         self.line(ind, f"{end} = FAIL")
+        mark = self.mark(ind)
         self.line(ind, "while True:")
-        attempts = []
         for alt in alts:
-            attempts.append(self.attempt(alt, pos, end, ind + 1))
+            self.attempt(alt, pos, end, ind + 1)
             self.line(ind + 1, f"if {end} is not FAIL:")
             self.line(ind + 2, "break")
+            self.line(ind + 1, f"del c[{mark}:]")
         self.line(ind + 1, "break")
         self.line(ind, f"if {end} is FAIL:")
         self.fail(ind + 1, fail)
-        return end, self.merge(attempts)
+        return end
 
-    def attempt(self, e: PegExpr, pos: str, end: str, ind: int):
+    def attempt(self, e: PegExpr, pos: str, end: str, ind: int) -> None:
         """Try ``e`` at ``pos``: on success ``end`` becomes its end; on
-        failure ``end`` keeps its value.  Steps are flushed either way.
-        Returns the slot for the merge on success and ``e``'s children."""
+        failure ``end`` keeps its value.  Steps are flushed either way."""
         self.line(ind, "while True:")
-        alt_end, kids = self.expr(e, pos, "break", ind + 1)
+        alt_end, _ = self.expr(e, pos, "break", ind + 1)
         self.flush(ind + 1)
         self.line(ind + 1, f"{end} = {alt_end}")
-        slot = self.slot(ind + 1)
         self.line(ind + 1, "break")
-        return slot, kids
 
-    def merge(self, attempts) -> list[str]:
-        """Fill the slot of each ``(slot, kids)`` attempt so that the
-        children of the attempt that matched end up in one tuple, and
-        return that tuple's local, starred."""
-        merged = self.var()
-        for slot, kids in attempts:
-            self.body[slot] += f"{merged} = {_tuple(kids)}"
-        return [f"*{merged}"]
-
-    def repeat(self, e, pos: str, fail: str, ind: int):
-        self.flush(ind)
+    def repeat(self, e, pos: str, fail: str, ind: int) -> str:
+        """A repetition, or an option: one that stops after an iteration.
+        The children of the iteration that fails are cut from ``c``."""
+        if not self.listed:
+            raise _NeedsList
+        t = type(e)
+        if t is not Opt:
+            self.flush(ind)  # once, not in every iteration
         end = self.var()
-        kids = self.var()
         self.line(ind, f"{end} = {pos}")
-        self.line(ind, f"{kids} = []")
+        mark = self.mark(ind)
         self.line(ind, "while True:")
-        body_end, more = self.expr(e.body, end, "break", ind + 1)
+        body_end, _ = self.expr(e.body, end, "break", ind + 1)
         self.flush(ind + 1)
         self.line(ind + 1, f"{end} = {body_end}")
-        self.line(ind + 1, f"{kids} += {_tuple(more)}")
-        if type(e) is Plus:
+        self.line(ind + 1, f"{mark} = len(c)")
+        if t is Opt:
+            self.line(ind + 1, "break")
+        self.line(ind, f"del c[{mark}:]")
+        if t is Plus:
             # validation refuses a body that can match empty, so every
             # iteration consumes and end == pos only after none matched
             self.line(ind, f"if {end} == {pos}:")
             self.fail(ind + 1, fail)
-        return end, [f"*{kids}"]
+        return end
 
     def predicate(self, e, pos: str, fail: str, ind: int) -> str:
         matched = self.var()
         self.line(ind, f"{matched} = FAIL")
+        mark = self.mark(ind)
         self.attempt(e.body, pos, matched, ind)
+        if mark:
+            self.line(ind, f"del c[{mark}:]")
         if type(e) is And:
             self.line(ind, f"if {matched} is FAIL:")
             self.fail(ind + 1, fail)
@@ -897,23 +921,11 @@ class ParseSession:
             return cell
         return self._outermost(self._code[rule], pos)
 
-    def _outermost(self, run, pos: int) -> Outcome:
-        """``run(self, pos, 0)``, for generated code entered from outside,
-        at depth 0.
-
-        The entry raises the recursion limit and pauses the collector
-        while it runs (see :func:`run_deep`), and interpreter stack
-        exhaustion becomes :class:`DepthExceeded`.
-        """
-        _enter_deep()
-        try:
-            return run(self, pos, 0)
-        except RecursionError:
-            raise DepthExceeded(
-                self._depth_limit, "interpreter frame budget exhausted"
-            ) from None
-        finally:
-            _leave_deep()
+    def _outermost(self, run, pos: int, *c):
+        """``run(self, pos, 0, *c)``: generated code entered from outside,
+        at depth 0, in the counted deep section (see :func:`_deep`)."""
+        return _deep(self._depth_limit, "interpreter frame budget exhausted",
+                     run, self, pos, 0, *c)
 
     def _deeper(self, rule: int, pos: int, depth: int) -> None:
         """Called by a rule's function that is about to become the
@@ -966,11 +978,12 @@ class ParseSession:
         """Evaluate one expression structurally at ``pos``.
 
         A match that contributes exactly one node returns that node;
-        any other match is wrapped in an anonymous node spanning it, so
-        a success is always a single tree.  The expression's code is
+        any other match is wrapped here in an anonymous node spanning it,
+        so a success is always a single tree.  The expression's code is
         generated on its first evaluation and kept on the grammar; it
-        applies rules as rule code does, not through :meth:`apply`, and
-        runs with the same outermost handling of depth and errors.  An
+        appends the children to a list, applies rules as rule code does,
+        not through :meth:`apply`, and has the outermost handling of
+        depth and errors that :meth:`apply` has.  An
         expression that cannot be hashed, such as a ``Seq`` whose parts
         are a list, is evaluated the same way but generated anew on each
         call.  An expression that fails validation's structural checks
@@ -997,10 +1010,11 @@ class ParseSession:
             run = _generate((e,), names)[0]
             if hashable:
                 self._expr_code[e] = run
-        out = self._outermost(run, pos)
-        if out is not FAIL and len(out.children) == 1:
-            return out.children[0]
-        return out
+        c: list = []
+        end = self._outermost(run, pos, c)
+        if end is FAIL:
+            return FAIL
+        return c[0] if len(c) == 1 else ParseTreeNode(None, pos, end, tuple(c))
 
     def char_outcome(self, pos: int) -> Outcome:
         """Memoized character-row cell: one leaf per input position.  A

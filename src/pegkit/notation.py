@@ -365,13 +365,10 @@ def parse_grammar(text: str) -> Grammar:
     :func:`pegkit.grammar.validate`).
     """
     # the parser recurses past the default limit at the cap: run it deep
-    from .engine import _enter_deep, _leave_deep  # the engine imports this module
+    from .engine import _deep  # the engine imports this module
 
-    _enter_deep()
-    try:
-        rules, start = _Parser(text).parse_file()
-    finally:
-        _leave_deep()
+    rules, start = _deep(None, "grammar notation: interpreter frame budget exhausted",
+                         _Parser(text).parse_file)
     return make_grammar(rules, start=start)
 
 

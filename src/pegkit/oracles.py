@@ -28,12 +28,11 @@ failure; oracle results carry no parse trees.
 from __future__ import annotations
 
 import functools
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .engine import DEFAULT_DEPTH_LIMIT, DepthExceeded, LeftRecursion
-from .engine import _enter_deep, _leave_deep  # the counted deep section
+from .engine import _deep  # the counted deep section
 from .grammar import (
     And,
     AnyChar,
@@ -217,13 +216,10 @@ def naive_parse(
             return p if walk(e.body, p) is not None else None
         raise TypeError(f"not a PegExpr: {e!r}")
 
-    _enter_deep()
     try:
-        outcome = call_rule(rule, pos)
-    except RecursionError:
-        raise DepthExceeded(depth_limit, "interpreter frame budget exhausted") from None
+        outcome = _deep(depth_limit, "interpreter frame budget exhausted",
+                        call_rule, rule, pos)
     finally:
-        _leave_deep()
         # The two closures refer to each other and walk to itself; unbound
         # here, they are freed at once instead of by the cyclic collector.
         del walk, call_rule
@@ -375,19 +371,16 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
             return p if walk(e.body, p) is not None else None
         raise TypeError(f"unexpected construct in tabular walk: {e!r}")
 
-    # walk recurses once per nesting level
-    _enter_deep()
-    try:
+    def fill() -> None:
         for pos in range(n, -1, -1):
             for rid in order:
                 table[rid][pos] = walk(g.rules[rid].body, pos)
                 fill_order.append((rid, pos))
-    except RecursionError:
-        raise DepthExceeded(
-            sys.getrecursionlimit(), "tabular walk: interpreter frame budget exhausted"
-        ) from None
+
+    # walk recurses once per nesting level
+    try:
+        _deep(None, "tabular walk: interpreter frame budget exhausted", fill)
     finally:
-        _leave_deep()
         del walk  # it refers to itself and holds the table; see naive_parse
 
     return TabularMatrix(
@@ -436,7 +429,9 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
     column by column, right to left: in this fragment a cell at ``p``
     reads only cells at positions ``q >= p``, so each column is iterated
     to its own fixpoint once the columns right of it are final, which
-    gives the least fixpoint of the whole table.
+    gives the least fixpoint of the whole table.  The walk recurses once
+    per nesting level and runs in the engine's counted deep section, as
+    :func:`tabular_parse` does, with the same :class:`DepthExceeded`.
     """
     _require_valid(g)
     check_cfg_compatible(g)
@@ -472,7 +467,8 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
         raise TypeError(f"unexpected construct in CFG walk: {e!r}")
 
     bodies = [r.body for r in g.rules]
-    try:
+
+    def fill() -> None:
         for p in range(n, -1, -1):
             changed = True
             while changed:
@@ -482,6 +478,9 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
                     if not new <= table[rid][p]:
                         table[rid][p] |= new
                         changed = True
+
+    try:
+        _deep(None, "CFG walk: interpreter frame budget exhausted", fill)
     finally:
         del ends  # it refers to itself and holds the table; see naive_parse
 

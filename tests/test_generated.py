@@ -16,8 +16,12 @@ import weakref
 from pathlib import Path
 
 import pytest
+from conftest import session_text, tree_text
+from test_oracles import random_grammars
 
 from pegkit import (
+    DepthExceeded,
+    LeftRecursion,
     ParseFailed,
     char,
     charclass,
@@ -109,6 +113,35 @@ def test_one_alternative_choice_tree_is_pinned(cells_digest):
     assert cells_digest(g, texts) == "bcb202c0e0d0e3d9975cbeba13cca316"
 
 
+def test_random_grammar_trees_are_pinned(random_expr):
+    # recorded on the generator that merged the children of a choice or
+    # an option into a tuple and of a repetition into a list: every cell
+    # and every rule body evaluated as an expression, at every position
+    h, results = hashlib.md5(), 0
+    for g, texts in random_grammars(random_expr):
+        for text in texts:
+            s = new_session(g, text)
+            for r in range(len(g.rules)):
+                for pos in range(len(text) + 1):
+                    for what in ("apply", "eval"):
+                        fresh = False
+                        try:
+                            if what == "apply":
+                                out = tree_text(s.apply(r, pos))
+                            else:
+                                out = tree_text(s.eval_expr(g.rules[r].body, pos))
+                        except (LeftRecursion, DepthExceeded) as exc:
+                            out, fresh = f"{type(exc).__name__}: {exc}", True
+                        h.update(
+                            f"{text!r} {r} {pos} {what} {out} {session_text(s)}\n".encode()
+                        )
+                        results += 1
+                        if fresh:
+                            s = new_session(g, text)
+    assert results == 24_984
+    assert h.hexdigest() == "e0c6ca9da71d58ec67c13ada14d5dc22"
+
+
 def test_catalog_generated_source_is_pinned(monkeypatch):
     # The code that every benchmark workload runs.  A change to it should
     # be deliberate: re-record the digest and say so in CHANGES.md.
@@ -161,27 +194,43 @@ def test_outlined_code_stays_within_sixteen_levels(name, monkeypatch):
 
 
 DEEP_CHAIN = """
-from pegkit import new_session, parse_complete
-from pegkit.grammar import Char, Grammar, Plus, Rule, Seq
+import time
+from pegkit import engine, new_session, parse_complete
+from pegkit.grammar import Char, Grammar, Opt, Plus, Rule, Seq
 
-e = Char("a")
-for _ in range(5000):
-    e = Plus(Seq((Char("x"), e)))
-s = new_session(Grammar((Rule("S", e),)), "x" * 5000 + "a")
-print(parse_complete(s).span)
+sources = []
+compile_ = compile
+engine.compile = lambda source, *args: sources.append(source) or compile_(source, *args)
+for wrap, levels in ((Plus, 5000), (Plus, 10000), (Opt, 10000)):
+    e = Char("a")
+    for _ in range(levels):
+        e = wrap(Seq((Char("x"), e)))
+    s = new_session(Grammar((Rule("S", e),)), "x" * levels + "a")
+    start = time.process_time()
+    span = parse_complete(s).span
+    print(wrap.__name__, levels, span, time.process_time() - start < 0.25)
+print(len(sources) > 1000, any("*v" in source for source in sources))
 """
 
 
 def test_a_five_thousand_level_chain_generates_and_parses():
     # in a subprocess: a generator that recursed through C code per level
-    # overflowed the C stack here under the raised recursion limit
+    # overflowed the C stack here under the raised recursion limit.  Each
+    # level's children are appended to one list per function, not
+    # spliced into the next level's (the splices took 0.5-0.8 s at
+    # 10,000 levels, growing with the square of the depth)
     env = {**os.environ, "PYTHONPATH": str(Path(pegkit.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", DEEP_CHAIN], env=env, capture_output=True,
         text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "(0, 5001)\n"
+    assert proc.stdout.splitlines() == [
+        "Plus 5000 (0, 5001) True",
+        "Plus 10000 (0, 10001) True",
+        "Opt 10000 (0, 10001) True",
+        "True False",
+    ]
 
 
 def test_generated_code_is_freed_with_its_grammar():

@@ -286,6 +286,29 @@ class TestCfgOracle:
         g = make_grammar([("S", choice(seq(char("a"), ref("S")), EMPTY))])
         assert cfg_all_ends(g, 0, 0, "aaa") == frozenset({0, 1, 2, 3})
 
+    @pytest.mark.parametrize(
+        "wrap, text, ends",
+        [
+            (lambda e: seq(char("x"), e), "x" * 2_000 + "y", {2_001}),
+            (lambda e: choice(char("x"), e), "y", {1}),
+        ],
+        ids=["seq", "choice"],
+    )
+    def test_deep_chains_at_the_default_recursion_limit(self, wrap, text, ends):
+        # the walk recurses once per nesting level: outside the counted
+        # deep section 2,000 levels raised RecursionError
+        e = char("y")
+        for _ in range(2_000):
+            e = wrap(e)
+        g = make_grammar([("S", e)])
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            table = cfg_end_table(g, text)
+        finally:
+            sys.setrecursionlimit(before)
+        assert table[(0, 0)] == ends
+
 
 # Recorded on the isinstance-ladder oracles: per catalog grammar, the
 # digests of every oracle output (see conftest.oracles_digest) on inputs
