@@ -30,9 +30,10 @@ rule application costs one interpreter frame.  The function takes the
 number of applications it is nested in as an argument and passes it on
 one higher, so the interpreter stack is the stack of active
 applications and the engine keeps no copy of it.  A terminal reads the
-character row, making the character cell only where it is Unevaluated.
-The session's counters (``stats``) are kept up to date as each cell
-becomes Done.  :meth:`ParseSession.apply` and
+character row, making the character cell only where it is Unevaluated,
+and records its failure label, both written out in the function: the
+terminal path calls no helper.  The session's counters (``stats``) are
+kept up to date as each cell becomes Done.  :meth:`ParseSession.apply` and
 :meth:`ParseSession.eval_expr` are the entry points from outside the
 generated code, which never calls them: a session class that overrides
 ``apply`` sees only the requests made from outside.  Every rule
@@ -199,9 +200,10 @@ class _Unfrozen:
     """A memo cell while it is being filled in.
 
     It has :class:`ParseTreeNode`'s slots without the frozen
-    dataclass's ``__setattr__``, so the generated rule functions and
-    :func:`_char` set each field by a plain attribute store and then
-    turn the cell into a ``ParseTreeNode`` by assigning ``__class__``,
+    dataclass's ``__setattr__``, so the generated code, for a rule's
+    node and for a character cell, and :func:`_char` set each field by a
+    plain attribute store and then turn the cell into a
+    ``ParseTreeNode`` by assigning ``__class__``,
     which CPython allows only between classes of identical layout.  That
     takes about 0.35 µs per cell, against 0.7 µs through the slot
     descriptors and 1.4 µs through ``__init__`` (CPython 3.11.7).  The
@@ -375,11 +377,13 @@ def _prepare(grammar: Grammar) -> PreparedGrammar:
 
 
 #: Indentation level past which :meth:`_Function.expr` outlines a node
-#: with children, other than a ``Seq``, into a generated function of its
-#: own (a chunk).  A node inlined at level 12 or less writes its children
-#: at 14 or less, where a terminal's failure branch reaches 16 and a chunk
-#: call 15, so no line is deeper than 16: within Python's 100 indentation
-#: levels and, since every generated loop opens one, its 20 nested loops.
+#: with children, other than a ``Seq`` or a choice of single characters,
+#: into a generated function of its own (a chunk).  A node inlined at
+#: level 12 or less writes its children at 14 or less, where a
+#: terminal's character cell and failure record, flat by design, and a
+#: choice of single characters reach 16 and a chunk call 15, so no line
+#: is deeper than 16: within Python's 100 indentation levels and, since
+#: every generated loop opens one, its 20 nested loops.
 _OUTLINE_PAST = 12
 
 
@@ -396,13 +400,20 @@ def _generate(bodies, names: tuple[str, ...], rules: bool = False) -> tuple:
     failure ``c`` may hold nodes past its length before the call.  A
     ``Ref`` calls its rule's function ``s._code[i]`` directly, not
     through ``s.apply``, and passes ``d`` on; a terminal reads the
-    character row and makes an Unevaluated cell with :func:`_char`.
-    ``run`` adds to ``s._expr_steps`` one step per expression node
-    visited, as an interpreter of the tree would, and flushes them
-    before each call that can raise.  Terminals and ``Not`` record their
-    failure label for diagnostics: "any character" for ``AnyChar``,
-    otherwise a :class:`_Label` of the node, rendered with the grammar's
-    rule ``names`` when it is first read.
+    character row through a local and makes an Unevaluated cell in
+    place, as :func:`_char` would.  ``run`` adds to ``s._expr_steps``
+    one step per expression node visited, as an interpreter of the tree
+    would, and flushes them before each call that can raise.  Terminals
+    and ``Not`` record their failure label for diagnostics, updating
+    ``s._fail_pos`` and ``s._fail_labels`` in place as
+    :meth:`ParseSession.record_failure` would: "any character" for
+    ``AnyChar``, otherwise a :class:`_Label` of the node, rendered with
+    the grammar's rule ``names`` when it is first read.  A choice whose
+    every alternative is a ``Char`` or a ``Class`` tests the character
+    once: a dict maps it to the first alternative that takes it, and
+    the steps and labels of the alternatives tried before are counted
+    and recorded at once (see :meth:`_Function.dispatch`).  No terminal
+    calls a helper.
     """
     src = _Source(names)
     for i, e in enumerate(bodies):
@@ -433,17 +444,23 @@ class _Source:
             "INPROGRESS": INPROGRESS,
             "ParseTreeNode": ParseTreeNode,
             "_Unfrozen": _Unfrozen,
-            "_char": _char,
         }
         self._consts: dict = {}
 
-    def const(self, value) -> str:
-        key = (type(value), value)
+    def const(self, value, key=None) -> str:
+        """The name of a constant equal to ``value``; ``key``, when
+        given, stands for an unhashable ``value`` in that comparison."""
+        key = (type(value), value if key is None else key)
         name = self._consts.get(key)
         if name is None:
             name = self._consts[key] = f"K{len(self._consts)}"
             self.ns[name] = value
         return name
+
+    def forget(self, count: int) -> None:
+        """Drop the constants made after the first ``count``."""
+        while len(self._consts) > count:
+            del self.ns[self._consts.popitem()[1]]
 
     def label(self, e: PegExpr) -> str:
         return self.const(_Label(e, self.names))
@@ -477,7 +494,9 @@ class _Label:
 def _char(s, pos: int) -> Outcome:
     """Make the character-row cell at ``pos``, which must be Unevaluated
     and within ``0..len(s.text)``: a leaf for an input character, ``FAIL``
-    at the end of the input."""
+    at the end of the input.  It serves :meth:`ParseSession.char_outcome`;
+    generated code writes the same steps out in place (see
+    :meth:`_Function.cell`)."""
     if pos < len(s.text):
         cell = _Unfrozen()
         cell.rule = None
@@ -491,6 +510,11 @@ def _char(s, pos: int) -> Outcome:
     s.char_row[pos] = cell
     s._char_cells += 1
     return cell
+
+
+def _of_characters(e: Choice) -> bool:
+    """Is every alternative of ``e`` a ``Char`` or a ``Class``?"""
+    return all(type(alt) is Char or type(alt) is Class for alt in e.alts)
 
 
 class _NeedsList(Exception):
@@ -512,9 +536,10 @@ class _Function:
     validation: node types are exact, every ``Ref`` names a rule, and no
     repetition's body can match empty.
 
-    A rule body of sequences, terminals, ``Ref``s, predicates and a
-    choice that ends it keeps each child in a local.  Any other body is
-    written again with one list ``c``: each terminal and ``Ref`` node
+    A rule body of sequences, terminals, choices of single characters,
+    ``Ref``s, predicates and a choice that ends it keeps each child in a
+    local.  Any other body is written again, without the constants of
+    the first try, with one list ``c``: each terminal and ``Ref`` node
     is appended as it is made, and an alternative, an option, an
     iteration or a predicate's body notes ``len(c)`` before it runs and
     cuts ``c`` back to it when it fails (a predicate's, when it ends).
@@ -534,17 +559,20 @@ class _Function:
         self.rule = rule
         self.listed = rule is None
         ind = 1 if rule is None else 2
+        consts = len(src._consts)
         while True:
             self.body: list[str] = []
             self.pending = self.nvars = 0
-            self.uses_text = False
+            self.uses_chars = False
             try:
                 self.tail(e, "pos", "return FAIL" if rule is None else "break", ind, [])
                 break
-            except _NeedsList:  # the constants made so far stay unused
+            except _NeedsList:
+                src.forget(consts)
                 self.listed = True
-        if self.uses_text:
-            self.body.insert(0, "    " * ind + "text = s.text")
+        if self.uses_chars:
+            self.body[:0] = ["    " * ind + "text = s.text",
+                             "    " * ind + "chars = s.char_row"]
         lines = [f"def {name}(s, pos, d{', c' if rule is None else ''}):"]
         if rule is not None:
             if self.listed:
@@ -649,7 +677,7 @@ class _Function:
             self.pending += 1
             pos, more = self.seq(e.parts[:-1], pos, fail, ind)
             self.tail(e.parts[-1], pos, fail, ind, kids + more)
-        elif t is Choice and ind <= _OUTLINE_PAST:
+        elif t is Choice and ind <= _OUTLINE_PAST and not _of_characters(e):
             # each alternative but the last fails by leaving its loop
             self.pending += 1
             mark = self.mark(ind)
@@ -667,6 +695,10 @@ class _Function:
         """Write ``e`` at ``pos``; return its end and its children."""
         src = self.src
         t = type(e)
+        if t is Choice and _of_characters(e):
+            # as flat as a terminal, so never outlined
+            self.pending += 1
+            return self.dispatch(e.alts, pos, fail, ind)
         if ind > _OUTLINE_PAST and t is not Seq and _children(e):
             if not self.listed:
                 raise _NeedsList
@@ -712,25 +744,80 @@ class _Function:
         # validation leaves only And and Not
         return self.predicate(e, pos, fail, ind), []
 
+    def cell(self, ind: int, pos: str) -> str:
+        """A new local holding the character-row cell at ``pos``, made
+        here where it is Unevaluated, as :func:`_char` makes it.  Its
+        node's ``end`` is the cell's own, so that nodes ending there
+        share its int."""
+        self.uses_chars = True
+        node = self.var()
+        self.line(ind, f"{node} = chars[{pos}]")
+        self.line(ind, f"if {node} is UNEVALUATED:")
+        self.line(ind + 1, f"if {pos} < len(text):")
+        self.line(ind + 2, f"{node} = _Unfrozen()")
+        self.line(ind + 2, f"{node}.rule = None")
+        self.line(ind + 2, f"{node}.start = {pos}")
+        self.line(ind + 2, f"{node}.end = {pos} + 1")
+        self.line(ind + 2, f"{node}.children = ()")
+        self.line(ind + 2, f"{node}.__class__ = ParseTreeNode")
+        self.line(ind + 2, f"s._memo_bytes += {_CHAR_CELL_BYTES}")
+        self.line(ind + 1, "else:")
+        self.line(ind + 2, f"{node} = FAIL")
+        self.line(ind + 1, f"chars[{pos}] = {node}")
+        self.line(ind + 1, "s._char_cells += 1")
+        return node
+
+    def record(self, ind: int, at: str, label: str, many: bool = False) -> None:
+        """:meth:`ParseSession.record_failure` of ``label`` at ``at``,
+        written out flat: of each label in ``label`` if ``many``."""
+        self.line(ind, f"if {at} > s._fail_pos:")
+        self.line(ind + 1, f"s._fail_pos = {at}")
+        self.line(ind + 1, "s._fail_labels = set()")
+        self.line(ind, f"if {at} == s._fail_pos:")
+        self.line(ind + 1, f"s._fail_labels.{'update' if many else 'add'}({label})")
+
     def terminal(self, ind, pos, accepted, at, label, fail) -> str:
         """One character-row test at ``pos``: the character must be in
         ``accepted`` (any character when it is None).  On failure,
         record ``label`` at ``at`` and leave by ``fail``.  Returns the
-        local holding the character's node, whose ``end`` is the cell's
-        own, so that nodes ending there share its int."""
-        node = self.var()
+        local holding the character's node."""
+        node = self.cell(ind, pos)
         test = f"{node} is FAIL"
         if accepted is not None:
-            self.uses_text = True
             test += f" or text[{pos}] not in {self.src.const(accepted)}"
-        self.line(ind, f"{node} = s.char_row[{pos}]")
-        self.line(ind, f"if {node} is UNEVALUATED:")
-        self.line(ind + 1, f"{node} = _char(s, {pos})")
         self.line(ind, f"if {test}:")
-        self.line(ind + 1, f"if {at} >= s._fail_pos:")
-        self.line(ind + 2, f"s.record_failure({at}, {label})")
+        self.record(ind + 1, at, label)
         self.fail(ind + 1, fail)
         return node
+
+    def dispatch(self, alts, pos: str, fail: str, ind: int):
+        """A choice whose every alternative is a ``Char`` or a
+        ``Class``, at ``pos``: the character cell is read once, and one
+        lookup gives ``k``, the first alternative that takes the
+        character, or ``len(alts)`` for none.  Then the steps of the
+        alternatives an interpreter would try and the labels of those
+        that fail are counted and recorded at once, by constants indexed
+        by ``k``.  Returns the end and the child, as a terminal's."""
+        src = self.src
+        m = len(alts)
+        table: dict[str, int] = {}
+        for k, alt in enumerate(alts):
+            for ch in alt.chars if type(alt) is Class else alt.char:
+                table.setdefault(ch, k)
+        labels = [_Label(alt, src.names) for alt in alts]
+        failed = tuple(frozenset(labels[:k]) for k in range(m + 1))
+        steps = tuple(self.pending + min(k + 1, m) for k in range(m + 1))
+        self.pending = 0
+        node = self.cell(ind, pos)
+        taken = self.var()
+        lookup = src.const(table, tuple(table.items()))
+        self.line(ind, f"{taken} = {m} if {node} is FAIL else {lookup}.get(text[{pos}], {m})")
+        self.line(ind, f"s._expr_steps += {src.const(steps)}[{taken}]")
+        self.line(ind, f"if {taken}:")
+        self.record(ind + 1, pos, f"{src.const(failed)}[{taken}]", many=True)
+        self.line(ind + 1, f"if {taken} == {m}:")
+        self.fail(ind + 2, fail)
+        return f"{node}.end", self.kid(ind, node)
 
     def seq(self, parts, pos: str, fail: str, ind: int):
         kids: list[str] = []
@@ -803,8 +890,7 @@ class _Function:
             self.fail(ind + 1, fail)
         else:
             self.line(ind, f"if {matched} is not FAIL:")
-            self.line(ind + 1, f"if {pos} >= s._fail_pos:")
-            self.line(ind + 2, f"s.record_failure({pos}, {self.src.label(e)})")
+            self.record(ind + 1, pos, self.src.label(e))
             self.fail(ind + 1, fail)
         return pos
 
@@ -1032,7 +1118,9 @@ class ParseSession:
     def record_failure(self, pos: int, label) -> None:
         """Note a match failure for rightmost-failure diagnostics.
         ``label`` is the text that :func:`furthest_failure` reports, or
-        an object whose ``str`` it is."""
+        an object whose ``str`` it is.  The combinators call it;
+        generated code makes the same update in place (see
+        :meth:`_Function.record`)."""
         if pos < self._fail_pos:
             return
         if pos > self._fail_pos:

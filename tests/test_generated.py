@@ -9,9 +9,11 @@ import gc
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
+import types
 import weakref
 from pathlib import Path
 
@@ -20,9 +22,11 @@ from conftest import session_text, tree_text
 from test_oracles import random_grammars
 
 from pegkit import (
+    FAIL,
     DepthExceeded,
     LeftRecursion,
     ParseFailed,
+    and_,
     char,
     charclass,
     choice,
@@ -33,11 +37,13 @@ from pegkit import (
     make_grammar,
     new_session,
     not_,
+    opt,
     parse_complete,
     plus,
     ref,
     registry,
     seq,
+    star,
     stats,
 )
 import pegkit
@@ -45,6 +51,7 @@ from pegkit import engine
 from pegkit.engine import ParseSession
 from pegkit.grammar import Char, Grammar, Literal, Not, Rule, Seq, prepared
 from pegkit.notation import render_expr
+from pegkit.oracles import naive_parse
 
 
 # Recorded with the closure compiler that the generator replaced: the
@@ -142,6 +149,114 @@ def test_random_grammar_trees_are_pinned(random_expr):
     assert h.hexdigest() == "e0c6ca9da71d58ec67c13ada14d5dc22"
 
 
+# Choices whose every alternative is one character: overlapping
+# alternatives (A), a character written twice (B, E), a character no
+# alternative takes ('x' in A to D) and the end of the input, with the
+# choice ending a rule, inside a sequence, an option, a repetition and
+# both predicates.
+ONE_CHARACTER_CHOICES = load_grammar(
+    "S <- A B / C 'x' / D S / E ;"
+    " A <- 'a' / [ab] / 'b' ;"
+    " B <- ('c' / 'a' / 'c') A ;"
+    " C <- ('a' / 'b')? ('c' / [ca])* ;"
+    " D <- !('a' / [bc]) . / &([ab] / 'c') 'a' 'b' ;"
+    " E <- 'x' / 'c' / 'c' ;"
+)
+ONE_CHARACTER_EXPRS = [
+    choice(char("a"), charclass("ab"), char("b")),
+    seq(choice(char("c"), char("c")), choice(char("b"), char("a"))),
+    opt(choice(char("b"), charclass("bc"))),
+    star(choice(char("c"), char("a"))),
+    not_(choice(char("a"), char("x"))),
+    and_(choice(charclass("bc"), char("a"))),
+]
+
+
+def test_one_character_choice_trees_are_pinned():
+    # recorded on the generator that tried such a choice's alternatives
+    # one by one: every cell, every rule body and each expression above
+    # evaluated as an expression at every position, on every input up to
+    # length 4
+    g = ONE_CHARACTER_CHOICES
+    exprs = [r.body for r in g.rules] + ONE_CHARACTER_EXPRS
+    h = hashlib.md5()
+    for n in range(5):
+        for text in map("".join, itertools.product("abcx", repeat=n)):
+            s = new_session(g, text)
+            for pos in range(len(text) + 1):
+                for r in range(len(g.rules)):
+                    out = s.apply(r, pos)
+                    want = naive_parse(g, r, pos, text).outcome
+                    assert (None if out is FAIL else out.end) == want, (r, pos, text)
+                    h.update(f"{text!r} {r} {pos} {tree_text(out)} {session_text(s)}\n".encode())
+                for i, e in enumerate(exprs):
+                    out = tree_text(s.eval_expr(e, pos))
+                    h.update(f"{text!r} e{i} {pos} {out} {session_text(s)}\n".encode())
+    assert h.hexdigest() == "562db0a028a2eb575fa4e0e37206093d"
+
+
+class FailureRecordRefused(ParseSession):
+    def record_failure(self, pos, label):
+        raise AssertionError("record_failure called")
+
+
+def _refused_char(s, pos):
+    raise AssertionError("_char called")
+
+
+# Accepted and rejected inputs of the grammars whose terminals are the
+# hottest code of the parse workloads.
+TERMINAL_INPUTS = {
+    "arith": ["2*(3+4)", "(1+2)*3+4*5", "9+8*(7+(6*5))", "2*(3+", "2*(3+4))", ""],
+    "arith_left_assoc": ["7-2-2", "1+2*(3-4)-5", "(9)*(8-7)", "7-", "7-2x", ""],
+    "arith_lexed": ["27 + 2*(7)", " 1+ 23 *\t(456 )", "((3))", "2 +", "12 3", ""],
+}
+
+
+def test_terminals_call_no_helper(monkeypatch):
+    # recorded with the generated code that made character cells with
+    # _char and recorded failures with record_failure: the tree or the
+    # message, stats() and the furthest failure of each parse
+    monkeypatch.setattr(engine, "_char", _refused_char)
+    h = hashlib.md5()
+    for name, texts in TERMINAL_INPUTS.items():
+        g = load_grammar(grammar_text(name))  # a fresh object, generated now
+        for text in texts:
+            s = FailureRecordRefused(g, text)
+            try:
+                out = tree_text(parse_complete(s))
+            except ParseFailed as exc:
+                out = str(exc)
+            h.update(f"{name} {text!r} {out} {session_text(s)}\n".encode())
+    assert h.hexdigest() == "2eb8b77f358fe3e3300857dc20468eae"
+
+
+def test_every_constant_is_used(monkeypatch):
+    # a rule written again with the children list drops the constants of
+    # its first try
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(engine, "compile", spy, raising=False)
+    grammars = [
+        load_grammar("S <- 'a' ('b' / 'c' 'd') 'e'? ;"),
+        load_grammar("S <- 'a' [bc] ('b' / 'c') ('x' / 'y' 'z') 'e'* / 'q' ;"),
+        load_grammar(DEEP_GRAMMARS["plus30"]),
+    ] + [load_grammar(grammar_text(name)) for name in registry()]
+    for g in grammars:
+        sources.clear()
+        functions = [engine._prepare(g).code[0]]  # the rules share one namespace
+        used = set(re.findall(r"\bK\d+\b", "".join(sources)))
+        while functions:  # that namespace, then each chunk's
+            ns = functions.pop().__globals__
+            names = {k for k in ns if re.fullmatch(r"K\d+", k)}
+            assert names <= used, sorted(names - used)
+            functions += [v for v in ns.values() if isinstance(v, types.FunctionType)]
+
+
 def test_catalog_generated_source_is_pinned(monkeypatch):
     # The code that every benchmark workload runs.  A change to it should
     # be deliberate: re-record the digest and say so in CHANGES.md.
@@ -157,7 +272,7 @@ def test_catalog_generated_source_is_pinned(monkeypatch):
     # one compile per rule of the nine grammars
     assert len(sources) == 49
     digest = hashlib.md5("".join(sources).encode()).hexdigest()
-    assert digest == "626b375c37e82151d8e9d1f7a3feb471"
+    assert digest == "7aeda39ff6bd042c55d16a381d3e7d46"
 
 
 def test_three_hundred_nested_predicates():
@@ -172,6 +287,9 @@ DEEP_GRAMMARS = {
     "plus30": "S <- " + "(" * 30 + "'a' 'b'?" + ")+" * 30 + " ;",
     "plus120": "S <- " + "(" * 120 + "'a' 'b'?" + ")+" * 120 + " ;",
     "not301": "S <- " + "!" * 301 + "'a' 'b' ;",
+    # the tightest: the last choice written inline holds a sequence whose
+    # terminals' failure branches reach level 16 exactly
+    "choice6": "S <- " + "('x' / " * 6 + "'a' 'b'" + ")" * 6 + " 'z' ;",
 }
 
 
