@@ -6,7 +6,13 @@ comments say why the grammar has its shape.  This module adds one row
 of metadata per file: an optional semantic evaluator (a pure function
 from rule-labelled parse-tree node and input text to a value:
 integers, characters, pairs, the unit value ``()``, ...), alphabets for
-input generation, and trait flags used by the differential checker:
+input generation, and trait flags used by the differential checker.
+An evaluator dispatches on a list of one handler per rule id: a
+handler takes ``(node, text, table)`` and evaluates a child as
+``table[kid.rule](kid, text, table)``, one frame per node; it reads a
+token from its span and folds a right-recursive chain in a loop, with
+no frame per digit or link.  Run a deep tree's evaluator under
+``run_deep``.  The flags:
 
 * ``left_recursive`` - every engine must terminate with a structured
   left-recursion error rather than loop;
@@ -20,11 +26,12 @@ Adding a grammar takes one ``.peg`` file and one row of ``_TABLE``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
-from .engine import ParseTreeNode
+from .engine import ParseTreeNode, span_int
 from .grammar import Grammar
 from .notation import parse_grammar
 
@@ -51,94 +58,85 @@ def grammar_text(name: str) -> str:
 
 
 def _dispatch_evaluator(g: Grammar, handlers: dict[str, Callable]) -> Evaluator:
-    by_id = {g.rule_id(name): fn for name, fn in handlers.items()}
+    table = [handlers[name] for name in g.names]
 
     def evaluate(node: ParseTreeNode, text: str) -> object:
-        return by_id[node.rule](node, text, evaluate)
+        return table[node.rule](node, text, table)
 
     return evaluate
 
 
-def _binop_int(node: ParseTreeNode, text: str, ev) -> object:
-    # Additive/Multitive shape: operand op operand, or bare operand
+def _chain(op: Callable, unit: int) -> Callable:
+    # right-recursive `operand op self / operand`, folded in a loop
+    def fold(node: ParseTreeNode, text: str, t) -> object:
+        total = unit
+        kids = node.children
+        while len(kids) == 3:
+            a = kids[0]
+            total = op(total, t[a.rule](a, text, t))
+            kids = kids[2].children
+        a = kids[0]
+        return op(total, t[a.rule](a, text, t))
+
+    return fold
+
+
+def _middle(node: ParseTreeNode, text: str, t) -> object:
+    # a parenthesised or bare operand, or Expr's Additive after its blanks
     kids = node.children
-    if len(kids) == 3:
-        a = ev(kids[0], text)
-        b = ev(kids[2], text)
-        return a + b if text[kids[1].start] == "+" else a * b
-    return ev(kids[0], text)
+    a = kids[len(kids) // 2]
+    return t[a.rule](a, text, t)
 
 
-def _paren_or_first(node: ParseTreeNode, text: str, ev) -> object:
-    kids = node.children
-    if len(kids) == 3:
-        return ev(kids[1], text)
-    return ev(kids[0], text)
+def _sum(node: ParseTreeNode, text: str, t) -> object:
+    a, b = node.children
+    return t[a.rule](a, text, t) + t[b.rule](b, text, t)
 
 
-def _decimal(node: ParseTreeNode, text: str, ev) -> object:
-    return int(text[node.start : node.end])
-
-
-def _sum(node: ParseTreeNode, text: str, ev) -> object:
-    return ev(node.children[0], text) + ev(node.children[1], text)
-
-
-def _suffix(node: ParseTreeNode, text: str, ev) -> object:
+def _suffix(node: ParseTreeNode, text: str, t) -> object:
     # net contribution of a flat (op, operand) suffix, folded left to right
+    total = 0
     kids = node.children
-    if not kids:
-        return 0
-    step = ev(kids[1], text)
-    rest = ev(kids[2], text)
-    return (step if text[kids[0].start] == "+" else -step) + rest
+    while kids:
+        a = kids[1]
+        step = t[a.rule](a, text, t)
+        total += step if text[kids[0].start] == "+" else -step
+        kids = kids[2].children
+    return total
 
 
-def _lexed_binop(node: ParseTreeNode, text: str, ev) -> object:
-    kids = node.children
-    if len(kids) == 3:
-        a = ev(kids[0], text)
-        b = ev(kids[2], text)
-        return a + b if ev(kids[1], text) == "+" else a * b
-    return ev(kids[0], text)
+def _decimal(node: ParseTreeNode, text: str, t) -> object:
+    # the integer of the first child's span: a digit, or a Digits run
+    # read without visiting its chain
+    first = node.children[0]
+    return span_int(text, first.start, first.end)
 
 
-def _digits(node: ParseTreeNode, text: str, ev) -> object:
-    # (value, digit count) of a right-recursive digit run
-    kids = node.children
-    digit = int(text[kids[0].start])
-    if len(kids) == 1:
-        return (digit, 1)
-    value, count = ev(kids[1], text)
-    return (digit * 10**count + value, count + 1)
-
-
-def _symbol(node: ParseTreeNode, text: str, ev) -> object:
+def _symbol(node: ParseTreeNode, text: str, t) -> object:
     return text[node.start]
 
 
 _ARITH = {
-    "Additive": _binop_int,
-    "Multitive": _binop_int,
-    "Primary": _paren_or_first,
+    "Additive": _chain(operator.add, 0),
+    "Multitive": _chain(operator.mul, 1),
+    "Primary": _middle,
     "Decimal": _decimal,
 }
 
 _ARITH_LEFT_ASSOC = {**_ARITH, "Additive": _sum, "AdditiveSuffix": _suffix}
 
 _ARITH_LEXED = {
-    "Expr": lambda node, text, ev: ev(node.children[1], text),
-    "Additive": _lexed_binop,
-    "Multitive": _lexed_binop,
-    "Primary": _paren_or_first,
-    "Decimal": lambda node, text, ev: ev(node.children[0], text)[0],
-    "Digits": _digits,
-    "Digit": lambda node, text, ev: int(text[node.start]),
+    **_ARITH,
+    "Expr": _middle,
+    "Digits": lambda node, text, t: (
+        span_int(text, node.start, node.end), node.end - node.start
+    ),
+    "Digit": _decimal,
     "PlusSym": _symbol,
     "StarSym": _symbol,
     "OpenSym": _symbol,
     "CloseSym": _symbol,
-    "Whitespace": lambda node, text, ev: (),
+    "Whitespace": lambda node, text, t: (),
 }
 
 # name -> evaluator handlers by rule name, alphabet, exhaustive

@@ -29,6 +29,7 @@ from .engine import (
     new_session,
     parse_complete,
     run_deep,
+    value_text,
 )
 from .grammar import (
     AnyChar, Char, Class, Grammar, InvalidGrammarError, Literal, validate, walk_exprs,
@@ -117,7 +118,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return EXIT_FAILURE
     if entry.evaluator is not None:
         # evaluators recurse over the tree as deeply as the parse did
-        print(run_deep(entry.evaluator, node, args.input))
+        print(value_text(run_deep(entry.evaluator, node, args.input)))
     else:
         print("accept")
     return EXIT_OK

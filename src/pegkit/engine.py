@@ -1189,6 +1189,41 @@ def stats(s: ParseSession) -> Stats:
     )
 
 
+# CPython refuses int/str conversions past sys.get_int_max_str_digits()
+# digits, a limit that may be set as low as 640; chunks of 640 digits
+# pass under any setting, and the process-wide limit is left alone.
+_CHUNK_DIGITS = 640
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def span_int(text: str, start: int, end: int) -> int:
+    """``int(text[start:end])`` for a run of decimal digits of any length."""
+    if end - start <= _CHUNK_DIGITS:
+        return int(text[start:end])
+    value = 0
+    for i in range(start, end, _CHUNK_DIGITS):
+        j = min(i + _CHUNK_DIGITS, end)
+        value = value * 10 ** (j - i) + int(text[i:j])
+    return value
+
+
+def value_text(value, show=str) -> str:
+    """``show(value)`` for an evaluator's value (``repr`` inside tuples),
+    with an integer of any length written out in decimal."""
+    if type(value) is tuple:
+        inner = ", ".join([value_text(v, repr) for v in value])
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    if type(value) is not int or -_CHUNK < value < _CHUNK:
+        return show(value)
+    digits = []
+    rest = abs(value)
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        digits.append(f"{low:0{_CHUNK_DIGITS}d}")
+    digits.append(str(rest))
+    return "-" * (value < 0) + "".join(reversed(digits))
+
+
 def _cell_text(s: ParseSession, cell, char_cell: bool) -> str:
     if cell is UNEVALUATED:
         return "·"
@@ -1203,7 +1238,15 @@ def _cell_text(s: ParseSession, cell, char_cell: bool) -> str:
         value = s.evaluator(cell, s.text)
     else:
         value = cell.end - cell.start
-    return f"({value},C{cell.end + 1})"
+    return f"({value_text(value)},C{cell.end + 1})"
+
+
+def _grid(s: ParseSession) -> list[list[str]]:
+    grid = [
+        [_cell_text(s, cell, False) for cell in row] for row in s.matrix
+    ]
+    grid.append([_cell_text(s, cell, True) for cell in s.char_row])
+    return grid
 
 
 def dump_matrix(s: ParseSession) -> str:
@@ -1213,13 +1256,12 @@ def dump_matrix(s: ParseSession) -> str:
     ``·`` (Unevaluated), ``?`` (InProgress), ``X`` (Done Fail), or
     ``(v,Ck)`` for Done Success where v is the evaluator's value when
     one is registered (the span length otherwise; the character itself
-    on the CHAR row) and Ck is the 1-indexed remainder column.
+    on the CHAR row) and Ck is the 1-indexed remainder column.  The
+    evaluator runs in the counted deep section, as deep as the parse.
     """
     labels = list(s.grammar.names) + ["CHAR"]
-    grid = [
-        [_cell_text(s, cell, False) for cell in row] for row in s.matrix
-    ]
-    grid.append([_cell_text(s, cell, True) for cell in s.char_row])
+    grid = _deep(None, "matrix rendering: interpreter frame budget exhausted",
+                 _grid, s)
     ncols = len(s.text) + 1
     headers = [f"C{i + 1}" for i in range(ncols)]
     label_w = max(len(x) for x in labels)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
 from importlib import resources
 
 import pytest
@@ -17,7 +18,9 @@ from pegkit import (
     new_session,
     parse_complete,
     registry,
+    run_deep,
 )
+from pegkit import catalog
 from pegkit.bench import make_input
 from pegkit.catalog import entry
 
@@ -256,6 +259,115 @@ class TestArithLexed:
         s = new_session(g, "042")
         out = s.apply(g.rule_id("Digits"), 0)
         assert entry.evaluator(out, "042") == (42, 3)
+
+    def test_literal_past_the_int_string_limit(self, entries):
+        # 5,000 digits: past CPython's default 4,300-digit limit on
+        # int/str conversion, which the evaluator must not trip
+        entry = entries["arith_lexed"]
+        g = entry.grammar
+        text = "".join(random.Random(5000).choices("0123456789", k=5000))
+        expected = 0
+        for c in text:
+            expected = expected * 10 + "0123456789".index(c)
+        s = new_session(g, text)
+        assert run_deep(entry.evaluator, parse_complete(s), text) == expected
+        digits = s.apply(g.rule_id("Digits"), 0)
+        assert run_deep(entry.evaluator, digits, text) == (expected, 5000)
+
+
+def _sentence(rng: random.Random, entry) -> str:
+    # a random sentence of the entry's grammar: numbers of up to three
+    # digits and blanks where the grammar allows them, operators from its
+    # alphabet, parentheses nested up to three deep
+    lexed = " " in entry.alphabet
+    ops = [c for c in "+-*" if c in entry.alphabet]
+
+    def blank() -> str:
+        return "".join(rng.choices(" \t", k=rng.randint(0, 2))) if lexed else ""
+
+    def operand(depth: int) -> str:
+        if depth and rng.random() < 0.3:
+            return "(" + blank() + expr(depth - 1) + ")" + blank()
+        k = rng.randint(1, 3) if lexed else 1
+        return "".join(rng.choices("0123456789", k=k)) + blank()
+
+    def expr(depth: int) -> str:
+        out = [operand(depth)]
+        for _ in range(rng.randint(0, 3)):
+            out += [rng.choice(ops) + blank(), operand(depth)]
+        return "".join(out)
+
+    return blank() + expr(3)
+
+
+# Recorded with the evaluator whose handlers each took a child's value
+# through the public evaluator, and whose Digits recursed once per
+# digit: per arithmetic grammar, the md5 of the evaluator's value at
+# every success cell, all cells forced, on 300 random sentences and a
+# one-character mutation of each, and the number of those cells.
+PINNED_VALUES = {
+    "arith": ("7fd262cf5de2c2ad0b77e704db7325d0", 14115),
+    "arith_left_assoc": ("57649ee6a82e16c6f81874cea4cb290a", 24006),
+    "arith_lexed": ("5ae9ba96ae56be593c01801e4638645e", 73315),
+}
+
+
+def test_evaluator_values_are_pinned(entries):
+    got = {}
+    for name in PINNED_VALUES:
+        entry = entries[name]
+        g = entry.grammar
+        rng = random.Random(f"values:{name}")
+        texts = []
+        for _ in range(300):
+            text = _sentence(rng, entry)
+            at = rng.randrange(len(text))
+            texts += [text, text[:at] + rng.choice(entry.alphabet) + text[at + 1:]]
+        h = hashlib.md5()
+        cells = 0
+        for text in texts:
+            s = new_session(g, text)
+            for rule in range(len(g.rules)):
+                for pos in range(len(text) + 1):
+                    out = s.apply(rule, pos)
+                    if out:
+                        cells += 1
+                        value = run_deep(entry.evaluator, out, text)
+                        h.update(f"{text!r} {rule} {pos} {value!r}\n".encode())
+        got[name] = (h.hexdigest(), cells)
+    assert got == PINNED_VALUES
+
+
+@pytest.mark.parametrize(
+    "name, text, value",
+    [
+        ("arith", "2*(3+4)*5+6+(7)", 83),
+        ("arith_left_assoc", "9-2-(3*4-1)+5", 1),
+        ("arith_lexed", " 12 * (345 +6)\t* 7890 + 1", 12 * 351 * 7890 + 1),
+    ],
+)
+def test_evaluation_takes_one_frame_per_visited_node(entries, name, text, value):
+    # counted with the profiler: every catalog frame is entered with a
+    # node, no node twice but the root (the public entry and its
+    # handler), and a number is read from its span, not its Digits chain
+    entry = entries[name]
+    node = parse_complete(new_session(entry.grammar, text))
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == catalog.__file__:
+            seen.append(frame.f_locals[frame.f_code.co_varnames[0]])
+
+    sys.setprofile(profile)
+    try:
+        got = entry.evaluator(node, text)
+    finally:
+        sys.setprofile(None)
+    assert got == value
+    assert seen[0] is node and seen[1] is node
+    assert len({id(n) for n in seen}) == len(seen) - 1
+    names = entry.grammar.names
+    assert "Digits" not in {names[n.rule] for n in seen}
 
 
 class TestLookaheadAb:

@@ -71,6 +71,14 @@ class TestEval:
             assert main(["eval", "arith", "1+2", "--depth-limit", bad]) == EXIT_USAGE
             assert "--depth-limit must be at least 1" in capsys.readouterr().err
 
+    def test_prints_a_value_past_the_int_string_limit(self, capsys):
+        # (10**3000 - 1)**2 has 6,000 digits, past CPython's default
+        # 4,300-digit limit on int/str conversion
+        nines = "9" * 3000
+        assert main(["eval", "arith_lexed", f"{nines}*{nines}"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == "9" * 2999 + "8" + "0" * 2999 + "1\n"
+
     def test_too_deeply_nested_grammar_file_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "deep.peg"
         path.write_text(DEEP_GRAMMAR, encoding="utf-8")
@@ -96,6 +104,22 @@ class TestMatrix:
         out = capsys.readouterr().out
         assert "X" not in out
         assert "(" not in out
+
+    def test_prints_a_value_past_the_int_string_limit(self, capsys):
+        # 67 factors of 10**65: the whole product, 10**4355, has 4,356
+        # digits, past CPython's default limit on int/str conversion
+        text = "*".join(["1" + "0" * 65] * 67)
+        assert main(["matrix", "arith_lexed", text]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split()[:2] == ["Expr", f"(1{'0' * 4355},C{len(text) + 1})"]
+
+    def test_evaluates_cells_as_deep_as_the_parse(self, capsys):
+        text = "(" * 400 + "1" + ")" * 400
+        assert main(["eval", "arith", text]) == EXIT_OK
+        assert capsys.readouterr().out == "1\n"
+        assert main(["matrix", "arith", text]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split()[:2] == ["Additive", "(1,C802)"]
 
     def test_failed_parse_still_prints_matrix(self, capsys):
         assert main(["matrix", "arith", "2*("]) == EXIT_FAILURE

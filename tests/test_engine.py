@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -48,7 +49,9 @@ from pegkit import (
     validate,
 )
 from pegkit import engine
-from pegkit.engine import INPROGRESS, UNEVALUATED, ParseSession
+from pegkit.engine import (
+    INPROGRESS, UNEVALUATED, ParseSession, span_int, value_text,
+)
 from pegkit.grammar import Char, Seq, prepared
 from pegkit.oracles import naive_parse
 
@@ -192,6 +195,47 @@ class TestDumpMatrix:
         s = new_session(arith.grammar, "2*2")
         dump_matrix(s)
         assert stats(s).cells_evaluated == 0
+
+    def test_digits_cell_of_a_long_literal(self, entries):
+        lexed = entries["arith_lexed"]
+        text = "1" + "0" * 4999
+        s = new_session(lexed.grammar, text, evaluator=lexed.evaluator)
+        s.apply(lexed.grammar.rule_id("Digits"), 0)
+        assert "((1" + "0" * 4999 + ", 5000),C5001)" in dump_matrix(s)
+
+
+class TestDecimalText:
+    """Conversions between decimal text and integers of any length,
+    checked under the lowest limit CPython accepts for int/str
+    conversion (640 digits), set for the test only."""
+
+    @pytest.fixture(autouse=True)
+    def lowest_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("n", [1, 639, 640, 641, 1280, 1281, 5000])
+    def test_round_trip(self, n):
+        digits = "".join(random.Random(n).choices("0123456789", k=n))
+        expected = 0
+        for c in digits:
+            expected = expected * 10 + "0123456789".index(c)
+        text = "+" + digits + "*"
+        assert span_int(text, 1, n + 1) == expected
+        assert value_text(expected) == (digits.lstrip("0") or "0")
+        assert value_text(-expected) == ("-" + digits.lstrip("0") if expected else "0")
+
+    def test_powers_of_ten(self):
+        for k in (639, 640, 641, 4300, 6000):
+            assert value_text(10**k) == "1" + "0" * k
+            assert value_text(10**k - 1) == "9" * k
+
+    def test_other_values_read_as_str(self):
+        for v in (0, -7, 12, "+", (), (5,), (42, 3), ("+", ()), True, None):
+            assert value_text(v) == str(v)
+        assert value_text((10**700, "+")) == "(1" + "0" * 700 + ", '+')"
 
 
 class TestParseOutcomes:
