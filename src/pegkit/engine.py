@@ -279,31 +279,45 @@ class EngineConfig:
 # The recursion limit and the collector switch are process-wide, so
 # every deep caller raises the one and pauses the other under this lock,
 # and the saved state comes back only when no deep caller is left on any
-# thread.
+# thread.  A thread that is already inside re-enters without the lock:
+# its outer entry keeps the limit raised and the collector paused until
+# it leaves, so the inner one has nothing to change and nothing to undo.
 _deep_lock = threading.Lock()
-_deep_callers = 0
+# the ident of each thread inside, and its entries through the lock not
+# yet left; changed under the lock, each thread changing its own key only
+_deep_threads: dict[int, int] = {}
 _deep_saved_limit = 0
 _deep_saved_gc = False
+_get_ident = threading.get_ident
 
 
-def _enter_deep() -> None:
-    global _deep_callers, _deep_saved_limit, _deep_saved_gc
+def _enter_deep() -> bool:
+    """Enter the counted deep section; False when this thread was already
+    inside with the limit still raised, and nothing changed."""
+    global _deep_saved_limit, _deep_saved_gc
+    me = _get_ident()
+    if me in _deep_threads and sys.getrecursionlimit() >= DEEP_RECURSION_LIMIT:
+        return False
     with _deep_lock:
         limit = sys.getrecursionlimit()
-        if _deep_callers == 0:
+        if not _deep_threads:
             _deep_saved_limit = limit
             _deep_saved_gc = gc.isenabled()
             gc.disable()
         if limit < DEEP_RECURSION_LIMIT:
             sys.setrecursionlimit(DEEP_RECURSION_LIMIT)
-        _deep_callers += 1
+        _deep_threads[me] = _deep_threads.get(me, 0) + 1
+    return True
 
 
 def _leave_deep() -> None:
-    global _deep_callers
+    """Leave an entry for which :func:`_enter_deep` returned True."""
+    me = _get_ident()
     with _deep_lock:
-        _deep_callers -= 1
-        if _deep_callers == 0:
+        left = _deep_threads.pop(me) - 1
+        if left:
+            _deep_threads[me] = left
+        elif not _deep_threads:
             sys.setrecursionlimit(_deep_saved_limit)
             if _deep_saved_gc:
                 # promote the matrix unscanned (see the module docstring);
@@ -319,13 +333,14 @@ def _deep(limit: int | None, detail: str, fn, *args):
     """``fn(*args)`` in the counted deep section (see :func:`run_deep`),
     interpreter stack exhaustion raised as ``DepthExceeded(limit, detail)``
     (``limit`` None: the recursion limit in force)."""
-    _enter_deep()
+    entered = _enter_deep()
     try:
         return fn(*args)
     except RecursionError:
         raise DepthExceeded(limit or sys.getrecursionlimit(), detail) from None
     finally:
-        _leave_deep()
+        if entered:
+            _leave_deep()
 
 
 def run_deep(fn, *args, **kwargs):
@@ -335,7 +350,8 @@ def run_deep(fn, *args, **kwargs):
     The interpreter recursion limit is at least ``DEEP_RECURSION_LIMIT``
     while ``fn`` runs, and the collector is disabled process-wide.  Both
     are restored when the last deep caller, on any thread, has finished;
-    nested and concurrent calls are safe.  The collector is re-enabled
+    nested and concurrent calls are safe, and a call nested on a thread
+    that is already deep takes no lock.  The collector is re-enabled
     only if it was enabled when the first of those callers entered, so
     a caller's own ``gc.disable()`` is kept; cyclic garbage made on any
     thread meanwhile is collected only after the last caller leaves.
@@ -349,11 +365,12 @@ def run_deep(fn, *args, **kwargs):
     ``fn`` should make little cyclic garbage: a parse makes none.
     Exceptions propagate to the caller.
     """
-    _enter_deep()
+    entered = _enter_deep()
     try:
         return fn(*args, **kwargs)
     finally:
-        _leave_deep()
+        if entered:
+            _leave_deep()
 
 
 def _prepare(grammar: Grammar) -> PreparedGrammar:

@@ -407,6 +407,8 @@ class PreparedGrammar:
         "errors",
         "code",
         "expr_code",
+        "naive_code",
+        "callee_first",
         "tabular_schedule",
         "cfg_refusal",
     )
@@ -416,6 +418,8 @@ class PreparedGrammar:
         self.errors: tuple[ValidationIssue, ...] | None = None
         self.code: tuple[Callable, ...] | None = None
         self.expr_code: dict[PegExpr, Callable] | None = None
+        self.naive_code: tuple[Callable, ...] | None = None
+        self.callee_first: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self.tabular_schedule: tuple[int, ...] | Callable[[], Exception] | None = None
         self.cfg_refusal: tuple[str, ...] | None = None
 

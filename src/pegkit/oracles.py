@@ -3,11 +3,11 @@
 Three independent evaluation strategies, deliberately kept separate
 from the engine and from each other:
 
-* :func:`naive_parse` - a direct recursive-descent interpreter with no
-  memoization.  Same ordered-choice semantics as the engine, but it
-  re-evaluates rules freely, so its call count exposes the redundancy
-  that memoization removes (exponential on crafted grammars).  Its
-  report lists the verdict of every call it completed.
+* :func:`naive_parse` - direct recursive descent with no memoization.
+  Same ordered-choice semantics as the engine, but it re-evaluates
+  rules freely, so its call count exposes the redundancy that
+  memoization removes (exponential on crafted grammars).  Its report
+  lists the verdict of every call it completed.
 * :func:`tabular_parse` - fills the whole rule-by-position matrix from
   the rightmost column leftwards, callees before callers inside each
   column.  This only works when no rule can invoke another at the same
@@ -16,18 +16,24 @@ from the engine and from each other:
 * :func:`cfg_all_ends` - reads the grammar as a context-free grammar
   (unordered choice) and computes, per rule and start position, the set
   of all reachable end positions by Kleene iteration, column by column
-  from the right.  Only Seq/Choice/Char/Literal/Ref/Empty are
-  meaningful under CFG reading; everything else is rejected.
+  from the right, rules callee-first as the tabular filler takes them.
+  Only Seq/Choice/Char/Literal/Ref/Empty are meaningful under CFG
+  reading; everything else is rejected.
 
-Each is a plain interpreter that picks a case by the node's exact type,
-most frequent first; validation refuses any other type, a subclass of a
-node class included.  Verdicts are end positions (int) or None for
-failure; oracle results carry no parse trees.
+The naive oracle composes each rule body once per grammar into a
+function built from one closure per node (see :func:`_naive_code`), so
+a run picks no case by node type.  The other two are plain interpreters
+that pick a case by the node's exact type, most frequent first.  Either
+way only the node classes themselves are understood: validation refuses
+any other type, a subclass of a node class included.  Verdicts are end
+positions (int) or None for failure; oracle results carry no parse
+trees.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -53,6 +59,7 @@ from .grammar import (
     Star,
     _children,
     _expr_nullable,
+    postorder,
     preorder,
     prepared,
     validation_errors,
@@ -114,6 +121,128 @@ class NaiveReport:
     ends_by_cell: dict[tuple[int, int], int | None] = field(default_factory=dict)
 
 
+def _naive_node(e: PegExpr, kids: list[Callable]) -> Callable:
+    # the naive oracle's code for one node, ``run(text, p, call)``, made
+    # from its children's; see _naive_code.  Sequences of two and three
+    # parts and choices of two, the common ones, are unrolled.
+    t = type(e)
+    if t is Ref:
+        r = e.rule
+
+        def run(text, p, call):
+            return call(r, p)
+    elif t is Seq and len(kids) == 2:
+        a, b = kids
+
+        def run(text, p, call):
+            p = a(text, p, call)
+            return None if p is None else b(text, p, call)
+    elif t is Seq and len(kids) == 3:
+        a, b, c = kids
+
+        def run(text, p, call):
+            p = a(text, p, call)
+            if p is None:
+                return None
+            p = b(text, p, call)
+            return None if p is None else c(text, p, call)
+    elif t is Seq:
+        parts = tuple(kids)
+
+        def run(text, p, call):
+            for part in parts:
+                p = part(text, p, call)
+                if p is None:
+                    return None
+            return p
+    elif t is Choice and all(type(x) is Char or type(x) is Class for x in e.alts):
+        # one set test: any alternative that matches consumes one character
+        chars = frozenset().union(*[{x.char} if type(x) is Char else x.chars for x in e.alts])
+
+        def run(text, p, call):
+            return p + 1 if p < len(text) and text[p] in chars else None
+    elif t is Choice and len(kids) == 2:
+        a, b = kids
+
+        def run(text, p, call):
+            q = a(text, p, call)
+            return b(text, p, call) if q is None else q
+    elif t is Choice:
+        alts = tuple(kids)
+
+        def run(text, p, call):
+            for alt in alts:
+                q = alt(text, p, call)
+                if q is not None:
+                    return q
+            return None
+    elif t is Char:
+        c = e.char
+
+        def run(text, p, call):
+            return p + 1 if p < len(text) and text[p] == c else None
+    elif t is Class:
+        chars = e.chars
+
+        def run(text, p, call):
+            return p + 1 if p < len(text) and text[p] in chars else None
+    elif t is Literal:
+        lit, k = e.text, len(e.text)
+
+        def run(text, p, call):
+            return p + k if text.startswith(lit, p) else None
+    elif t is AnyChar:
+        def run(text, p, call):
+            return p + 1 if p < len(text) else None
+    elif t is Empty:
+        def run(text, p, call):
+            return p
+    elif t is Star or t is Plus:
+        body, plus = kids[0], t is Plus
+
+        def run(text, p, call):
+            q = p
+            while True:
+                step = body(text, q, call)
+                if step is None:
+                    # every iteration consumes, so q == p only after none matched
+                    return None if q == p and plus else q
+                q = step
+    elif t is Opt:
+        body = kids[0]
+
+        def run(text, p, call):
+            q = body(text, p, call)
+            return p if q is None else q
+    elif t is Not:
+        body = kids[0]
+
+        def run(text, p, call):
+            return p if body(text, p, call) is None else None
+    elif t is And:
+        body = kids[0]
+
+        def run(text, p, call):
+            return p if body(text, p, call) is not None else None
+    else:
+        raise TypeError(f"not a PegExpr: {e!r}")
+    return run
+
+
+def _naive_code(g: Grammar) -> tuple[Callable, ...]:
+    """Each rule body of ``g`` as one function, ``run(text, p, call)``:
+    the end of the body's match at ``p`` in ``text``, or None, where
+    ``call(r, p)`` applies rule ``r``.
+
+    Every node is turned into a closure over its children's once, so a
+    run picks no case by node type.  The closures are built bottom-up
+    from an explicit stack (any depth is fine); they hold no state of a
+    run and refer to no rule's code, so they form no cycle, and threads
+    may share them."""
+    memo: dict = {}  # by id: g keeps the nodes alive
+    return tuple([postorder(rule.body, _naive_node, memo) for rule in g.rules])
+
+
 def naive_parse(
     g: Grammar,
     rule: int,
@@ -132,98 +261,57 @@ def naive_parse(
     :class:`LeftRecursion` rather than looping.  ``call_budget`` and
     ``depth_limit`` must each be at least 1; a call that would make
     more than ``depth_limit`` rule calls active at once raises
-    :class:`DepthExceeded`.  It runs in the engine's counted deep
-    section, as :func:`~pegkit.engine.run_deep` does, so deep inputs reach
-    that limit.
+    :class:`DepthExceeded`.  Each rule body runs as the function that
+    the grammar's first run composed from closures (see
+    ``PreparedGrammar.naive_code``); every rule call goes through one
+    per-run function that does the bookkeeping and checks the limits.
+    It runs in the engine's counted deep section, as
+    :func:`~pegkit.engine.run_deep` does, so deep inputs reach that limit.
     """
     if call_budget < 1:
         raise ValueError(f"call_budget must be at least 1, got {call_budget}")
     if depth_limit < 1:
         raise ValueError(f"depth_limit must be at least 1, got {depth_limit}")
-    _require_valid(g)
-    n = len(text)
-    # a list: tuple() sizes a generator's result by resizing, so it never
-    # takes from the tuple free list that each call's tuple would fill
-    bodies = [r.body for r in g.rules]
+    prep = _require_valid(g)
+    code = prep.naive_code
+    if code is None:
+        code = prep.naive_code = _naive_code(g)
     calls = max_depth = 0
-    by_cell: dict[tuple[int, int], int] = {}
+    keys: list[tuple[int, int]] = []  # the cell of every call, in call order
+    push = keys.append
     ends: dict[tuple[int, int], int | None] = {}
-    # the active calls, outermost first: insertion order is the stack
-    active: dict[tuple[int, int], None] = {}
+    # the active calls, outermost first, each mapped to its depth:
+    # insertion order is the stack
+    active: dict[tuple[int, int], int] = {}
 
     def call_rule(r: int, p: int) -> int | None:
-        nonlocal calls, max_depth
-        calls += 1
+        nonlocal max_depth, calls
         key = (r, p)
-        by_cell[key] = by_cell.get(key, 0) + 1
+        push(key)
+        calls += 1
         if calls > call_budget:
             raise CallBudgetExceeded(call_budget)
-        if key in active:
-            stack = list(active)
-            raise LeftRecursion(tuple(stack[stack.index(key):]) + (key,), g.names)
         depth = len(active)
-        if depth >= depth_limit:
-            raise DepthExceeded(depth_limit, f"naive interpreter at rule {r}, pos {p}")
-        active[key] = None
-        if depth >= max_depth:
+        first = active.setdefault(key, depth)
+        if first != depth:  # key was active already, at depth first
+            raise LeftRecursion(tuple(list(active)[first:]) + (key,), g.names)
+        if depth >= max_depth:  # max_depth never passes depth_limit
+            if depth >= depth_limit:
+                raise DepthExceeded(depth_limit, f"naive interpreter at rule {r}, pos {p}")
             max_depth = depth + 1
-        try:
-            ends[key] = end = walk(bodies[r], p)
-            return end
-        finally:
-            active.popitem()
-
-    def walk(e: PegExpr, p: int) -> int | None:
-        t = type(e)
-        if t is Ref:
-            return call_rule(e.rule, p)
-        if t is Seq:
-            for part in e.parts:
-                p = walk(part, p)
-                if p is None:
-                    return None
-            return p
-        if t is Choice:
-            for alt in e.alts:
-                q = walk(alt, p)
-                if q is not None:
-                    return q
-            return None
-        if t is Char:
-            return p + 1 if p < n and text[p] == e.char else None
-        if t is Class:
-            return p + 1 if p < n and text[p] in e.chars else None
-        if t is Literal:
-            return p + len(e.text) if text.startswith(e.text, p) else None
-        if t is AnyChar:
-            return p + 1 if p < n else None
-        if t is Empty:
-            return p
-        if t is Star or t is Plus:
-            q = p
-            while True:
-                step = walk(e.body, q)
-                if step is None:
-                    # every iteration consumes, so q == p only after none matched
-                    return None if q == p and t is Plus else q
-                q = step
-        if t is Opt:
-            q = walk(e.body, p)
-            return p if q is None else q
-        if t is Not:
-            return p if walk(e.body, p) is None else None
-        if t is And:
-            return p if walk(e.body, p) is not None else None
-        raise TypeError(f"not a PegExpr: {e!r}")
+        ends[key] = end = code[r](text, p, call_rule)
+        # an exception ends the run, and the active stack with it
+        active.popitem()
+        return end
 
     try:
         outcome = _deep(depth_limit, "interpreter frame budget exhausted",
                         call_rule, rule, pos)
     finally:
-        # The two closures refer to each other and walk to itself; unbound
-        # here, they are freed at once instead of by the cyclic collector.
-        del walk, call_rule
-    return NaiveReport(outcome, calls, max_depth, by_cell, ends)
+        # call_rule refers to itself; unbound here, it is freed at once
+        # instead of by the cyclic collector
+        del call_rule
+    return NaiveReport(outcome, calls, max_depth, Counter(keys), ends)
 
 
 _UNFILLED = object()
@@ -264,16 +352,27 @@ def _same_position_refs(e: PegExpr, table, memo: dict) -> set[int]:
     return acc
 
 
-def _topological_rules(g: Grammar) -> tuple[int, ...]:
-    table, memo = prepared(g).nullability, {}  # by id: g keeps the nodes alive
+def _callee_first(g: Grammar) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Every rule of ``g``, each after the rules it can call at its own
+    position, and the first same-position cycle met, or ``()``; worked
+    out once per grammar (``PreparedGrammar.callee_first``).
+
+    A depth-first post-order of the same-position call graph, roots and
+    callees in rule order, on an explicit stack.  An edge back into the
+    trail closes a cycle and is skipped, so with a cycle the order is
+    callee-first only along the other edges."""
+    prep = prepared(g)
+    if prep.callee_first is not None:
+        return prep.callee_first
+    table, memo = prep.nullability, {}  # by id: g keeps the nodes alive
     graph = [sorted(_same_position_refs(r.body, table, memo)) for r in g.rules]
     order: list[int] = []
+    cycle: tuple[int, ...] = ()
     color = {}  # 1 = on the trail, 2 = done
     for root in range(len(g.rules)):
         if root in color:
             continue
-        # depth first, callees in rule order; trail[i]'s callees not yet
-        # visited are left in todo[i]
+        # trail[i]'s callees not yet visited are left in todo[i]
         color[root] = 1
         trail, todo = [root], [iter(graph[root])]
         while todo:
@@ -281,8 +380,9 @@ def _topological_rules(g: Grammar) -> tuple[int, ...]:
                 if color.get(s) == 2:
                     continue
                 if color.get(s) == 1:
-                    cycle = trail[trail.index(s):] + [s]
-                    raise SamePositionCycle(tuple(cycle), g.names)
+                    if not cycle:
+                        cycle = tuple(trail[trail.index(s):] + [s])
+                    continue
                 color[s] = 1
                 trail.append(s)
                 todo.append(iter(graph[s]))
@@ -292,7 +392,8 @@ def _topological_rules(g: Grammar) -> tuple[int, ...]:
                 r = trail.pop()
                 color[r] = 2
                 order.append(r)
-    return tuple(order)
+    prep.callee_first = (tuple(order), cycle)
+    return prep.callee_first
 
 
 def _tabular_schedule(g: Grammar) -> tuple[int, ...] | Callable[[], Exception]:
@@ -303,10 +404,10 @@ def _tabular_schedule(g: Grammar) -> tuple[int, ...] | Callable[[], Exception]:
             return functools.partial(
                 UnsupportedConstruct, "Star/Plus repetition", rule.name, "tabular_parse"
             )
-    try:
-        return _topological_rules(g)
-    except SamePositionCycle as exc:
-        return functools.partial(SamePositionCycle, exc.cycle, g.names)
+    order, cycle = _callee_first(g)
+    if cycle:
+        return functools.partial(SamePositionCycle, cycle, g.names)
+    return order
 
 
 def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
@@ -429,7 +530,10 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
     column by column, right to left: in this fragment a cell at ``p``
     reads only cells at positions ``q >= p``, so each column is iterated
     to its own fixpoint once the columns right of it are final, which
-    gives the least fixpoint of the whole table.  The walk recurses once
+    gives the least fixpoint of the whole table.  Each pass over a
+    column takes the rules callee-first, so when no rule can call
+    itself at the same position the first pass is final and is the only
+    one.  The walk recurses once
     per nesting level and runs in the engine's counted deep section, as
     :func:`tabular_parse` does, with the same :class:`DepthExceeded`.
     """
@@ -466,18 +570,21 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
             return {p}
         raise TypeError(f"unexpected construct in CFG walk: {e!r}")
 
-    bodies = [r.body for r in g.rules]
+    # callee-first: without a same-position cycle one pass fills a column
+    order, cycle = _callee_first(g)
+    bodies = [(rid, g.rules[rid].body) for rid in order]
 
     def fill() -> None:
         for p in range(n, -1, -1):
             changed = True
             while changed:
                 changed = False
-                for rid, body in enumerate(bodies):
+                for rid, body in bodies:
                     new = ends(body, p)
                     if not new <= table[rid][p]:
                         table[rid][p] |= new
                         changed = True
+                changed = changed and bool(cycle)
 
     try:
         _deep(None, "CFG walk: interpreter frame budget exhausted", fill)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -52,6 +53,7 @@ from pegkit import engine
 from pegkit.engine import (
     INPROGRESS, UNEVALUATED, ParseSession, span_int, value_text,
 )
+from pegkit.diffcheck import CheckConfig, run_check
 from pegkit.grammar import Char, Seq, prepared
 from pegkit.oracles import naive_parse
 
@@ -810,6 +812,40 @@ print(run_deep(hash, a) == run_deep(hash, b) and run_deep(a.__eq__, b)
             run_deep(lambda: (_ for _ in ()).throw(KeyError("boom")))
         assert state() == before
 
+    def test_a_thread_already_deep_reenters_without_the_lock(self, monkeypatch, entries):
+        class CountingLock:
+            def __init__(self):
+                self.lock, self.acquired = threading.Lock(), 0
+
+            def __enter__(self):
+                self.acquired += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        lock = CountingLock()
+        monkeypatch.setattr(engine, "_deep_lock", lock)
+        # every naive, tabular and CFG run and every outermost application
+        # nests in the one section entered per grammar; the lock is taken
+        # to enter and to leave it
+        chosen = [entries[name] for name in ("arith", "composition_lvalue", "blowup")]
+        report = run_check(chosen, CheckConfig(max_len=6, mode="random", trials=20))
+        assert report.ok and lock.acquired == 2 * len(chosen)
+        for text in ("1+2*3", "(1)", "7"):
+            lock.acquired = 0
+            parse_complete(new_session(entries["arith"].grammar, text))
+            assert lock.acquired == 2
+
+    def test_a_lowered_limit_is_raised_again_when_nested(self):
+        def lower_then_nest():
+            sys.setrecursionlimit(1_000)
+            return run_deep(sys.getrecursionlimit)
+
+        before = sys.getrecursionlimit()
+        assert run_deep(lower_then_nest) >= engine.DEEP_RECURSION_LIMIT
+        assert sys.getrecursionlimit() == before
+
     def test_collector_is_paused_while_deep(self):
         was_enabled = gc.isenabled()
         gc.enable()
@@ -972,10 +1008,12 @@ def test_no_step_leaves_cyclic_garbage(name, entries):
             got = type(exc)
         assert got is expected, text
         assert gc.collect() == 0, (text, expected)
-    for oracle in (tabular_parse, cfg_end_table):
+    for oracle in (
+        lambda g, text: naive_parse(g, g.start, 0, text), tabular_parse, cfg_end_table
+    ):
         try:
             oracle(g, accepted)
-        except (UnsupportedConstruct, SamePositionCycle):
+        except (UnsupportedConstruct, SamePositionCycle, LeftRecursion):
             pass
         assert gc.collect() == 0, oracle.__name__
 

@@ -6,8 +6,10 @@ import gc
 import itertools
 import random
 import sys
+import threading
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -21,6 +23,8 @@ from pegkit import (
     charclass,
     choice,
     format_grammar,
+    grammar_text,
+    lit,
     load_grammar,
     make_grammar,
     new_session,
@@ -35,7 +39,9 @@ from pegkit import (
 from pegkit import engine
 from pegkit.bench import make_input
 from pegkit.engine import DepthExceeded
+from pegkit.grammar import Char, Choice, Empty, Literal, Ref, Seq, prepared
 from pegkit.oracles import (
+    _callee_first,
     CallBudgetExceeded,
     SamePositionCycle,
     UnsupportedConstruct,
@@ -122,6 +128,85 @@ class TestNaiveParse:
         assert report.outcome == parse_complete(new_session(g, text)).end == 801
         assert report.max_depth == 401
         assert (sys.getrecursionlimit(), gc.isenabled()) == before
+
+    def test_compiled_rules_are_freed_with_their_grammar(self):
+        def functions(code):
+            # every closure the rule functions are composed of
+            seen, stack = [], list(code)
+            while stack:
+                f = stack.pop()
+                seen.append(f)
+                for cell in f.__closure__ or ():
+                    kids = cell.cell_contents
+                    for kid in kids if isinstance(kids, tuple) else (kids,):
+                        if callable(kid) and hasattr(kid, "__closure__"):
+                            stack.append(kid)
+            return seen
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = load_grammar(grammar_text("composition_lvalue"))
+            assert naive_parse(g, g.start, 0, "a[a]=(a)").outcome == 8
+            refs = [weakref.ref(f) for f in functions(prepared(g).naive_code)]
+            assert len(refs) > 2 * len(g.rules)
+            del g
+            assert [r for r in refs if r() is not None] == []
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_threads_running_at_once_get_the_serial_reports(self):
+        # more threads than cores, switching often, on one grammar object
+        # that none has run before: they compile its rules and enter and
+        # leave the counted deep section concurrently
+        g = load_grammar(grammar_text("composition_lvalue"))
+        cells = [
+            (rid, pos, text)
+            for text in ("a[a]=a", "(a)=a==a", "a[(a[a])]=a!=a", "((a)")
+            for rid in range(len(g.rules))
+            for pos in range(len(text) + 1)
+        ]
+        serial = [
+            naive_parse(load_grammar(grammar_text("composition_lvalue")), *cell)
+            for cell in cells
+        ]
+        start = threading.Barrier(4)
+        got = [None] * 4
+
+        def run(i: int) -> None:
+            start.wait()
+            got[i] = [naive_parse(g, *cell) for cell in cells]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [serial] * 4
+
+    def test_deep_grammar_compiles_at_the_default_recursion_limit(self):
+        # the rule functions are composed from an explicit stack; the run
+        # recurses once per level, in the counted deep section
+        e = char("y")
+        for _ in range(20_000):
+            e = seq(char("x"), e)
+        g = make_grammar([("S", e)])
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            assert naive_parse(g, 0, 0, "xy").outcome is None
+            assert prepared(g).naive_code is not None
+        finally:
+            sys.setrecursionlimit(before)
+        report = naive_parse(g, 0, 0, "x" * 20_000 + "y")
+        assert (report.outcome, report.calls, report.max_depth) == (20_001, 1, 1)
 
 
 class TestTabularParse:
@@ -308,6 +393,85 @@ class TestCfgOracle:
         finally:
             sys.setrecursionlimit(before)
         assert table[(0, 0)] == ends
+
+
+def cfg_expr(rng: random.Random, depth: int, nrules: int):
+    """A random expression of the CFG oracle's fragment."""
+    if depth == 0 or rng.random() < 0.35:
+        return rng.choice([
+            EMPTY, char("a"), char("b"), lit("ab"), lit(""),
+            ref(rng.randrange(nrules)), ref(rng.randrange(nrules)),
+        ])
+    parts = [cfg_expr(rng, depth - 1, nrules) for _ in range(rng.randint(2, 3))]
+    return rng.choice([seq, choice])(*parts)
+
+
+def kleene_table(g, text: str) -> dict:
+    """The CFG end table by Kleene iteration over the whole table, rules
+    in id order, until nothing changes."""
+    n = len(text)
+    table = {(r, p): set() for r in range(len(g.rules)) for p in range(n + 1)}
+
+    def ends(e, p: int) -> set[int]:
+        if isinstance(e, Ref):
+            return table[(e.rule, p)]
+        if isinstance(e, Seq):
+            front = {p}
+            for part in e.parts:
+                front = set().union(*[ends(part, q) for q in front])
+            return front
+        if isinstance(e, Choice):
+            return set().union(*[ends(alt, p) for alt in e.alts])
+        if isinstance(e, Char):
+            return {p + 1} if text[p:p + 1] == e.char else set()
+        if isinstance(e, Literal):
+            return {p + len(e.text)} if text.startswith(e.text, p) else set()
+        assert isinstance(e, Empty)
+        return {p}
+
+    changed = True
+    while changed:
+        changed = False
+        for rid, rule in enumerate(g.rules):
+            for p in range(n + 1):
+                new = ends(rule.body, p)
+                if not new <= table[(rid, p)]:
+                    table[(rid, p)] |= new
+                    changed = True
+    return {cell: frozenset(v) for cell, v in table.items()}
+
+
+def test_cfg_tables_are_those_of_plain_kleene_iteration():
+    # a column is filled callee-first, in one pass when no rule can call
+    # itself at the same position
+    rng = random.Random(2008)
+    grammars = cyclic = 0
+    for _ in range(300):
+        nrules = rng.randint(1, 4)
+        g = make_grammar(
+            [(f"R{i}", cfg_expr(rng, rng.randint(1, 4), nrules)) for i in range(nrules)]
+        )
+        grammars += 1
+        cyclic += bool(_callee_first(g)[1])
+        for text in ("", "ab", "aab", "abab", "bba"):
+            assert cfg_end_table(g, text) == kleene_table(g, text), (format_grammar(g), text)
+    # seed 2008 gives 300 grammars, 171 of them with a same-position cycle
+    assert grammars == 300 and 50 < cyclic < 250
+
+
+def test_callee_first_order_serves_both_column_oracles(entries):
+    for name, entry in entries.items():
+        g = entry.grammar
+        order, cycle = _callee_first(g)
+        assert sorted(order) == list(range(len(g.rules))), name
+        try:
+            fill = tabular_parse(g, "").fill_order
+        except SamePositionCycle as exc:
+            assert cycle == exc.cycle and "left_recursive" in entry.traits, name
+        except UnsupportedConstruct:
+            pass
+        else:
+            assert cycle == () and [r for r, _ in fill] == list(order), name
 
 
 # Recorded on the isinstance-ladder oracles: per catalog grammar, the
