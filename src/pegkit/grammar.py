@@ -396,8 +396,18 @@ class PreparedGrammar:
     * ``expr_code``: the engine's generated function of each expression
       that ``ParseSession.eval_expr`` has evaluated, keyed by the
       expression;
-    * ``tabular_schedule``: the callee-first rule order of the tabular
-      oracle, or a factory for the exception that refuses the grammar;
+    * ``naive_code``: the naive oracle's function of each rule body, in
+      rule order, composed from one closure per node:
+      ``run(text, p, call)`` returns the end of the body's match at
+      ``p``, or None, applying rule ``r`` as ``call(r, p)``; it holds no
+      state of a run, so every run on the grammar, on any thread,
+      shares it;
+    * ``callee_first``: the rules, each after the rules it can call at
+      its own position, and the first same-position cycle, or ``()``:
+      the order in which the tabular and CFG oracles take the rules in
+      a column;
+    * ``tabular_refusal``: ``(construct, rule name)`` of the first rule
+      with a repetition, which the tabular oracle refuses, or ``()``;
     * ``cfg_refusal``: ``(construct, rule name)`` of the first node
       outside the CFG oracle's fragment, or ``()`` when there is none.
     """
@@ -409,7 +419,7 @@ class PreparedGrammar:
         "expr_code",
         "naive_code",
         "callee_first",
-        "tabular_schedule",
+        "tabular_refusal",
         "cfg_refusal",
     )
 
@@ -420,7 +430,7 @@ class PreparedGrammar:
         self.expr_code: dict[PegExpr, Callable] | None = None
         self.naive_code: tuple[Callable, ...] | None = None
         self.callee_first: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        self.tabular_schedule: tuple[int, ...] | Callable[[], Exception] | None = None
+        self.tabular_refusal: tuple[str, ...] | None = None
         self.cfg_refusal: tuple[str, ...] | None = None
 
 

@@ -32,8 +32,6 @@ trees.
 
 from __future__ import annotations
 
-import functools
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -123,29 +121,13 @@ class NaiveReport:
 
 def _naive_node(e: PegExpr, kids: list[Callable]) -> Callable:
     # the naive oracle's code for one node, ``run(text, p, call)``, made
-    # from its children's; see _naive_code.  Sequences of two and three
-    # parts and choices of two, the common ones, are unrolled.
+    # from its children's; see _naive_code
     t = type(e)
     if t is Ref:
         r = e.rule
 
         def run(text, p, call):
             return call(r, p)
-    elif t is Seq and len(kids) == 2:
-        a, b = kids
-
-        def run(text, p, call):
-            p = a(text, p, call)
-            return None if p is None else b(text, p, call)
-    elif t is Seq and len(kids) == 3:
-        a, b, c = kids
-
-        def run(text, p, call):
-            p = a(text, p, call)
-            if p is None:
-                return None
-            p = b(text, p, call)
-            return None if p is None else c(text, p, call)
     elif t is Seq:
         parts = tuple(kids)
 
@@ -155,18 +137,6 @@ def _naive_node(e: PegExpr, kids: list[Callable]) -> Callable:
                 if p is None:
                     return None
             return p
-    elif t is Choice and all(type(x) is Char or type(x) is Class for x in e.alts):
-        # one set test: any alternative that matches consumes one character
-        chars = frozenset().union(*[{x.char} if type(x) is Char else x.chars for x in e.alts])
-
-        def run(text, p, call):
-            return p + 1 if p < len(text) and text[p] in chars else None
-    elif t is Choice and len(kids) == 2:
-        a, b = kids
-
-        def run(text, p, call):
-            q = a(text, p, call)
-            return b(text, p, call) if q is None else q
     elif t is Choice:
         alts = tuple(kids)
 
@@ -277,18 +247,17 @@ def naive_parse(
     if code is None:
         code = prep.naive_code = _naive_code(g)
     calls = max_depth = 0
-    keys: list[tuple[int, int]] = []  # the cell of every call, in call order
-    push = keys.append
+    by_cell: dict[tuple[int, int], int] = {}
     ends: dict[tuple[int, int], int | None] = {}
     # the active calls, outermost first, each mapped to its depth:
     # insertion order is the stack
     active: dict[tuple[int, int], int] = {}
 
     def call_rule(r: int, p: int) -> int | None:
-        nonlocal max_depth, calls
-        key = (r, p)
-        push(key)
+        nonlocal calls, max_depth
         calls += 1
+        key = (r, p)
+        by_cell[key] = by_cell.get(key, 0) + 1
         if calls > call_budget:
             raise CallBudgetExceeded(call_budget)
         depth = len(active)
@@ -311,7 +280,7 @@ def naive_parse(
         # call_rule refers to itself; unbound here, it is freed at once
         # instead of by the cyclic collector
         del call_rule
-    return NaiveReport(outcome, calls, max_depth, Counter(keys), ends)
+    return NaiveReport(outcome, calls, max_depth, by_cell, ends)
 
 
 _UNFILLED = object()
@@ -396,18 +365,12 @@ def _callee_first(g: Grammar) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return prep.callee_first
 
 
-def _tabular_schedule(g: Grammar) -> tuple[int, ...] | Callable[[], Exception]:
-    """Rule order for :func:`tabular_parse`, or a factory for the
-    exception that refuses ``g`` (a fresh one for every call)."""
+def _tabular_refusal(g: Grammar) -> tuple[str, ...]:
+    # (construct, rule name) of the first rule with a repetition, or ()
     for rule in g.rules:
         if any(isinstance(e, (Star, Plus)) for e in preorder(rule.body)):
-            return functools.partial(
-                UnsupportedConstruct, "Star/Plus repetition", rule.name, "tabular_parse"
-            )
-    order, cycle = _callee_first(g)
-    if cycle:
-        return functools.partial(SamePositionCycle, cycle, g.names)
-    return order
+            return ("Star/Plus repetition", rule.name)
+    return ()
 
 
 def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
@@ -423,11 +386,14 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
     it raises :class:`DepthExceeded`.
     """
     prep = _require_valid(g)
-    order = prep.tabular_schedule
-    if order is None:
-        order = prep.tabular_schedule = _tabular_schedule(g)
-    if callable(order):
-        raise order()
+    refusal = prep.tabular_refusal
+    if refusal is None:
+        refusal = prep.tabular_refusal = _tabular_refusal(g)
+    if refusal:
+        raise UnsupportedConstruct(*refusal, "tabular_parse")
+    order, cycle = _callee_first(g)
+    if cycle:
+        raise SamePositionCycle(cycle, g.names)
     n = len(text)
     table: list[list] = [[_UNFILLED] * (n + 1) for _ in g.rules]
     fill_order: list[tuple[int, int]] = []
@@ -533,9 +499,9 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
     gives the least fixpoint of the whole table.  Each pass over a
     column takes the rules callee-first, so when no rule can call
     itself at the same position the first pass is final and is the only
-    one.  The walk recurses once
-    per nesting level and runs in the engine's counted deep section, as
-    :func:`tabular_parse` does, with the same :class:`DepthExceeded`.
+    one.  The walk recurses once per nesting level and runs in the
+    engine's counted deep section, as :func:`tabular_parse` does, with
+    the same :class:`DepthExceeded`.
     """
     _require_valid(g)
     check_cfg_compatible(g)

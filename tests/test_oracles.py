@@ -96,6 +96,19 @@ class TestNaiveParse:
                 entry.grammar, 0, 0, make_input("aN_b", 30), call_budget=1000
             )
 
+    def test_memory_grows_with_cells_not_calls(self, entries):
+        # a^16 b makes 81,919 calls on 17 cells; a record kept per call
+        # would take over 5 MB
+        g = entries["blowup"].grammar
+        tracemalloc.start()
+        try:
+            report = naive_parse(g, 0, 0, make_input("aN_b", 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.calls, len(report.calls_by_cell)) == (81_919, 17)
+        assert peak < 64 * 1024
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_call_budget_below_one_is_rejected(self, arith, budget):
         with pytest.raises(ValueError, match="call_budget must be at least 1"):
