@@ -1,20 +1,24 @@
 """Differential checking: the memoizing engine against independent oracles.
 
-For every catalog grammar this driver compares, cell by cell, the
-verdict (Fail vs end position) of the packrat engine, the naive
-backtracking interpreter, and the tabular right-to-left filler, over a
-deterministic input corpus.  A rule's verdict at a position depends only
-on the input from that position on, so the naive interpreter, the
-costly one, runs at most once per distinct (rule, suffix) of a
-grammar's corpus and its verdict serves every cell that shares them.
-A run also yields the verdicts of the inner calls it completed, and
-those (rule, suffix) pairs are never run again (see
-:func:`_naive_verdict` for why they are exact).  Where the grammar
-lies in the CFG-friendly fragment it additionally checks every engine
-success against the context-free all-end-sets oracle (every parsed span
-must be derivable), and counts complete-input verdict splits between
-the PEG and CFG readings.  Such splits are expected for grammars carrying the
-``peg_cfg_divergent`` trait and are counterexamples otherwise.
+For every catalog grammar this driver judges every (rule, position)
+cell: the verdict (Fail vs end position) of the packrat engine, the
+naive backtracking interpreter, and the tabular right-to-left filler
+must agree, over a deterministic input corpus.  The verdicts are
+collected one rule row at a time per backend and compared as whole
+rows; only a row that disagrees is walked cell by cell, to write its
+counterexamples.  A rule's verdict at a position depends only on the
+input from that position on, so the naive interpreter, the costly one,
+runs at most once per distinct (rule, suffix) of a grammar's corpus
+and its verdict serves every cell that shares them.  A run also yields
+the verdicts of the inner calls it completed, and those (rule, suffix)
+pairs are never run again (see :func:`_naive_row` for why they are
+exact); an input's suffixes are sliced once, for the lookups and the
+harvest alike.  Where the grammar lies in the CFG-friendly fragment it
+additionally checks every engine success against the context-free
+all-end-sets oracle (every parsed span must be derivable), and counts
+complete-input verdict splits between the PEG and CFG readings.  Such
+splits are expected for grammars carrying the ``peg_cfg_divergent``
+trait and are counterexamples otherwise.
 
 Grammars with the ``left_recursive`` trait get the opposite treatment:
 every backend must report the cycle as a structured error on a set of
@@ -168,15 +172,16 @@ def _corpus(entry: CatalogEntry, cfg: CheckConfig) -> tuple[list[str], str]:
 _UNSEEN = object()
 
 
-def _naive_verdict(
+def _naive_row(
     g: Grammar,
     rid: int,
-    pos: int,
     text: str,
+    suffixes: list[str],
     naive_seen: list[dict[str, int | str | None]],
     cfg: CheckConfig,
-) -> int | str | None:
-    """The naive oracle's verdict for rule ``rid`` at ``pos``.
+) -> list[int | str | None]:
+    """The naive oracle's verdicts for rule ``rid`` at every position of
+    ``text``, whose suffixes are ``suffixes``.
 
     The oracle reads only ``text[pos:]``, so its verdict relative to
     ``pos`` depends on the rule and that suffix alone.  ``naive_seen[r]``
@@ -188,24 +193,30 @@ def _naive_verdict(
     below them, so it stays within the call budget, depth limit and
     frames that the inner call stayed within, and meets no active cell,
     as the inner call met none.  A run that exceeds its call budget or
-    depth limit stores that for its own cell only.  In exhaustive mode
-    every suffix of an input is itself a shorter input checked earlier.
+    depth limit stores that for its own cell only.  Positions are taken
+    in order, so a run serves the later cells of its own row too.  In
+    exhaustive mode every suffix of an input is itself a shorter input
+    checked earlier.
     """
     seen = naive_seen[rid]
-    suffix = text[pos:]
-    rel = seen.get(suffix, _UNSEEN)
-    if rel is _UNSEEN:
-        try:
-            report = naive_parse(g, rid, pos, text, call_budget=cfg.call_budget)
-        except CallBudgetExceeded:
-            rel = seen[suffix] = "budget-exceeded"
-        except DepthExceeded:
-            rel = seen[suffix] = "depth-exceeded"
-        else:
-            for (r, p), end in report.ends_by_cell.items():
-                naive_seen[r].setdefault(text[p:], None if end is None else end - p)
-            rel = seen[suffix]
-    return pos + rel if isinstance(rel, int) else rel
+    row: list[int | str | None] = []
+    for pos, suffix in enumerate(suffixes):
+        rel = seen.get(suffix, _UNSEEN)
+        if rel is _UNSEEN:
+            try:
+                report = naive_parse(g, rid, pos, text, call_budget=cfg.call_budget)
+            except CallBudgetExceeded:
+                rel = seen[suffix] = "budget-exceeded"
+            except DepthExceeded:
+                rel = seen[suffix] = "depth-exceeded"
+            else:
+                for (r, p), end in report.ends_by_cell.items():
+                    naive_seen[r].setdefault(
+                        suffixes[p], None if end is None else end - p
+                    )
+                rel = seen[suffix]
+        row.append(pos + rel if rel.__class__ is int else rel)
+    return row
 
 
 def _check_left_recursive(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck:
@@ -272,25 +283,33 @@ def _check_entry(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck:
             result.counterexamples.append(f"input {text!r}: tabular cycle {exc}")
             continue
 
+        # one row of verdicts per backend and rule; a row is walked cell
+        # by cell only when the three disagree
+        apply = session.apply
+        positions = range(n + 1)
+        suffixes = [text[pos:] for pos in positions]
         grid: list[list[int | None]] = []
         mismatch = False
         for rid in range(nrules):
-            row: list[int | None] = []
-            for pos in range(n + 1):
-                out = session.apply(rid, pos)
-                peg = None if out is FAIL else out.end
-                row.append(peg)
-                nai = _naive_verdict(g, rid, pos, text, naive_seen, cfg)
-                tabv = tab.verdict(rid, pos)
-                result.cells += 1
-                if not (peg == nai == tabv):
-                    mismatch = True
-                    if len(result.counterexamples) < _LIST_LIMIT * 2:
-                        result.counterexamples.append(
-                            f"input {text!r} rule {g.rule_name(rid)} pos {pos}: "
-                            f"packrat={peg} naive={nai} tabular={tabv}"
-                        )
+            row = [
+                None if (out := apply(rid, pos)) is FAIL else out.end
+                for pos in positions
+            ]
             grid.append(row)
+            nai_row = _naive_row(g, rid, text, suffixes, naive_seen, cfg)
+            tab_row = list(tab.ends[rid])  # a list never equals a tuple
+            if row == nai_row and row == tab_row:
+                continue
+            mismatch = True
+            for pos, peg, nai, tabv in zip(positions, row, nai_row, tab_row):
+                if not (peg == nai == tabv) and (
+                    len(result.counterexamples) < _LIST_LIMIT * 2
+                ):
+                    result.counterexamples.append(
+                        f"input {text!r} rule {g.rule_name(rid)} pos {pos}: "
+                        f"packrat={peg} naive={nai} tabular={tabv}"
+                    )
+        result.cells += nrules * (n + 1)
         if mismatch:
             continue
 
@@ -309,10 +328,9 @@ def _check_entry(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck:
 
         if cfg_stride and index % cfg_stride == 0:
             table = cfg_end_table(g, text)
-            for rid in range(nrules):
-                for pos in range(n + 1):
-                    peg = grid[rid][pos]
-                    if peg is not None and peg not in table[(rid, pos)]:
+            for rid, row in enumerate(grid):
+                for pos, peg in enumerate(row):
+                    if peg is not None and peg not in table[rid, pos]:
                         result.counterexamples.append(
                             f"input {text!r} rule {g.rule_name(rid)} pos {pos}: "
                             f"packrat end {peg} not derivable contextfree"

@@ -276,6 +276,10 @@ class EngineConfig:
             )
 
 
+# what a session without a config uses: the one frozen instance serves all
+_DEFAULT_CONFIG = EngineConfig()
+
+
 # The recursion limit and the collector switch are process-wide, so
 # every deep caller raises the one and pauses the other under this lock,
 # and the saved state comes back only when no deep caller is left on any
@@ -965,7 +969,7 @@ class ParseSession:
         self.grammar = grammar
         self.text = text
         self.evaluator = evaluator
-        self.config = config or EngineConfig()
+        self.config = config or _DEFAULT_CONFIG
         n1 = len(text) + 1
         self.matrix: list[list] = [[UNEVALUATED] * n1 for _ in grammar.rules]
         self.char_row: list = [UNEVALUATED] * n1

@@ -119,6 +119,18 @@ class NaiveReport:
     ends_by_cell: dict[tuple[int, int], int | None] = field(default_factory=dict)
 
 
+class _UnfrozenReport:
+    """:class:`NaiveReport`'s slots without the frozen dataclass's
+    ``__setattr__``: :func:`naive_parse` sets each field by a plain
+    attribute store and then turns the object into a ``NaiveReport`` by
+    assigning ``__class__``, which CPython allows only between classes
+    of identical layout.  That skips the five ``object.__setattr__``
+    calls of the frozen ``__init__``; the result is an ordinary, equal,
+    immutable ``NaiveReport``."""
+
+    __slots__ = ("outcome", "calls", "max_depth", "calls_by_cell", "ends_by_cell")
+
+
 def _naive_node(e: PegExpr, kids: list[Callable]) -> Callable:
     # the naive oracle's code for one node, ``run(text, p, call)``, made
     # from its children's; see _naive_code
@@ -237,6 +249,8 @@ def naive_parse(
     per-run function that does the bookkeeping and checks the limits.
     It runs in the engine's counted deep section, as
     :func:`~pegkit.engine.run_deep` does, so deep inputs reach that limit.
+    The report is filled in as an :class:`_UnfrozenReport` and then made
+    a :class:`NaiveReport` by ``__class__`` assignment.
     """
     if call_budget < 1:
         raise ValueError(f"call_budget must be at least 1, got {call_budget}")
@@ -280,7 +294,14 @@ def naive_parse(
         # call_rule refers to itself; unbound here, it is freed at once
         # instead of by the cyclic collector
         del call_rule
-    return NaiveReport(outcome, calls, max_depth, by_cell, ends)
+    report = _UnfrozenReport()
+    report.outcome = outcome
+    report.calls = calls
+    report.max_depth = max_depth
+    report.calls_by_cell = by_cell
+    report.ends_by_cell = ends
+    report.__class__ = NaiveReport
+    return report
 
 
 _UNFILLED = object()
@@ -396,7 +417,7 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
         raise SamePositionCycle(cycle, g.names)
     n = len(text)
     table: list[list] = [[_UNFILLED] * (n + 1) for _ in g.rules]
-    fill_order: list[tuple[int, int]] = []
+    bodies = [(table[rid], g.rules[rid].body) for rid in order]
 
     def walk(e: PegExpr, p: int) -> int | None:
         t = type(e)
@@ -440,9 +461,8 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
 
     def fill() -> None:
         for pos in range(n, -1, -1):
-            for rid in order:
-                table[rid][pos] = walk(g.rules[rid].body, pos)
-                fill_order.append((rid, pos))
+            for row, body in bodies:
+                row[pos] = walk(body, pos)
 
     # walk recurses once per nesting level
     try:
@@ -450,9 +470,8 @@ def tabular_parse(g: Grammar, text: str) -> TabularMatrix:
     finally:
         del walk  # it refers to itself and holds the table; see naive_parse
 
-    return TabularMatrix(
-        tuple([tuple(row) for row in table]), tuple(fill_order)
-    )
+    fill_order = tuple([(rid, pos) for pos in range(n, -1, -1) for rid in order])
+    return TabularMatrix(tuple([tuple(row) for row in table]), fill_order)
 
 
 # constructs outside the CFG fragment, by what the refusal calls them

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -16,7 +18,8 @@ from pegkit.diffcheck import (
     run_check,
 )
 from pegkit import char, choice, make_grammar, ref, seq
-from pegkit.oracles import naive_parse
+from pegkit.engine import FAIL, ParseSession, ParseTreeNode
+from pegkit.oracles import UnsupportedConstruct, check_cfg_compatible, naive_parse
 
 
 class TestCorpora:
@@ -141,3 +144,75 @@ class TestRunCheck:
         assert run_check(list(entries.values()), cfg).ok
         # a run used to serve only its own cell: 2,184 runs and 98,931 calls
         assert (runs, calls) == (748, 40_368)
+
+
+class SkewedSession(ParseSession):
+    """A session whose ``apply`` flips the verdict at a spread of cells:
+    Fail becomes an empty match, a match becomes Fail."""
+
+    def apply(self, rule, pos):
+        out = super().apply(rule, pos)
+        if (rule + 2 * pos + sum(map(ord, self.text))) % 23:
+            return out
+        return ParseTreeNode(rule, pos, pos) if out is FAIL else FAIL
+
+
+class TestMismatchPath:
+    def test_mismatching_cells_are_reported_in_order_under_the_cap(
+        self, entries, monkeypatch
+    ):
+        monkeypatch.setattr(diffcheck, "ParseSession", SkewedSession)
+        cfg = CheckConfig(max_len=4, mode="exhaustive")
+        report = run_check([entries["arith"], entries["composition_lvalue"]], cfg)
+        assert not report.ok
+        for result in report.results:
+            # each grammar passes the cap, and the cap holds
+            assert len(result.counterexamples) == diffcheck._LIST_LIMIT * 2
+            assert not result.divergences
+        listed = "\n".join(ce for r in report.results for ce in r.counterexamples)
+        digest = hashlib.md5(report.text.encode() + listed.encode()).hexdigest()
+        assert digest == "6365b61cfe44289593ba98c12e74a75e"
+
+
+class TestTracedContract:
+    def test_run_check_calls_each_backend_through_the_module(
+        self, entries, monkeypatch
+    ):
+        calls: Counter[str] = Counter()
+
+        def counted(name):
+            inner = getattr(diffcheck, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(diffcheck, name, wrapper)
+
+        for name in ("ParseSession", "stats", "naive_parse", "tabular_parse",
+                     "cfg_end_table"):
+            counted(name)
+        cfg = CheckConfig(max_len=12, mode="random", trials=8, seed=0)
+        report = run_check(list(entries.values()), cfg)
+        assert report.ok
+
+        inputs = probes = sampled = 0
+        for entry, result in zip(entries.values(), report.results):
+            inputs += result.inputs
+            if "left_recursive" in entry.traits:
+                probes += result.inputs
+                continue
+            try:
+                check_cfg_compatible(entry.grammar)
+            except UnsupportedConstruct:
+                continue
+            # fewer than 800 inputs: the CFG oracle samples every one
+            sampled += result.inputs
+        assert calls == {
+            "ParseSession": inputs,
+            "tabular_parse": inputs,
+            "stats": inputs - probes,
+            "cfg_end_table": sampled,
+            "naive_parse": 748,
+        }
+        assert (inputs, probes, sampled) == (68, 4, 48)

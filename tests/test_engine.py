@@ -404,6 +404,11 @@ class TestErrors:
             parse_complete(new_session(arith.grammar, deep, config=config))
         assert exc.value.limit == 20
 
+    def test_sessions_without_a_config_share_the_default(self, arith):
+        a, b = new_session(arith.grammar, "1"), new_session(arith.grammar, "2")
+        assert a.config == EngineConfig()
+        assert a.config is b.config
+
     def test_depth_limit_below_one_is_rejected(self):
         for bad in (0, -5):
             with pytest.raises(ValueError, match="depth_limit"):

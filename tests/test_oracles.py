@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -43,6 +44,7 @@ from pegkit.grammar import Char, Choice, Empty, Literal, Ref, Seq, prepared
 from pegkit.oracles import (
     _callee_first,
     CallBudgetExceeded,
+    NaiveReport,
     SamePositionCycle,
     UnsupportedConstruct,
     cfg_all_ends,
@@ -83,6 +85,16 @@ class TestNaiveParse:
         g = arith.grammar
         report = naive_parse(g, g.rule_id("Additive"), 0, "2*2")
         assert report.calls_by_cell[(g.rule_id("Multitive"), 0)] == 2
+
+    def test_report_is_an_ordinary_frozen_report(self, arith):
+        report = naive_parse(arith.grammar, 0, 0, "2*2")
+        assert type(report) is NaiveReport
+        built = NaiveReport(*(getattr(report, f.name) for f in dataclasses.fields(report)))
+        assert report == built
+        assert repr(report) == repr(built)
+        for f in dataclasses.fields(report):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, f.name, None)
 
     def test_calls_by_cell_totals_match_calls(self, arith):
         g = arith.grammar
