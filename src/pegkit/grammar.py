@@ -397,7 +397,7 @@ class PreparedGrammar:
       that ``ParseSession.eval_expr`` has evaluated, keyed by the
       expression;
     * ``naive_code``: the naive oracle's function of each rule body, in
-      rule order, composed from one closure per node:
+      rule order, generated as one Python function:
       ``run(text, p, call)`` returns the end of the body's match at
       ``p``, or None, applying rule ``r`` as ``call(r, p)``; it holds no
       state of a run, so every run on the grammar, on any thread,

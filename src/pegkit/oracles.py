@@ -20,14 +20,15 @@ from the engine and from each other:
   Only Seq/Choice/Char/Literal/Ref/Empty are meaningful under CFG
   reading; everything else is rejected.
 
-The naive oracle composes each rule body once per grammar into a
-function built from one closure per node (see :func:`_naive_code`), so
-a run picks no case by node type.  The other two are plain interpreters
-that pick a case by the node's exact type, most frequent first.  Either
-way only the node classes themselves are understood: validation refuses
-any other type, a subclass of a node class included.  Verdicts are end
-positions (int) or None for failure; oracle results carry no parse
-trees.
+The naive oracle writes each rule body once per grammar as the source
+of one Python function, straight-line code on locals, and compiles it
+(see :func:`_naive_code`), so a run picks no case by node type.  The
+other two are plain interpreters that pick a case by the node's exact
+type, most frequent first.  Either way only the node classes themselves
+are understood: validation refuses any other type, a subclass of a node
+class included.  Verdicts are end positions (int) or None for failure;
+oracle results carry no parse trees.  Each oracle refuses a cell outside
+the matrix with the engine's ``ValueError``.
 """
 
 from __future__ import annotations
@@ -99,6 +100,14 @@ def _require_valid(g: Grammar) -> PreparedGrammar:
     return prep
 
 
+def _require_cell(rule: int, pos: int, rules: int, n: int) -> None:
+    # the engine's refusal of a cell outside the matrix (ParseSession.apply)
+    if not 0 <= rule < rules:
+        raise ValueError(f"rule {rule} is outside the grammar (0..{rules - 1})")
+    if not 0 <= pos <= n:
+        raise ValueError(f"position {pos} is outside the input (0..{n})")
+
+
 @dataclass(frozen=True, slots=True)
 class NaiveReport:
     """Outcome plus the work profile of a naive run.
@@ -131,98 +140,236 @@ class _UnfrozenReport:
     __slots__ = ("outcome", "calls", "max_depth", "calls_by_cell", "ends_by_cell")
 
 
-def _naive_node(e: PegExpr, kids: list[Callable]) -> Callable:
-    # the naive oracle's code for one node, ``run(text, p, call)``, made
-    # from its children's; see _naive_code
-    t = type(e)
-    if t is Ref:
-        r = e.rule
+#: Most levels of indentation, and most nodes along any path, that the
+#: code of one inlined subtree may take below its first line.  A
+#: function body starts at level 1, so no generated line is deeper than
+#: 16: within Python's 100 indentation levels and, since every generated
+#: loop opens a level, its 20 statically nested blocks.  A subtree past
+#: this height is outlined into a function of its own (a chunk).
+_TALLEST = 15
 
-        def run(text, p, call):
-            return call(r, p)
-    elif t is Seq:
-        parts = tuple(kids)
+#: the node types whose code is one test (see _Writer.test)
+_TESTS = (Ref, Char, Class, AnyChar, Literal)
 
-        def run(text, p, call):
-            for part in parts:
-                p = part(text, p, call)
-                if p is None:
-                    return None
-            return p
-    elif t is Choice:
-        alts = tuple(kids)
+_RETURN_NONE = "return None"
 
-        def run(text, p, call):
-            for alt in alts:
-                q = alt(text, p, call)
-                if q is not None:
-                    return q
-            return None
-    elif t is Char:
-        c = e.char
 
-        def run(text, p, call):
-            return p + 1 if p < len(text) and text[p] == c else None
-    elif t is Class:
-        chars = e.chars
+class _Piece:
+    """The naive oracle's code of one expression node, not yet written:
+    the node, its children's pieces, and ``height``, which bounds both
+    the levels of indentation and the nodes along any path of the code.
+    A piece with no node calls ``chunk``, the function of an outlined
+    subtree."""
 
-        def run(text, p, call):
-            return p + 1 if p < len(text) and text[p] in chars else None
-    elif t is Literal:
-        lit, k = e.text, len(e.text)
+    __slots__ = ("node", "kids", "height", "chunk")
 
-        def run(text, p, call):
-            return p + k if text.startswith(lit, p) else None
-    elif t is AnyChar:
-        def run(text, p, call):
-            return p + 1 if p < len(text) else None
-    elif t is Empty:
-        def run(text, p, call):
-            return p
-    elif t is Star or t is Plus:
-        body, plus = kids[0], t is Plus
+    def __init__(self, node, kids: tuple, height: int, chunk=None):
+        self.node = node
+        self.kids = kids
+        self.height = height
+        self.chunk = chunk
 
-        def run(text, p, call):
-            q = p
-            while True:
-                step = body(text, q, call)
-                if step is None:
-                    # every iteration consumes, so q == p only after none matched
-                    return None if q == p and plus else q
-                q = step
-    elif t is Opt:
-        body = kids[0]
 
-        def run(text, p, call):
-            q = body(text, p, call)
-            return p if q is None else q
-    elif t is Not:
-        body = kids[0]
+def _is_test(piece: _Piece) -> bool:
+    return piece.node is None or type(piece.node) in _TESTS
 
-        def run(text, p, call):
-            return p if body(text, p, call) is None else None
-    elif t is And:
-        body = kids[0]
 
-        def run(text, p, call):
-            return p if body(text, p, call) is not None else None
-    else:
-        raise TypeError(f"not a PegExpr: {e!r}")
-    return run
+def _at(pos: tuple[str, int]) -> str:
+    name, off = pos
+    return f"{name} + {off}" if off else name
+
+
+class _Writer:
+    """The source of one generated function, ``run(text, p, call)``, and
+    the namespace it is compiled in.
+
+    The source holds only template text, names made here and integers;
+    every value taken from the grammar (a character, a character set,
+    literal text) and every chunk called is a constant of the namespace,
+    ``K0``, ``K1``, ...  A position is a pair (variable, offset), written
+    ``v3 + 2``, so a run of terminals adds to the offset and stores
+    nothing."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.ns: dict = {}
+        self.count = 0
+        self.uses_n = False  # whether the code reads n = len(text)
+
+    def const(self, value) -> str:
+        name = f"K{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    def var(self) -> str:
+        self.count += 1
+        return f"v{self.count}"
+
+    def line(self, ind: int, text: str) -> None:
+        self.lines.append("    " * ind + text)
+
+    def callee(self, piece: _Piece, x: str) -> str:
+        # the call that runs a rule or a chunk at x
+        if piece.node is None:
+            return f"{self.const(piece.chunk)}(text, {x}, call)"
+        return f"call({piece.node.rule}, {x})"
+
+    def test(self, piece: _Piece, pos) -> tuple[str, str, tuple[str, int]]:
+        """A piece that :func:`_is_test` accepts, at ``pos``: the
+        condition that it fails, the condition that it matches, and the
+        end of the match, read after either condition is evaluated."""
+        e, x = piece.node, _at(pos)
+        name, off = pos
+        t = type(e)
+        if e is None or t is Ref:
+            v = self.var()
+            run = self.callee(piece, x)
+            return f"({v} := {run}) is None", f"({v} := {run}) is not None", (v, 0)
+        if t is Literal:
+            k = self.const(e.text)
+            return (f"not text.startswith({k}, {x})", f"text.startswith({k}, {x})",
+                    (name, off + len(e.text)))
+        self.uses_n = True
+        if t is AnyChar:
+            return f"{x} >= n", f"{x} < n", (name, off + 1)
+        if t is Char:
+            k = self.const(e.char)
+            return f"{x} >= n or text[{x}] != {k}", f"{x} < n and text[{x}] == {k}", (name, off + 1)
+        k = self.const(e.chars)
+        return f"{x} >= n or text[{x}] not in {k}", f"{x} < n and text[{x}] in {k}", (name, off + 1)
+
+    def emit(self, piece: _Piece, ind: int, pos, fail: str) -> tuple[str, int]:
+        """Write ``piece`` at ``pos``, from indentation level ``ind``: the
+        code runs the statement ``fail`` when the node fails and falls
+        through when it matches.  Returns the end of the match."""
+        if _is_test(piece):
+            failed, _, end = self.test(piece, pos)
+            self.line(ind, f"if {failed}:")
+            self.line(ind + 1, fail)
+            return end
+        e, kids = piece.node, piece.kids
+        t = type(e)
+        if t is Seq:
+            for kid in kids:
+                pos = self.emit(kid, ind, pos, fail)
+            return pos
+        if t is Empty:
+            return pos
+        if t is And:
+            self.emit(kids[0], ind, pos, fail)
+            return pos
+        if t is Not:
+            if _is_test(kids[0]):
+                self.line(ind, f"if {self.test(kids[0], pos)[1]}:")
+            else:
+                # the loop ends without a break only when the body matched
+                self.line(ind, "for _ in (0,):")
+                mark = len(self.lines)
+                self.emit(kids[0], ind + 1, pos, "break")
+                if len(self.lines) == mark:  # a body that always matches, as ()
+                    self.line(ind + 1, "pass")
+                self.line(ind, "else:")
+            self.line(ind + 1, fail)
+            return pos
+        q = self.var()
+        if t is Choice:
+            # q takes the end of the first alternative that matches.  A
+            # break leaves the outer loop once one matched, so its else
+            # runs only when none did; the inner loop of an alternative
+            # ends without a break only when the alternative matched
+            self.line(ind, "for _ in (0,):")
+            for alt in kids:
+                self.line(ind + 1, "for _ in (0,):")
+                end = self.emit(alt, ind + 2, pos, "break")
+                self.line(ind + 2, f"{q} = {_at(end)}")
+                self.line(ind + 1, "else:")
+                self.line(ind + 2, "break")
+            self.line(ind, "else:")
+            self.line(ind + 1, fail)
+        elif t is Opt:
+            self.line(ind, f"{q} = {_at(pos)}")
+            self.line(ind, "while True:")
+            end = self.emit(kids[0], ind + 1, pos, "break")
+            self.line(ind + 1, f"{q} = {_at(end)}")
+            self.line(ind + 1, "break")
+        elif t is Star or t is Plus:
+            self.line(ind, f"{q} = {_at(pos)}")
+            self.line(ind, "while True:")
+            end = self.emit(kids[0], ind + 1, (q, 0), "break")
+            self.line(ind + 1, f"{q} = {_at(end)}")
+            if t is Plus:
+                # every iteration consumes, so q is the start only when none matched
+                self.line(ind, f"if {q} == {_at(pos)}:")
+                self.line(ind + 1, fail)
+        else:
+            raise TypeError(f"not a PegExpr: {e!r}")
+        return (q, 0)
+
+    def tail(self, piece: _Piece, ind: int, pos, fail: str) -> None:
+        """Write ``piece`` at ``pos`` as the rest of the function: the code
+        returns the end when the node matches and runs ``fail`` when it
+        fails."""
+        t, kids = type(piece.node), piece.kids
+        if t is Seq:
+            for kid in kids[:-1]:
+                pos = self.emit(kid, ind, pos, fail)
+            self.tail(kids[-1], ind, pos, fail)
+        elif t is Choice:
+            for alt in kids[:-1]:
+                if _is_test(alt):
+                    _, matched, end = self.test(alt, pos)
+                    self.line(ind, f"if {matched}:")
+                    self.line(ind + 1, f"return {_at(end)}")
+                else:
+                    self.line(ind, "while True:")
+                    self.tail(alt, ind + 1, pos, "break")
+            self.tail(kids[-1], ind, pos, fail)
+        elif fail == _RETURN_NONE and (piece.node is None or t is Ref):
+            self.line(ind, f"return {self.callee(piece, _at(pos))}")
+        else:
+            end = self.emit(piece, ind, pos, fail)
+            self.line(ind, f"return {_at(end)}")
+
+
+def _function(piece: _Piece) -> Callable:
+    # the compiled function of one rule body or chunk, in a namespace of
+    # its own that it is taken out of, so no function is reachable from
+    # its own globals and each is freed by reference counting
+    w = _Writer()
+    w.tail(piece, 1, ("p", 0), _RETURN_NONE)
+    head = ["def run(text, p, call):"] + (["    n = len(text)"] if w.uses_n else [])
+    ns = w.ns
+    exec(compile("\n".join(head + w.lines) + "\n", "<pegkit naive>", "exec"), ns)
+    return ns.pop("run")
 
 
 def _naive_code(g: Grammar) -> tuple[Callable, ...]:
-    """Each rule body of ``g`` as one function, ``run(text, p, call)``:
-    the end of the body's match at ``p`` in ``text``, or None, where
-    ``call(r, p)`` applies rule ``r``.
+    """Each rule body of ``g`` as one generated function,
+    ``run(text, p, call)``: the end of the body's match at ``p`` in
+    ``text``, or None, where ``call(r, p)`` applies rule ``r``.
 
-    Every node is turned into a closure over its children's once, so a
-    run picks no case by node type.  The closures are built bottom-up
-    from an explicit stack (any depth is fine); they hold no state of a
-    run and refer to no rule's code, so they form no cycle, and threads
-    may share them."""
+    Every ``Seq``, ``Choice``, repetition, predicate and terminal is
+    straight-line code on locals, in failure-continuation style (see
+    :meth:`_Writer.emit`).  The pieces are made children first by
+    :func:`~pegkit.grammar.postorder`, so nothing recurses once per
+    nesting level: a child whose code would take its parent past
+    ``_TALLEST`` is compiled at once as a chunk, ``run(text, p, call)``
+    too, and called.  The functions hold no state of a run and refer to
+    no rule's code, so threads may share them."""
+    outlined: dict[int, _Piece] = {}  # by id: the memo keeps the pieces
+
+    def visit(e: PegExpr, kids: list[_Piece]) -> _Piece:
+        weight = 2 if type(e) is Choice else 1
+        for i, kid in enumerate(kids):
+            if kid.height + weight > _TALLEST:
+                call = outlined.get(id(kid))
+                if call is None:
+                    call = outlined[id(kid)] = _Piece(None, (), 1, _function(kid))
+                kids[i] = call
+        return _Piece(e, tuple(kids), weight + max([k.height for k in kids], default=0))
+
     memo: dict = {}  # by id: g keeps the nodes alive
-    return tuple([postorder(rule.body, _naive_node, memo) for rule in g.rules])
+    return tuple([_function(postorder(rule.body, visit, memo)) for rule in g.rules])
 
 
 def naive_parse(
@@ -243,11 +390,13 @@ def naive_parse(
     :class:`LeftRecursion` rather than looping.  ``call_budget`` and
     ``depth_limit`` must each be at least 1; a call that would make
     more than ``depth_limit`` rule calls active at once raises
-    :class:`DepthExceeded`.  Each rule body runs as the function that
-    the grammar's first run composed from closures (see
+    :class:`DepthExceeded`.  A rule outside the grammar or a position
+    outside the input raises ValueError.  Each rule body runs as the
+    function generated for it at the grammar's first run (see
     ``PreparedGrammar.naive_code``); every rule call goes through one
-    per-run function that does the bookkeeping and checks the limits.
-    It runs in the engine's counted deep section, as
+    per-run function that does the bookkeeping and checks the limits, so
+    a rule call costs two interpreter frames, and one more for each
+    chunk of a deep body that it enters.  It runs in the engine's counted deep section, as
     :func:`~pegkit.engine.run_deep` does, so deep inputs reach that limit.
     The report is filled in as an :class:`_UnfrozenReport` and then made
     a :class:`NaiveReport` by ``__class__`` assignment.
@@ -257,6 +406,7 @@ def naive_parse(
     if depth_limit < 1:
         raise ValueError(f"depth_limit must be at least 1, got {depth_limit}")
     prep = _require_valid(g)
+    _require_cell(rule, pos, len(g.rules), len(text))
     code = prep.naive_code
     if code is None:
         code = prep.naive_code = _naive_code(g)
@@ -320,7 +470,13 @@ class TabularMatrix:
     fill_order: tuple[tuple[int, int], ...]
 
     def verdict(self, rule: int, pos: int) -> int | None:
-        return self.ends[rule][pos]
+        """A rule outside the grammar or a position outside the input
+        raises ValueError, as :meth:`~pegkit.engine.ParseSession.apply`
+        does."""
+        ends = self.ends
+        row = ends[rule] if 0 <= rule < len(ends) else ()
+        _require_cell(rule, pos, len(ends), len(row) - 1)
+        return row[pos]
 
     @property
     def cells_filled(self) -> int:
@@ -584,5 +740,9 @@ def cfg_end_table(g: Grammar, text: str) -> dict[tuple[int, int], frozenset[int]
 
 
 def cfg_all_ends(g: Grammar, rule: int, pos: int, text: str) -> frozenset[int]:
-    """End-set for one (rule, position); see :func:`cfg_end_table`."""
+    """End-set for one (rule, position); see :func:`cfg_end_table`.  A
+    rule outside the grammar or a position outside the input raises
+    ValueError."""
+    _require_valid(g)
+    _require_cell(rule, pos, len(g.rules), len(text))
     return cfg_end_table(g, text)[(rule, pos)]

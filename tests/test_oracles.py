@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import random
 import sys
 import threading
 import time
 import tracemalloc
+import types
 import weakref
 
 import pytest
@@ -33,14 +35,15 @@ from pegkit import (
     parse_complete,
     plus,
     ref,
+    registry,
     seq,
     star,
     validation_errors,
 )
-from pegkit import engine
+from pegkit import engine, oracles
 from pegkit.bench import make_input
 from pegkit.engine import DepthExceeded
-from pegkit.grammar import Char, Choice, Empty, Literal, Ref, Seq, prepared
+from pegkit.grammar import Char, Choice, Empty, Literal, Plus, Ref, Seq, prepared
 from pegkit.oracles import (
     _callee_first,
     CallBudgetExceeded,
@@ -144,39 +147,42 @@ class TestNaiveParse:
         assert deep > shallow
 
     def test_deep_input_runs_in_the_counted_section(self):
-        # a few frames per rule call: 400 levels outrun the interpreter's
+        # two frames per rule call: 600 levels outrun the interpreter's
         # default recursion limit, as they would the engine's
         g = load_grammar("P <- '(' P ')' / '1' ;")
-        text = "(" * 400 + "1" + ")" * 400
+        text = "(" * 600 + "1" + ")" * 600
         before = (sys.getrecursionlimit(), gc.isenabled())
         report = naive_parse(g, g.start, 0, text)
-        assert report.outcome == parse_complete(new_session(g, text)).end == 801
-        assert report.max_depth == 401
+        assert report.outcome == parse_complete(new_session(g, text)).end == 1201
+        assert report.max_depth == 601
         assert (sys.getrecursionlimit(), gc.isenabled()) == before
 
     def test_compiled_rules_are_freed_with_their_grammar(self):
         def functions(code):
-            # every closure the rule functions are composed of
+            # every generated function: the rule functions and the chunks
+            # that their namespaces hold, and theirs
             seen, stack = [], list(code)
             while stack:
                 f = stack.pop()
                 seen.append(f)
-                for cell in f.__closure__ or ():
-                    kids = cell.cell_contents
-                    for kid in kids if isinstance(kids, tuple) else (kids,):
-                        if callable(kid) and hasattr(kid, "__closure__"):
-                            stack.append(kid)
+                stack += [v for v in f.__globals__.values() if type(v) is types.FunctionType]
             return seen
 
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            g = load_grammar(grammar_text("composition_lvalue"))
-            assert naive_parse(g, g.start, 0, "a[a]=(a)").outcome == 8
-            refs = [weakref.ref(f) for f in functions(prepared(g).naive_code)]
-            assert len(refs) > 2 * len(g.rules)
-            del g
-            assert [r for r in refs if r() is not None] == []
+            for source, text, end, chunks in (
+                (grammar_text("composition_lvalue"), "a[a]=(a)", 8, False),
+                ("S <- " + "(" * 60 + "'a' 'b'?" + ")+" * 60 + " ;", "aba", 3, True),
+            ):
+                g = load_grammar(source)
+                assert naive_parse(g, g.start, 0, text).outcome == end
+                refs = [weakref.ref(f) for f in functions(prepared(g).naive_code)]
+                assert (len(refs) > len(g.rules)) == chunks
+                del g
+                # freed by reference counting: no function is reachable
+                # from its own globals
+                assert [r for r in refs if r() is not None] == []
         finally:
             if was_enabled:
                 gc.enable()
@@ -232,6 +238,80 @@ class TestNaiveParse:
             sys.setrecursionlimit(before)
         report = naive_parse(g, 0, 0, "x" * 20_000 + "y")
         assert (report.outcome, report.calls, report.max_depth) == (20_001, 1, 1)
+
+
+def spy_on_compile(monkeypatch) -> list[str]:
+    """The sources that the naive oracle compiles from now on."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(oracles, "compile", spy, raising=False)
+    return sources
+
+
+def deepest_indentation(sources: list[str]) -> int:
+    lines = [line for source in sources for line in source.splitlines()]
+    return max((len(line) - len(line.lstrip(" "))) // 4 for line in lines)
+
+
+class TestNaiveCode:
+    """The generated functions of the naive oracle's rule bodies."""
+
+    @pytest.mark.parametrize("name", ["plus30", "plus120", "not301", "choice6"])
+    def test_deep_shapes_agree_with_the_engine_within_sixteen_levels(
+        self, name, monkeypatch
+    ):
+        from test_generated import DEEP_GRAMMARS  # which imports this module
+
+        sources = spy_on_compile(monkeypatch)
+        g = load_grammar(DEEP_GRAMMARS[name])
+        for text in ("", "a", "b", "ab", "aba", "abab", "abz", "xz", "xabz", "bab"):
+            session = new_session(g, text)
+            for pos in range(len(text) + 1):
+                out = session.apply(0, pos)
+                peg = None if out is FAIL else out.end
+                assert naive_parse(g, 0, pos, text).outcome == peg, (text, pos)
+        assert deepest_indentation(sources) <= 16
+        if name in ("plus30", "plus120", "not301"):
+            assert len(sources) > 1  # outlined into chunks
+
+    def test_a_ten_thousand_level_chain_is_written_at_the_default_recursion_limit(
+        self, monkeypatch
+    ):
+        sources = spy_on_compile(monkeypatch)
+        e = Char("a")
+        for _ in range(10_000):
+            e = Plus(Seq((Char("x"), e)))
+        g = Grammar((Rule("S", e),))
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            assert naive_parse(g, 0, 0, "xx").outcome is None
+        finally:
+            sys.setrecursionlimit(before)
+        # one function for every few levels, none deeper than 16
+        assert 10_000 // 15 < len(sources) < 10_000 // 4
+        assert deepest_indentation(sources) <= 16
+        report = naive_parse(g, 0, 0, "x" * 10_000 + "a")
+        assert (report.outcome, report.calls, report.max_depth) == (10_001, 1, 1)
+
+    def test_catalog_naive_source_is_pinned(self, monkeypatch):
+        # The code that every check runs.  A change to it should be
+        # deliberate: re-record the digest and say so in CHANGES.md.
+        sources = spy_on_compile(monkeypatch)
+        for name in registry():
+            g = load_grammar(grammar_text(name))  # a fresh object, written now
+            try:
+                naive_parse(g, g.start, 0, "")
+            except LeftRecursion:
+                pass
+        # one compile per rule of the nine grammars
+        assert len(sources) == 49
+        digest = hashlib.md5("".join(sources).encode()).hexdigest()
+        assert digest == "38a2cd07e96cbea088f4ce7889393964"
 
 
 class TestTabularParse:
@@ -464,6 +544,48 @@ def kleene_table(g, text: str) -> dict:
                     table[(rid, p)] |= new
                     changed = True
     return {cell: frozenset(v) for cell, v in table.items()}
+
+
+# A cell outside the matrix: each oracle refuses it as the engine does.
+OUTSIDE = [
+    (0, -1, "position -1 is outside the input (0..2)"),
+    (0, 5, "position 5 is outside the input (0..2)"),
+    (7, 0, "rule 7 is outside the grammar (0..0)"),
+    (-1, -1, "rule -1 is outside the grammar (0..0)"),
+]
+
+
+@pytest.fixture
+def b_or_empty():
+    g = load_grammar("S <- 'b' / () ;")
+    for rule, pos, message in OUTSIDE:
+        with pytest.raises(ValueError) as exc:
+            new_session(g, "ab").apply(rule, pos)
+        assert str(exc.value) == message
+    return g
+
+
+@pytest.mark.parametrize("rule, pos, message", OUTSIDE)
+def test_naive_parse_refuses_a_cell_outside_the_matrix(b_or_empty, rule, pos, message):
+    with pytest.raises(ValueError) as exc:
+        naive_parse(b_or_empty, rule, pos, "ab")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rule, pos, message", OUTSIDE)
+def test_tabular_verdict_refuses_a_cell_outside_the_matrix(b_or_empty, rule, pos, message):
+    tab = tabular_parse(b_or_empty, "ab")
+    with pytest.raises(ValueError) as exc:
+        tab.verdict(rule, pos)
+    assert str(exc.value) == message
+    assert [tab.verdict(0, p) for p in range(3)] == [0, 2, 2]
+
+
+@pytest.mark.parametrize("rule, pos, message", OUTSIDE)
+def test_cfg_all_ends_refuses_a_cell_outside_the_matrix(b_or_empty, rule, pos, message):
+    with pytest.raises(ValueError) as exc:
+        cfg_all_ends(b_or_empty, rule, pos, "ab")
+    assert str(exc.value) == message
 
 
 def test_cfg_tables_are_those_of_plain_kleene_iteration():

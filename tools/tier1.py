@@ -1,15 +1,17 @@
 """Run the tier-1 test suite under each installed CPython from 3.11 up.
 
-    python3 tools/tier1.py [PYTHON ...]
+    python3 tools/tier1.py [PYTHON ...] [-- PYTEST_ARG ...]
 
-Without arguments the interpreters are found as ``python3.N`` on PATH and
+Without interpreters named, they are found as ``python3.N`` on PATH and
 under pyenv's ``versions`` directory (``$PYENV_ROOT``, else ``~/.pyenv``).
-Each one runs ``python -m pytest -q --continue-on-collection-errors`` from
-the repository root with ``PYTHONPATH=src:<dir>``, where ``<dir>`` is a
-temporary directory of symlinks to the pure-Python test packages (pytest,
-hypothesis and what they import) of the interpreter running this script,
-so interpreters without pytest can run the suite too.  Prints the pass,
-fail and error counts of each version and exits 1 if any test failed.
+Each one runs ``python -m pytest -q --continue-on-collection-errors``,
+followed by any arguments given after ``--`` (``-- tests/test_oracles.py``
+runs one file), from the repository root with ``PYTHONPATH=src:<dir>``,
+where ``<dir>`` is a temporary directory of symlinks to the pure-Python
+test packages (pytest, hypothesis and what they import) of the
+interpreter running this script, so interpreters without pytest can run
+the suite too.  Prints the pass, fail and error counts of each version
+and exits 1 if any test failed.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ def counts(summary: str) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> int:
+    pytest_args: list[str] = []
+    if "--" in argv:
+        cut = argv.index("--")
+        argv, pytest_args = argv[:cut], argv[cut + 1:]
     versions: dict[tuple[int, ...], str] = {}
     for python in argv or candidates():
         version = version_of(python)
@@ -90,7 +96,7 @@ def main(argv: list[str]) -> int:
             start = time.monotonic()
             run = subprocess.run(
                 [python, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                 "-p", "no:cacheprovider"],
+                 "-p", "no:cacheprovider", *pytest_args],
                 cwd=ROOT, env=env, capture_output=True, text=True,
             )
             lines = run.stdout.strip().splitlines()
