@@ -96,6 +96,7 @@ from .grammar import (
     Grammar,
     InvalidGrammarError,
     Literal,
+    Not,
     Opt,
     PegExpr,
     Plus,
@@ -435,13 +436,26 @@ def _generate(bodies, names: tuple[str, ...], rules: bool = False) -> tuple:
     the steps and labels of the alternatives tried before are counted
     and recorded at once (see :meth:`_Function.dispatch`).  No terminal
     calls a helper.
+
+    Each node that :meth:`_Function.expr` outlines becomes a chunk: a
+    function ``run(s, pos, d, c)`` in a namespace of its own, bound to a
+    constant of its caller's.  The chunks are written from a worklist
+    once their callers are built, and no part of the writer recurses
+    once per nesting level of a rule body, so code generation runs at
+    the caller's recursion limit, outside the deep section.
     """
     src = _Source(names)
     for i, e in enumerate(bodies):
-        # the generator recurses a few frames deep per nesting level
-        _deep(None, "code generation: interpreter frame budget exhausted",
-              _Function, src, f"_f{i}", e, i if rules else None)
-    return src.build(len(bodies))
+        _Function(src, f"_f{i}", e, i if rules else None)
+    code = src.build(len(bodies))
+    queue = src.chunks
+    while queue:
+        ns, name, e = queue.pop()
+        chunk = _Source(names)
+        _Function(chunk, "_f0", e, None)
+        ns[name], = chunk.build(1)
+        queue += chunk.chunks
+    return code
 
 
 class _Source:
@@ -467,6 +481,8 @@ class _Source:
             "_Unfrozen": _Unfrozen,
         }
         self._consts: dict = {}
+        # (namespace, constant name, node) of each chunk outlined here
+        self.chunks: list[tuple[dict, str, PegExpr]] = []
 
     def const(self, value, key=None) -> str:
         """The name of a constant equal to ``value``; ``key``, when
@@ -478,10 +494,12 @@ class _Source:
             self.ns[name] = value
         return name
 
-    def forget(self, count: int) -> None:
-        """Drop the constants made after the first ``count``."""
-        while len(self._consts) > count:
-            del self.ns[self._consts.popitem()[1]]
+    def chunk(self, e: PegExpr) -> str:
+        """The name of a new constant, bound to the chunk of ``e`` once
+        :func:`_generate` has written it."""
+        name = self._consts[object()] = f"K{len(self._consts)}"
+        self.chunks.append((self.ns, name, e))
+        return name
 
     def label(self, e: PegExpr) -> str:
         return self.const(_Label(e, self.names))
@@ -538,8 +556,37 @@ def _of_characters(e: Choice) -> bool:
     return all(type(alt) is Char or type(alt) is Class for alt in e.alts)
 
 
-class _NeedsList(Exception):
-    """Raised to write a rule body again with the children list."""
+def _outlined(e: PegExpr, ind: int) -> bool:
+    """Does :meth:`_Function.expr` write ``e`` at indentation level
+    ``ind`` as a chunk call?"""
+    t = type(e)
+    return (ind > _OUTLINE_PAST and t is not Seq and bool(_children(e))
+            and not (t is Choice and _of_characters(e)))
+
+
+def _needs_list(e: PegExpr, ind: int) -> bool:
+    """Would writing rule body ``e`` at level ``ind`` meet an option, a
+    repetition, a choice that does not end it or a node to outline?  The
+    scan follows :meth:`_Function.tail` and :meth:`_Function.expr` on
+    an explicit stack of (node, level, whether it ends the body)."""
+    stack = [(e, ind, True)]
+    while stack:
+        e, ind, ends = stack.pop()
+        t = type(e)
+        if ends and t is Seq:
+            stack += [(part, ind, False) for part in e.parts[:-1]]
+            stack.append((e.parts[-1], ind, True))
+        elif ends and t is Choice and ind <= _OUTLINE_PAST and not _of_characters(e):
+            stack += [(alt, ind + 1, True) for alt in e.alts[:-1]]
+            stack.append((e.alts[-1], ind, True))
+        elif t is Seq:
+            stack += [(part, ind, False) for part in e.parts]
+        elif _outlined(e, ind) or t is Opt or t is Star or t is Plus or (
+                t is Choice and not _of_characters(e)):
+            return True
+        elif t is And or t is Not:
+            stack.append((e.body, ind + 1, False))
+    return False
 
 
 class _Function:
@@ -559,9 +606,9 @@ class _Function:
 
     A rule body of sequences, terminals, choices of single characters,
     ``Ref``s, predicates and a choice that ends it keeps each child in a
-    local.  Any other body is written again, without the constants of
-    the first try, with one list ``c``: each terminal and ``Ref`` node
-    is appended as it is made, and an alternative, an option, an
+    local.  Any other body, as :func:`_needs_list` finds before it is
+    written, has one list ``c``: each terminal and ``Ref`` node is
+    appended as it is made, and an alternative, an option, an
     iteration or a predicate's body notes ``len(c)`` before it runs and
     cuts ``c`` back to it when it fails (a predicate's, when it ends).
     A rule owns its list; a chunk or an expression's function appends to
@@ -578,19 +625,12 @@ class _Function:
     def __init__(self, src: _Source, name: str, e: PegExpr, rule: int | None):
         self.src = src
         self.rule = rule
-        self.listed = rule is None
         ind = 1 if rule is None else 2
-        consts = len(src._consts)
-        while True:
-            self.body: list[str] = []
-            self.pending = self.nvars = 0
-            self.uses_chars = False
-            try:
-                self.tail(e, "pos", "return FAIL" if rule is None else "break", ind, [])
-                break
-            except _NeedsList:
-                src.forget(consts)
-                self.listed = True
+        self.listed = rule is None or _needs_list(e, ind)
+        self.body: list[str] = []
+        self.pending = self.nvars = 0
+        self.uses_chars = False
+        self.tail(e, "pos", "return FAIL" if rule is None else "break", ind, [])
         if self.uses_chars:
             self.body[:0] = ["    " * ind + "text = s.text",
                              "    " * ind + "chars = s.char_row"]
@@ -692,38 +732,36 @@ class _Function:
         self.store(ind, "n")
 
     def tail(self, e: PegExpr, pos: str, fail: str, ind: int, kids: list[str]) -> None:
-        """Write ``e`` at ``pos`` to end the function, after ``kids``."""
-        t = type(e)
-        if t is Seq:
-            self.pending += 1
-            pos, more = self.seq(e.parts[:-1], pos, fail, ind)
-            self.tail(e.parts[-1], pos, fail, ind, kids + more)
-        elif t is Choice and ind <= _OUTLINE_PAST and not _of_characters(e):
-            # each alternative but the last fails by leaving its loop
-            self.pending += 1
-            mark = self.mark(ind)
-            for alt in e.alts[:-1]:
-                self.line(ind, "while True:")
-                self.tail(alt, pos, "break", ind + 1, kids)
-                if mark:
-                    self.line(ind, f"del c[{mark}:]")
-            self.tail(e.alts[-1], pos, fail, ind, kids)
-        else:
-            end, more = self.expr(e, pos, fail, ind)
-            self.exit(ind, end, kids + more)
+        """Write ``e`` at ``pos`` to end the function, after ``kids``.  The
+        last part of a ``Seq`` and the last alternative of a choice end
+        it too, and are written in the same loop."""
+        while True:
+            t = type(e)
+            if t is Seq:
+                self.pending += 1
+                pos, more = self.seq(e.parts[:-1], pos, fail, ind)
+                e, kids = e.parts[-1], kids + more
+            elif t is Choice and ind <= _OUTLINE_PAST and not _of_characters(e):
+                # each alternative but the last fails by leaving its loop
+                self.pending += 1
+                mark = self.mark(ind)
+                for alt in e.alts[:-1]:
+                    self.line(ind, "while True:")
+                    self.tail(alt, pos, "break", ind + 1, kids)
+                    if mark:
+                        self.line(ind, f"del c[{mark}:]")
+                e = e.alts[-1]
+            else:
+                end, more = self.expr(e, pos, fail, ind)
+                self.exit(ind, end, kids + more)
+                return
 
     def expr(self, e: PegExpr, pos: str, fail: str, ind: int):
         """Write ``e`` at ``pos``; return its end and its children."""
         src = self.src
         t = type(e)
-        if t is Choice and _of_characters(e):
-            # as flat as a terminal, so never outlined
-            self.pending += 1
-            return self.dispatch(e.alts, pos, fail, ind)
-        if ind > _OUTLINE_PAST and t is not Seq and _children(e):
-            if not self.listed:
-                raise _NeedsList
-            chunk = src.const(_generate((e,), src.names)[0])
+        if _outlined(e, ind):
+            chunk = src.chunk(e)
             self.flush(ind)
             end = self.var()
             self.line(ind, f"{end} = {chunk}(s, {pos}, d, c)")
@@ -731,6 +769,9 @@ class _Function:
             self.fail(ind + 1, fail)
             return end, []
         self.pending += 1
+        if t is Choice and _of_characters(e):
+            # as flat as a terminal, so never outlined
+            return self.dispatch(e.alts, pos, fail, ind)
         if t is Ref:
             self.flush(ind)
             node = self.var()
@@ -841,15 +882,22 @@ class _Function:
         return f"{node}.end", self.kid(ind, node)
 
     def seq(self, parts, pos: str, fail: str, ind: int):
+        """Write ``parts`` in turn from ``pos``; return the end and the
+        children.  A part that is a ``Seq`` has its parts written in its
+        place, from a stack."""
         kids: list[str] = []
-        for part in parts:
-            pos, more = self.expr(part, pos, fail, ind)
-            kids += more
+        stack = list(reversed(parts))
+        while stack:
+            part = stack.pop()
+            if type(part) is Seq:
+                self.pending += 1
+                stack += reversed(part.parts)
+            else:
+                pos, more = self.expr(part, pos, fail, ind)
+                kids += more
         return pos, kids
 
     def choice(self, alts, pos: str, fail: str, ind: int) -> str:
-        if not self.listed:
-            raise _NeedsList
         end = self.var()
         self.line(ind, f"{end} = FAIL")
         mark = self.mark(ind)
@@ -876,8 +924,6 @@ class _Function:
     def repeat(self, e, pos: str, fail: str, ind: int) -> str:
         """A repetition, or an option: one that stops after an iteration.
         The children of the iteration that fails are cut from ``c``."""
-        if not self.listed:
-            raise _NeedsList
         t = type(e)
         if t is not Opt:
             self.flush(ind)  # once, not in every iteration

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import types
 import weakref
@@ -49,7 +50,7 @@ from pegkit import (
 import pegkit
 from pegkit import engine
 from pegkit.engine import ParseSession
-from pegkit.grammar import Char, Grammar, Literal, Not, Rule, Seq, prepared
+from pegkit.grammar import Char, Choice, Grammar, Literal, Not, Plus, Rule, Seq, prepared
 from pegkit.notation import render_expr
 from pegkit.oracles import naive_parse
 
@@ -232,8 +233,8 @@ def test_terminals_call_no_helper(monkeypatch):
 
 
 def test_every_constant_is_used(monkeypatch):
-    # a rule written again with the children list drops the constants of
-    # its first try
+    # each body is written once, in the form picked before it is written,
+    # and each chunk's constant is bound once its function is built
     sources = []
 
     def spy(source, *args):
@@ -275,8 +276,128 @@ def test_catalog_generated_source_is_pinned(monkeypatch):
     assert digest == "7aeda39ff6bd042c55d16a381d3e7d46"
 
 
+def test_listed_bodies_and_chunks_are_pinned(monkeypatch, random_expr):
+    # The catalog's pin above has only bodies that keep their children in
+    # locals, and no chunk.  Recorded on the generator that wrote such a
+    # body a second time with the children list, and each chunk from
+    # inside its caller.  Sorted: that generator compiled a chunk before
+    # its caller, this one compiles it after.
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(engine, "compile", spy, raising=False)
+    arity = test_variable_arity_trees_are_pinned.pytestmark[0].args[1]
+    grammars = [load_grammar(source) for source, _, _ in arity]
+    grammars += [load_grammar(text) for text in DEEP_GRAMMARS.values()]
+    grammars.append(Grammar(HOSTILE.rules))  # a fresh object, not yet generated
+    grammars += [g for g, _ in random_grammars(random_expr)]
+    assert len(grammars) == 432
+    for g in grammars:
+        new_session(g, "")
+    assert len(sources) == 1_121
+    digest = hashlib.md5("".join(sorted(sources)).encode()).hexdigest()
+    assert digest == "5ac284a3e60367e620036770a2c961ad"
+
+
+def test_code_generation_stays_out_of_the_deep_section(monkeypatch):
+    # the generator takes no interpreter frames per nesting level, so it
+    # needs neither the raised recursion limit nor the collector's pause
+    g = load_grammar(grammar_text("arith_lexed"))  # a fresh object, not yet generated
+    entries = []
+    real = engine._enter_deep
+
+    def counting():
+        entries.append(sys.getrecursionlimit())
+        return real()
+
+    monkeypatch.setattr(engine, "_enter_deep", counting)
+    new_session(g, "")
+    assert prepared(g).code is not None
+    assert entries == []
+
+
+def _plus_chain(e):
+    return Plus(Seq((Char("x"), e)))
+
+
+def _tail_choice_chain(e):
+    return Choice((Char("x"), e))
+
+
+def _seq_chain(e):
+    return Seq((Char("x"), e))
+
+
+# (one level of a 3,000-level chain, the rule body around it, input,
+# span, stats()), recorded on the generator that ran in the deep section.
+# The last two compile to one function each, of 108,000 and 66,000
+# lines; at 20,000 levels the first took ~1.9 GB to compile.
+@pytest.mark.parametrize(
+    "level, body, text, span, counts",
+    [
+        # outlined every few levels, so hundreds of chunks
+        (_plus_chain, lambda e: e, "x" * 3_000 + "a", (0, 3_001),
+         (1, 3_002, 15_001, 1, 360_240)),
+        # every alternative ends the body: one function at one level
+        (_tail_choice_chain, lambda e: e, "a", (0, 1), (1, 1, 6_001, 1, 240)),
+        # nested sequences add no level: one function
+        (_seq_chain, lambda e: seq(not_(e), char("x")), "x", (0, 1),
+         (1, 2, 7, 1, 240)),
+    ],
+    ids=["plus", "tail-choice", "seq-under-not"],
+)
+def test_deep_bodies_generate_at_the_default_recursion_limit(
+    level, body, text, span, counts
+):
+    e = Char("a")
+    for _ in range(3_000):
+        e = level(e)
+    g = Grammar((Rule("S", body(e)),))
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        s = new_session(g, text)
+        assert parse_complete(s).span == span
+    finally:
+        sys.setrecursionlimit(before)
+    assert dataclasses.astuple(stats(s)) == counts
+
+
+def test_threads_that_first_generate_one_grammar():
+    # four threads race to generate one fresh grammar's code, each with
+    # the collector on and at its own recursion limit, and each parses
+    text = "abaab"
+    s = new_session(load_grammar(DEEP_GRAMMARS["plus120"]), text)
+    serial = (tree_text(parse_complete(s)), stats(s), furthest_failure(s))
+    g = load_grammar(DEEP_GRAMMARS["plus120"])
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def run(i: int) -> None:
+        start.wait()
+        s = new_session(g, text)
+        got[i] = (tree_text(parse_complete(s)), stats(s), furthest_failure(s))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [serial] * 4
+
+
 def test_three_hundred_nested_predicates():
-    # the generator recurses a few frames deep per nesting level
+    # outlined every few levels: the chunks are written one after another
+    # from the generator's worklist
     g = load_grammar("S <- " + "!" * 301 + "'a' 'b' ;")
     s = new_session(g, "b")
     assert parse_complete(s).span == (0, 1)
@@ -333,7 +454,9 @@ print(len(sources) > 1000, any("*v" in source for source in sources))
 
 def test_a_five_thousand_level_chain_generates_and_parses():
     # in a subprocess: a generator that recursed through C code per level
-    # overflowed the C stack here under the raised recursion limit.  Each
+    # overflowed the C stack here under the raised recursion limit, and
+    # one that generated each chunk from inside its caller ran out of
+    # CPython 3.12's C recursion budget at about 6,000 levels.  Each
     # level's children are appended to one list per function, not
     # spliced into the next level's (the splices took 0.5-0.8 s at
     # 10,000 levels, growing with the square of the depth)
