@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .engine import DEFAULT_DEPTH_LIMIT, DepthExceeded, LeftRecursion
 from .engine import _deep  # the counted deep section
@@ -119,6 +120,9 @@ class NaiveReport:
     None of every call that completed.  Such a call met no active cell
     and stayed within the run's limits, and it reads only the input from
     its position on, so its verdict is that of a run started at its cell.
+    Both dicts list the cells in the order of their first calls, the
+    run's own cell first; a report is returned only when every call
+    completed, so they have the same keys.
     """
 
     outcome: int | None
@@ -372,6 +376,16 @@ def _naive_code(g: Grammar) -> tuple[Callable, ...]:
     return tuple([_function(postorder(rule.body, visit, memo)) for rule in g.rules])
 
 
+_CALLS = itemgetter(0)
+_END = itemgetter(1)
+
+
+def _trail(cells: dict[tuple[int, int], list], first: int) -> tuple[tuple[int, int], ...]:
+    # the active cells from depth ``first`` on, outermost first
+    active = sorted((rec[2], key) for key, rec in cells.items() if rec[2] >= first)
+    return tuple([key for _, key in active])
+
+
 def naive_parse(
     g: Grammar,
     rule: int,
@@ -384,7 +398,12 @@ def naive_parse(
     """Backtracking interpretation with no memo table.
 
     The report records every call's verdict (``ends_by_cell``) but the
-    run never reads one back: each call is evaluated afresh.
+    run never reads one back: each call is evaluated afresh.  The run
+    keeps one record per called cell, ``[calls, end, depth]`` with the
+    depth -1 while the cell is not active, so a call looks its cell up
+    once (a first call also stores the record); the cycle guard reads
+    the depth, and the report's two dicts are copied from the records
+    once, at the end.
     Verdict-identical to the engine on any grammar both accept; left
     recursion is cut off by an active-call cycle guard and reported as
     :class:`LeftRecursion` rather than looping.  ``call_budget`` and
@@ -410,31 +429,34 @@ def naive_parse(
     code = prep.naive_code
     if code is None:
         code = prep.naive_code = _naive_code(g)
-    calls = max_depth = 0
-    by_cell: dict[tuple[int, int], int] = {}
-    ends: dict[tuple[int, int], int | None] = {}
-    # the active calls, outermost first, each mapped to its depth:
-    # insertion order is the stack
-    active: dict[tuple[int, int], int] = {}
+    calls = depth = max_depth = 0
+    # one record per called cell, in first-call order: [calls, end,
+    # depth while the cell is active, else -1]
+    cells: dict[tuple[int, int], list] = {}
 
     def call_rule(r: int, p: int) -> int | None:
-        nonlocal calls, max_depth
+        nonlocal calls, depth, max_depth
         calls += 1
-        key = (r, p)
-        by_cell[key] = by_cell.get(key, 0) + 1
         if calls > call_budget:
             raise CallBudgetExceeded(call_budget)
-        depth = len(active)
-        first = active.setdefault(key, depth)
-        if first != depth:  # key was active already, at depth first
-            raise LeftRecursion(tuple(list(active)[first:]) + (key,), g.names)
+        key = (r, p)
+        rec = cells.get(key)
+        if rec is None:
+            cells[key] = rec = [1, None, depth]
+        elif rec[2] < 0:
+            rec[0] += 1
+            rec[2] = depth
+        else:  # key is active, at depth rec[2]
+            raise LeftRecursion(_trail(cells, rec[2]) + (key,), g.names)
         if depth >= max_depth:  # max_depth never passes depth_limit
             if depth >= depth_limit:
                 raise DepthExceeded(depth_limit, f"naive interpreter at rule {r}, pos {p}")
             max_depth = depth + 1
-        ends[key] = end = code[r](text, p, call_rule)
-        # an exception ends the run, and the active stack with it
-        active.popitem()
+        depth += 1
+        rec[1] = end = code[r](text, p, call_rule)
+        # an exception ends the run, and the active calls with it
+        depth -= 1
+        rec[2] = -1
         return end
 
     try:
@@ -448,8 +470,8 @@ def naive_parse(
     report.outcome = outcome
     report.calls = calls
     report.max_depth = max_depth
-    report.calls_by_cell = by_cell
-    report.ends_by_cell = ends
+    report.calls_by_cell = dict(zip(cells, map(_CALLS, cells.values())))
+    report.ends_by_cell = dict(zip(cells, map(_END, cells.values())))
     report.__class__ = NaiveReport
     return report
 

@@ -124,6 +124,24 @@ class TestNaiveParse:
         assert (report.calls, len(report.calls_by_cell)) == (81_919, 17)
         assert peak < 64 * 1024
 
+    def test_memory_per_cell_is_bounded(self, arith):
+        # 6,011 calls on 4,004 cells.  A run keeps, per cell, a record of
+        # three (~80 bytes) under a (rule, pos) key (~64 bytes), and the
+        # report copies its counts and ends into two dicts of its own:
+        # ~280 bytes at the peak
+        g = arith.grammar
+        text = "1+" * 1000 + "1"
+        naive_parse(g, g.start, 0, text)  # compile the rules outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = naive_parse(g, g.start, 0, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.calls, len(report.calls_by_cell)) == (6_011, 4_004)
+        assert peak < 320 * len(report.calls_by_cell)
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_call_budget_below_one_is_rejected(self, arith, budget):
         with pytest.raises(ValueError, match="call_budget must be at least 1"):
@@ -694,6 +712,57 @@ def test_oracle_outputs_are_pinned(entries, oracles_digest):
     assert got == PINNED
 
 
+def naive_ends_digest(grammar, texts) -> str:
+    """md5 of every naive run of ``grammar`` on ``texts``, each cell
+    run without limits and under each of LIMITS: the outcome,
+    ``max_depth`` and sorted ``ends_by_cell``, or the error with the
+    LeftRecursion cycle."""
+    h = hashlib.md5()
+    for text in texts:
+        for rule in range(len(grammar.rules)):
+            for pos in range(len(text) + 1):
+                for lim in ({},) + LIMITS:
+                    try:
+                        r = naive_parse(grammar, rule, pos, text, **lim)
+                    except (CallBudgetExceeded, DepthExceeded, LeftRecursion) as exc:
+                        out = f"{type(exc).__name__}: {exc} {getattr(exc, 'cycle', None)}"
+                    else:
+                        out = f"{r.outcome} {r.max_depth} {sorted(r.ends_by_cell.items())}"
+                    h.update(f"{text!r} {rule} {pos} {lim} {out}\n".encode())
+    return h.hexdigest()
+
+
+# Recorded on the oracle that kept a run's call counts, verdicts and
+# active cells in three dicts: per catalog grammar, naive_ends_digest on
+# the texts of test_oracle_outputs_are_pinned.
+ENDS_PINNED = {
+    "arith": "151da4609dcd74cbd01cd09a5a49772a",
+    "arith_left_assoc": "0dec15701bd0eb4f9528795ae229251c",
+    "arith_lexed": "b6e52712d50b010fba0a3415cdaf62e7",
+    "blowup": "fd9b046b6181e291ae6b46d3bd458048",
+    "composition_assign": "a990baf992ba881bd99b1371b6dc1128",
+    "composition_lvalue": "dbec47a697e9407c611676bb46b4c0b4",
+    "left_recursive_arith": "701d005246006acb24ff7c7111c57b25",
+    "lookahead_ab": "b392a8fbf9590c729227ffb9c41307d9",
+    "peg_limitation": "cfc0d0a07cbbec1a6232889d1c51e45a",
+}
+
+
+def test_naive_ends_depths_and_cycles_are_pinned(entries):
+    rng = random.Random(0)
+    got = {}
+    for name in sorted(entries):
+        entry = entries[name]
+        randoms = [
+            "".join(rng.choices(entry.alphabet, k=rng.randint(4, 9)))
+            for _ in range(12)
+        ]
+        got[name] = naive_ends_digest(
+            entry.grammar, short_texts(entry.exhaustive_alphabet, 3) + randoms
+        )
+    assert got == ENDS_PINNED
+
+
 # -- seeded random grammars: engine, naive and tabular verdicts agree ---
 
 
@@ -773,7 +842,9 @@ def test_recorded_verdicts_are_those_of_runs_at_their_cells(random_expr):
                         except (LeftRecursion, CallBudgetExceeded, DepthExceeded):
                             continue
                         completed += 1
-                        assert report.ends_by_cell.keys() <= report.calls_by_cell.keys()
+                        # every call of a returned report returned, and both
+                        # dicts list the cells in the order of their first calls
+                        assert list(report.ends_by_cell) == list(report.calls_by_cell)
                         assert report.ends_by_cell[(rid, pos)] == report.outcome
                         for (r, p), end in report.ends_by_cell.items():
                             recorded += 1
