@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Callable, Generic, TypeVar
 
 from .engine import FAIL, ParseSession, ParseTreeNode
-from .grammar import Grammar
+from .grammar import Grammar, Literal
+from .notation import render_expr
 
 V = TypeVar("V")
 W = TypeVar("W")
@@ -117,14 +118,16 @@ def char_satisfy(pred: Callable[[str], bool], label: str) -> Parser[str]:
 
 
 def literal(text: str) -> Parser[str]:
-    """Fixed string; the value is the string itself."""
+    """Fixed string; the value is the string itself.  A failure is
+    labelled as the grammar's ``Literal`` of the same text is."""
+    label = render_expr(Literal(text))
 
     def run(s: ParseSession, pos: int):
         p = pos
         for ch in text:
             out = s.char_outcome(p)
             if out is FAIL or s.text[p] != ch:
-                s.record_failure(pos, f'"{text}"')
+                s.record_failure(pos, label)
                 return FAIL
             p = out.end
         return p, text

@@ -210,13 +210,9 @@ class _Scanner:
                 self.error(f"unexpected character {c!r}", start)
 
 
-#: Most groups and operators on one path through an expression.  The
-#: parser refuses the token that passes it, so the position depends on
-#: the text alone.  It bounds the recursion of the parser, which runs in
-#: the engine's deep section; the later walks over the tree keep stacks.
-_MAX_NESTING = 350
-
 _PRIMARY_STARTS = {"ident", "charlit", "strlit", "class", "dot", "lparen", "amp", "bang"}
+_PREFIX_OPS = {"amp": And, "bang": Not}
+_SUFFIX_OPS = {"star": Star, "plus": Plus, "quest": Opt}
 
 
 class _Parser:
@@ -232,10 +228,6 @@ class _Parser:
 
     def error(self, message: str, tok: _Token | None = None):
         raise GrammarSyntaxError(message, self.text, (tok or self.tok).pos)
-
-    def check_nesting(self, t: _Token, nesting: int) -> None:
-        if nesting > _MAX_NESTING:
-            self.error("expression nested too deeply", t)
 
     def eat(self, kind: str, what: str) -> _Token:
         t = self.tok
@@ -270,7 +262,7 @@ class _Parser:
                 self.error(f"duplicate rule name {name!r}", name_tok)
             seen[name] = name_tok
             self.eat("arrow", "'<-'")
-            body, _ = self.parse_expr(0)
+            body = self.parse_expr()
             self.eat("semi", "';'")
             rules.append((name, body))
         if not rules:
@@ -282,76 +274,74 @@ class _Parser:
                 self.error(f"reference to unknown rule {t.value!r}", t)
         return rules, start
 
-    # Each parse_* method takes the number of groups and prefix operators
-    # open around it, and returns an expression and its nesting: the most
-    # groups and operators on one path through it.
+    def parse_expr(self) -> PegExpr:
+        """One expression, left to right.  The group being read keeps its
+        alternatives, the parts of its current sequence, and the ``& !``
+        operators pending before the next part; an open ``(`` pushes the
+        three for the enclosing group, and its ``)`` pops them."""
+        stack: list[tuple[list, list, list]] = []
+        alts: list[PegExpr] = []
+        parts: list[PegExpr] = []
+        ops: list = []  # outermost first
+        while True:
+            t = self.tok
+            if t.kind in _PREFIX_OPS:
+                self.i += 1
+                ops.append(_PREFIX_OPS[t.kind])
+                continue
+            if t.kind == "lparen" and self.tokens[self.i + 1].kind != "rparen":
+                self.i += 1
+                stack.append((alts, parts, ops))
+                alts, parts, ops = [], [], []
+                continue
+            e = self.parse_primary()
+            while True:  # e is a primary or a closed group: finish the part
+                while self.tok.kind in _SUFFIX_OPS:
+                    e = _SUFFIX_OPS[self.tok.kind](e)
+                    self.i += 1
+                while ops:
+                    e = ops.pop()(e)
+                parts.append(e)
+                if self.tok.kind in _PRIMARY_STARTS:
+                    break
+                alts.append(parts[0] if len(parts) == 1 else Seq(tuple(parts)))
+                parts = []
+                if self.tok.kind == "slash":
+                    self.i += 1
+                    break
+                e = alts[0] if len(alts) == 1 else Choice(tuple(alts))
+                if not stack:
+                    return e
+                self.eat("rparen", "')'")
+                alts, parts, ops = stack.pop()
 
-    def parse_expr(self, depth: int) -> tuple[PegExpr, int]:
-        alts = [self.parse_seq(depth)]
-        while self.tok.kind == "slash":
-            self.i += 1
-            alts.append(self.parse_seq(depth))
-        exprs, nestings = zip(*alts)
-        return (exprs[0] if len(exprs) == 1 else Choice(exprs)), max(nestings)
-
-    def parse_seq(self, depth: int) -> tuple[PegExpr, int]:
-        parts = [self.parse_prefix(depth)]
-        while self.tok.kind in _PRIMARY_STARTS:
-            parts.append(self.parse_prefix(depth))
-        exprs, nestings = zip(*parts)
-        return (exprs[0] if len(exprs) == 1 else Seq(exprs)), max(nestings)
-
-    def parse_prefix(self, depth: int) -> tuple[PegExpr, int]:
-        t = self.tok
-        if t.kind not in ("amp", "bang"):
-            return self.parse_suffix(depth)
-        self.check_nesting(t, depth + 1)
-        self.i += 1
-        body, n = self.parse_prefix(depth + 1)
-        return (And(body) if t.kind == "amp" else Not(body)), n + 1
-
-    def parse_suffix(self, depth: int) -> tuple[PegExpr, int]:
-        e, n = self.parse_primary(depth)
-        while self.tok.kind in ("star", "plus", "quest"):
-            kind = self.tok.kind
-            n += 1
-            self.check_nesting(self.tok, depth + n)
-            self.i += 1
-            e = Star(e) if kind == "star" else Plus(e) if kind == "plus" else Opt(e)
-        return e, n
-
-    def parse_primary(self, depth: int) -> tuple[PegExpr, int]:
+    def parse_primary(self) -> PegExpr:
         t = self.tok
         if t.kind == "ident":
             self.i += 1
             self.ref_sites.append(t)
-            return Ref(str(t.value)), 0
+            return Ref(str(t.value))
         if t.kind == "charlit":
             self.i += 1
             text = str(t.value)
-            return (Char(text) if len(text) == 1 else Literal(text)), 0
+            return Char(text) if len(text) == 1 else Literal(text)
         if t.kind == "strlit":
             self.i += 1
-            return Literal(str(t.value)), 0
+            return Literal(str(t.value))
         if t.kind == "class":
             self.i += 1
             chars = t.value
             assert isinstance(chars, frozenset)
             if not chars:
                 self.error("empty character class", t)
-            return Class(chars), 0
+            return Class(chars)
         if t.kind == "dot":
             self.i += 1
-            return ANY, 0
-        if t.kind == "lparen":
+            return ANY
+        if t.kind == "lparen":  # only '()': parse_expr opens other groups
             self.i += 1
-            if self.tok.kind == "rparen":
-                self.i += 1
-                return EMPTY, 0
-            self.check_nesting(t, depth + 1)
-            e, n = self.parse_expr(depth + 1)
             self.eat("rparen", "')'")
-            return e, n + 1
+            return EMPTY
         self.error("expected an expression")
         raise AssertionError  # unreachable
 
@@ -360,15 +350,11 @@ def parse_grammar(text: str) -> Grammar:
     """Parse grammar notation without semantic validation.
 
     Raises :class:`GrammarSyntaxError` with line/column on malformed
-    input, an expression nested past ``_MAX_NESTING`` included; the
-    result may still carry validation issues (see
-    :func:`pegkit.grammar.validate`).
+    input; the result may still carry validation issues (see
+    :func:`pegkit.grammar.validate`).  Expressions of any nesting parse
+    at the caller's recursion limit.
     """
-    # the parser recurses past the default limit at the cap: run it deep
-    from .engine import _deep  # the engine imports this module
-
-    rules, start = _deep(None, "grammar notation: interpreter frame budget exhausted",
-                         _Parser(text).parse_file)
+    rules, start = _Parser(text).parse_file()
     return make_grammar(rules, start=start)
 
 

@@ -4,7 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from pegkit import FAIL, char, choice as gchoice, make_grammar, new_session, ref, seq, stats
+from pegkit import (
+    FAIL,
+    char,
+    choice as gchoice,
+    furthest_failure,
+    lit,
+    make_grammar,
+    new_session,
+    ref,
+    seq,
+    stats,
+)
 from pegkit.combinators import (
     NoProgress,
     Parser,
@@ -57,6 +68,16 @@ class TestPrimitives:
         assert run(literal("=="), "==3") == (2, "==")
         assert run(literal("=="), "=3") is FAIL
         assert run(literal(""), "abc") == (0, "")
+
+    def test_literal_failure_label_is_the_grammar_literals(self):
+        text = 'a"b\n'
+        grammar_session = new_session(make_grammar([("S", lit(text))]), "a'")
+        assert grammar_session.apply(0, 0) is FAIL
+        s = session_for("a'")
+        assert literal(text).run(s, 0) is FAIL
+        assert furthest_failure(s) == furthest_failure(grammar_session) == (
+            0, frozenset({'"a\\"b\\n"'})
+        )
 
 
 class TestMonadLaws:

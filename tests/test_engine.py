@@ -919,6 +919,29 @@ print(run_deep(hash, a) == run_deep(hash, b) and run_deep(a.__eq__, b)
         finally:
             gc.unfreeze()
 
+    def test_objects_frozen_at_start_up_are_immortal(self):
+        # CPython 3.12.1 starts with tuples frozen; the promotion after a
+        # large parse unfreezes them, which is harmless only if every one
+        # is immortal.  Where none is frozen, there is nothing to check.
+        probe = (
+            "import gc, sys\n"
+            "immortal = getattr(sys, '_is_immortal',\n"
+            "                   lambda o: sys.getrefcount(o) >= 2**32 - 1)\n"
+            "before = {id(o) for o in gc.get_objects()}\n"
+            "frozen = gc.get_freeze_count()\n"
+            "gc.unfreeze()\n"
+            "released = [o for o in gc.get_objects()\n"
+            "            if id(o) not in before and o is not before]\n"
+            "print(frozen, len(released), sum(map(immortal, released)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", probe], capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        frozen, released, immortal = map(int, proc.stdout.split())
+        assert frozen == released == immortal
+
     @pytest.mark.parametrize("size", ["small", "8k"])
     def test_cyclic_garbage_made_before_a_parse(self, lexed, collector_on, size):
         # A large parse moves every young object, this cycle too, to the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from pegkit import (
     format_grammar,
     lit,
     load_grammar,
+    make_grammar,
     not_,
     opt,
     parse_grammar,
@@ -36,6 +38,7 @@ from pegkit import (
     seq,
     star,
 )
+from pegkit import engine
 from pegkit.notation import GrammarSyntaxError
 
 ARITH_TEXT = """
@@ -223,46 +226,30 @@ class TestSyntaxErrors:
             parse_grammar(text)
         assert (str(exc.value), exc.value.line, exc.value.col) == (message, line, col)
 
-    def test_too_deep_nesting_points_at_an_open_parenthesis(self):
-        text = "A <- 'a' ;\r\n\tB <- " + "(" * 5000 + "'b'" + ")" * 5000 + " ;"
-        with pytest.raises(GrammarSyntaxError) as exc:
-            parse_grammar(text)
-        err = exc.value
-        assert str(err) == (
-            f"line 2, column {err.col}: expression nested too deeply"
-        )
-        assert err.line == 2 and text.split("\n")[1][err.col - 1] == "("
+    @pytest.mark.parametrize("kind", ["group", "not", "plus"])
+    def test_any_nesting_loads_outside_the_deep_section(self, kind, monkeypatch):
+        # 20,000 levels load at the caller's recursion limit, and the
+        # parser never enters the engine's deep section
+        def refuse():
+            raise AssertionError("the notation parser entered the deep section")
 
-    @pytest.mark.parametrize(
-        "text, line, col",
-        [
-            # the 351st '(' passes the cap, wherever the caller's stack stands
-            ("A <- 'a' ;\r\n\tB <- " + "(" * 5000 + "'b'" + ")" * 5000 + " ;", 2, 357),
-            # refused at the 351st '!', not at the end of the input
-            ("A <- " + "!" * 500 + "'a' ;", 1, 356),
-            # a group and its suffix are two levels: 176 groups and 175 '+'
-            # are 351, so the 175th '+' from the inside passes the cap
-            ("A <- " + "(" * 176 + "'a'" + ")+" * 176 + " ;", 1, 5 + 176 + 3 + 2 * 175),
-        ],
-    )
-    def test_too_deep_nesting_is_refused_where_it_passes_the_cap(self, text, line, col):
-        def parse_from(depth):
-            if depth:
-                return parse_from(depth - 1)
-            with pytest.raises(GrammarSyntaxError) as exc:
-                parse_grammar(text)
-            return str(exc.value), exc.value.line, exc.value.col
-
-        message = f"line {line}, column {col}: expression nested too deeply"
-        assert parse_from(0) == parse_from(300) == (message, line, col)
-
-    def test_nesting_up_to_the_cap_loads(self):
-        for text in (
-            "A <- " + "!" * 350 + "'a' ;",
-            "A <- 'a'" + "?" * 350 + " ;",
-            "A <- " + "(" * 174 + "'a' 'b'?" + ")+" * 174 + " ;",
-        ):
-            load_grammar(text)
+        monkeypatch.setattr(engine, "_enter_deep", refuse)
+        k = 20_000
+        assert sys.getrecursionlimit() < k
+        if kind == "group":
+            text = "A <- " + "('a' " * k + "'b'" + ")" * k + " ;"
+            e, level = char("b"), lambda body: seq(char("a"), body)
+        elif kind == "not":
+            text = "A <- " + "!" * k + "'a' ;"
+            e, level = char("a"), not_
+        else:
+            text = "A <- " + "(" * k + "'a'" + ")+" * k + " ;"
+            e, level = char("a"), plus
+        for _ in range(k):
+            e = level(e)
+        g = load_grammar(text)
+        assert g == make_grammar([("A", e)])
+        assert load_grammar(format_grammar(g)) == g
 
     def test_class_token_is_shown_in_notation(self):
         # a class token prints as the formatter renders it, not as a
