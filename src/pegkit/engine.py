@@ -69,8 +69,9 @@ thresholds (``t0 * (t1 + 1)``), every tracked object is moved to the
 oldest generation unscanned (``gc.freeze()`` then ``gc.unfreeze()``)
 before the collector is switched back on.  That moves every young
 object, not only the matrix: the caller's own, made before the parse,
-and other threads', made during it; cyclic garbage among them waits
-for the next full collection.  Nothing is moved while the collector
+and other threads', made during it.  Cyclic garbage among them is
+freed only by an explicit ``gc.collect()``: while every parse is large,
+no collection runs by itself.  Nothing is moved while the collector
 stays off for a caller, while the caller has frozen objects of its own,
 or when ``t0`` is 0.  CPython 3.12.1 starts with 375 immortal tuples
 frozen: moving them frees nothing and a full collection freezes them
@@ -371,7 +372,7 @@ def run_deep(fn, *args, **kwargs):
     without a scan, unless the caller has frozen objects (see the
     module docstring): the young collection that would follow frees
     nothing from a memo matrix.  Cyclic garbage among the moved objects
-    is freed by the next full collection.
+    is freed only by an explicit ``gc.collect()``.
     ``fn`` should make little cyclic garbage: a parse makes none.
     Exceptions propagate to the caller.
     """

@@ -73,51 +73,20 @@ class Literal:
 class _Composite:
     """``==`` and ``hash`` of the nodes with children, by structure, as
     the dataclass methods would compare and hash their one field.  Both
-    walk the tree with their own stack, so they work at any depth; the
-    dataclass methods recurse through C once per level.  A subclass that
-    defines its own method is compared or hashed by it."""
+    read one flat list, :func:`_shape`, so they agree by construction and
+    work at any depth, where the dataclass methods recurse through C once
+    per level.  A subclass that defines its own method is compared or
+    hashed by it."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            t = a.__class__
-            if t is b.__class__ and t.__eq__ is _Composite.__eq__:
-                pairs.append((_field(a), _field(b)))
-            elif t is b.__class__ and (t is tuple or t is list):
-                if len(a) != len(b):
-                    return False
-                pairs.extend(zip(a, b))
-            elif not a == b:  # a leaf, or a node of its own equality
-                return False
-        return True
+        return _shape(self) == _shape(other)
 
     def __hash__(self):
-        done: list[int] = []  # the hashes of the items finished, in order
-        stack = [(self, None)]  # (item, how many items it holds once queued)
-        while stack:
-            x, k = stack.pop()
-            if k is None:
-                if type(x).__hash__ is _Composite.__hash__:
-                    kids = (_field(x),)
-                elif isinstance(x, tuple):
-                    kids = x
-                else:
-                    done.append(hash(x))  # a list raises TypeError, as ever
-                    continue
-                stack.append((x, len(kids)))
-                stack.extend((kid, None) for kid in reversed(kids))
-            else:
-                h = hash(tuple(done[len(done) - k:]))
-                del done[len(done) - k:]
-                done.append(h)
-        return done[0]
+        return hash(tuple(_shape(self)))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -153,12 +122,6 @@ class And(_Composite):
 @dataclass(frozen=True, slots=True, eq=False)
 class Not(_Composite):
     body: "PegExpr"
-
-
-def _field(e: _Composite):
-    if isinstance(e, Seq):
-        return e.parts
-    return e.alts if isinstance(e, Choice) else e.body
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,6 +236,29 @@ def _children(e: PegExpr) -> tuple[PegExpr, ...]:
     return ()
 
 
+def _shape(e) -> list:
+    """``e`` in preorder as a flat list, which ``==`` and ``hash`` of a
+    ``_Composite`` read.  A node whose class keeps ``_Composite.__eq__``
+    becomes ``(its class, its arity)`` followed by its parts, or ``(its
+    class, its parts)`` when they are not a tuple (a list, say).  A tuple
+    is listed the same way, so that no part can pass for a node's entry.
+    Anything else (a leaf, or a node of its own ``==``) is kept whole."""
+    out, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is not tuple and t.__eq__ is not _Composite.__eq__:
+            out.append(x)
+            continue
+        kids = x if t is tuple else _children(x)
+        if type(kids) is tuple:
+            out.append((t, len(kids)))
+            stack.extend(reversed(kids))
+        else:
+            out.append((t, kids))
+    return out
+
+
 def preorder(*roots: PegExpr) -> Iterator[PegExpr]:
     """Every node under ``roots``, one root's tree after another, preorder."""
     stack = list(reversed(roots))
@@ -365,15 +351,26 @@ def _expr_nullable(
 
 
 def _rule_nullability(g: Grammar) -> tuple[bool, ...]:
-    # Least fixed point: start from all-False and iterate monotonically.
-    table = [False] * len(g.rules)
-    changed = True
-    while changed:
-        changed = False
-        for i, rule in enumerate(g.rules):
-            if not table[i] and _expr_nullable(rule.body, table):
-                table[i] = True
-                changed = True
+    # Least fixed point from all-False: a rule is read once, then again
+    # only when a rule it calls has become nullable and it is not queued.
+    n = len(g.rules)
+    callers: list[list[int]] = [[] for _ in range(n)]
+    for i, rule in enumerate(g.rules):
+        for e in preorder(rule.body):
+            t = e.rule if isinstance(e, Ref) else None
+            if isinstance(t, int) and 0 <= t < n and callers[t][-1:] != [i]:
+                callers[t].append(i)
+    table, queued = [False] * n, [True] * n
+    work = list(range(n - 1, -1, -1))
+    while work:
+        i = work.pop()
+        queued[i] = False
+        if not table[i] and _expr_nullable(g.rules[i].body, table):
+            table[i] = True
+            for c in callers[i]:
+                if not queued[c]:
+                    queued[c] = True
+                    work.append(c)
     return tuple(table)
 
 

@@ -66,6 +66,19 @@ class TestEval:
         code = main(["eval", "--grammar-file", "/no/such.peg", "demo", "1"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("text, why", [
+        ("S <- 'a' ( ;", "line 1, column 12: expected an expression"),
+        ("S <- ('x'?)* ;", "NullableRepetition"),
+    ], ids=["syntax-error", "invalid"])
+    def test_grammar_file_that_fails_to_load_is_a_usage_error(
+        self, capsys, tmp_path, text, why
+    ):
+        path = tmp_path / "bad.peg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["eval", "--grammar-file", str(path), "bad", "a"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {path}: ") and why in err
+
     def test_depth_limit_below_one_is_a_usage_error(self, capsys):
         for bad in ("0", "-5"):
             assert main(["eval", "arith", "1+2", "--depth-limit", bad]) == EXIT_USAGE
@@ -119,6 +132,12 @@ class TestMatrix:
         assert main(["matrix", "arith", text]) == EXIT_OK
         rows = capsys.readouterr().out.splitlines()
         assert rows[1].split()[:2] == ["Additive", "(1,C802)"]
+
+    def test_left_recursion_is_reported_and_the_matrix_printed(self, capsys):
+        assert main(["matrix", "left_recursive_arith", "1+2"]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "left recursion" in captured.err
+        assert "CHAR" in captured.out
 
     def test_failed_parse_still_prints_matrix(self, capsys):
         assert main(["matrix", "arith", "2*("]) == EXIT_FAILURE
@@ -201,6 +220,12 @@ class TestBench:
         code = main(["bench", "blowup", "aN_b", "4..6", "warp", str(out)])
         assert code == EXIT_USAGE
 
+    def test_an_empty_engine_list_is_a_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "blowup", "aN_b", "4", " , ", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: no engines given\n"
+        assert not out.exists()
+
     def test_bad_family_is_a_usage_error(self, capsys, tmp_path):
         out = tmp_path / "bench.csv"
         code = main(["bench", "blowup", "bogus", "4..6", "packrat", str(out)])
@@ -248,6 +273,16 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "max_len must be at least 0, got -" in captured.err
         assert captured.out == ""
+
+    def test_a_grammar_file_alphabet_covers_literals_and_any_char(
+        self, capsys, tmp_path
+    ):
+        # the characters of each terminal, and "a" standing for "."
+        path = tmp_path / "g.peg"
+        path.write_text("S <- 'xy' . / 'z' ;", encoding="utf-8")
+        argv = ["check", "--grammar-file", str(path), "g", "2", "exhaustive"]
+        assert main(argv) == EXIT_OK
+        assert "exhaustive lengths 0..2 over 'axyz'" in capsys.readouterr().out
 
     def test_fixed_seed_reports_are_identical(self, capsys):
         args = ["check", "blowup", "8", "100", "--seed", "5"]
@@ -302,6 +337,13 @@ class TestGrammarTools:
         assert main(["grammar", "validate", str(path)]) == EXIT_FAILURE
         out = capsys.readouterr().out
         assert "error: NullableRepetition" in out
+
+    def test_validate_reports_a_syntax_error_and_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "g.peg"
+        path.write_text("A <- 'a", encoding="utf-8")
+        assert main(["grammar", "validate", str(path)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("syntax error: ") and captured.out == ""
 
     def test_validate_accepts_a_deeply_nested_grammar_file(self, capsys, tmp_path):
         path = tmp_path / "deep.peg"

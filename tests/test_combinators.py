@@ -108,6 +108,10 @@ class TestMonadLaws:
     def test_map_is_then_pure(self):
         assert run(digit.map(int), "7") == (1, 7)
 
+    def test_then_method_is_then(self):
+        f = lambda v: literal(v)  # noqa: E731
+        assert self.observe(letter.then(f)) == self.observe(then(letter, f))
+
 
 class TestChoiceAndBacktracking:
     def test_first_success_wins(self):
@@ -123,6 +127,10 @@ class TestChoiceAndBacktracking:
 
     def test_or_operator_is_choice(self):
         assert run(literal("a") | literal("b"), "b") == (1, "b")
+
+    def test_choice_fails_when_every_alternative_fails(self):
+        assert run(choice(literal("a"), literal("b")), "c") is FAIL
+        assert run(choice(), "c") is FAIL
 
     def test_chain_collects_values(self):
         p = chain(digit, literal("+"), digit)
@@ -155,10 +163,22 @@ class TestPredicates:
         assert run(not_pred(digit), "x")[0] == 0
         assert run(not_pred(digit), "7") is FAIL
 
+    def test_not_pred_with_a_label_records_it_where_it_fails(self):
+        s = session_for("x7")
+        assert not_pred(digit, "no digit").run(s, 1) is FAIL
+        assert furthest_failure(s) == (1, frozenset({"no digit"}))
+        assert not_pred(digit, "no digit").run(s, 0) == (0, ())
+
     def test_semantic_guard_filters_by_value(self):
         small = semantic_guard(digit.map(int), lambda v: v < 5)
         assert run(small, "3") == (1, 3)
         assert run(small, "9") is FAIL
+
+    def test_semantic_guard_fails_when_its_parser_does(self):
+        called = []
+        guard = semantic_guard(digit, lambda v: called.append(v) or True)
+        assert run(guard, "x") is FAIL
+        assert called == []
 
 
 class TestRuleSlots:
@@ -179,6 +199,11 @@ class TestRuleSlots:
         )
         s = new_session(g, "42")
         assert rule(slot).run(s, 0) == (2, 42)
+
+    def test_bound_slot_fails_when_its_rule_does(self):
+        g = make_grammar([("Digit", gchoice(*(char(str(d)) for d in range(10))))])
+        slot = RuleSlot("Digit").bind(g, lambda node, text: text[node.start])
+        assert rule(slot).run(new_session(g, "x"), 0) is FAIL
 
     def test_slot_invocations_share_the_memo_matrix(self):
         g = make_grammar(

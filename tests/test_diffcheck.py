@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -17,7 +17,7 @@ from pegkit.diffcheck import (
     random_inputs,
     run_check,
 )
-from pegkit import char, choice, make_grammar, ref, seq
+from pegkit import Char, char, choice, make_grammar, ref, seq, walk_exprs
 from pegkit.engine import FAIL, ParseSession, ParseTreeNode
 from pegkit.oracles import UnsupportedConstruct, check_cfg_compatible, naive_parse
 
@@ -172,6 +172,77 @@ class TestMismatchPath:
         listed = "\n".join(ce for r in report.results for ce in r.counterexamples)
         digest = hashlib.md5(report.text.encode() + listed.encode()).hexdigest()
         assert digest == "6365b61cfe44289593ba98c12e74a75e"
+
+
+def plain_entry(name, g, traits=()):
+    alphabet = "".join(sorted({e.char for e in walk_exprs(g) if type(e) is Char}))
+    return CatalogEntry(name=name, grammar=g, evaluator=None, alphabet=alphabet,
+                        exhaustive_alphabet=alphabet, traits=frozenset(traits))
+
+
+# S <- 'a' S / 'b': within the CFG oracle's fragment, and PEG and CFG agree
+A_STAR_B = make_grammar([("S", choice(seq(char("a"), ref("S")), char("b")))])
+
+
+class TestEachCounterexample:
+    """Every kind of counterexample ``run_check`` can report, each made
+    by a grammar or a backend that is at fault."""
+
+    def check(self, entry, **settings):
+        report = run_check([entry], CheckConfig(mode="exhaustive", **settings))
+        assert not report.ok
+        (result,) = report.results
+        return result.counterexamples
+
+    def test_a_naive_run_past_its_call_budget(self, entries):
+        found = self.check(entries["blowup"], max_len=2, call_budget=1)
+        assert "input 'a' rule S pos 0: packrat=1 naive=budget-exceeded " \
+               "tabular=1" in found
+
+    def test_an_entry_marked_left_recursive_that_is_not(self):
+        entry = plain_entry("straight", A_STAR_B, traits=["left_recursive"])
+        found = self.check(entry, max_len=2)
+        assert found[:3] == [
+            f"input '': {backend} returned instead of {error}"
+            for backend, error in [("packrat", "LeftRecursion"),
+                                   ("naive", "LeftRecursion"),
+                                   ("tabular", "SamePositionCycle")]
+        ]
+
+    def test_a_same_position_cycle_in_an_entry_not_marked_so(self, entries):
+        g = entries["left_recursive_arith"].grammar
+        found = self.check(plain_entry("unmarked", g), max_len=1)
+        assert found and all(" tabular cycle " in ce for ce in found)
+
+    def test_memo_accounting_that_is_off(self, monkeypatch):
+        class Miscounting(ParseSession):
+            def apply(self, rule, pos):
+                self._cells_evaluated += rule == pos == 0
+                return super().apply(rule, pos)
+
+        monkeypatch.setattr(diffcheck, "ParseSession", Miscounting)
+        found = self.check(plain_entry("ab", A_STAR_B), max_len=1)
+        assert found == [
+            f"input {text!r}: memo accounting off "
+            f"(done={len(text) + 1} counted={len(text) + 2} "
+            f"capacity={len(text) + 1})"
+            for text in ["", "a", "b"]
+        ]
+
+    def test_ends_the_cfg_oracle_cannot_derive(self, monkeypatch):
+        monkeypatch.setattr(diffcheck, "cfg_end_table",
+                            lambda g, text: defaultdict(frozenset))
+        found = self.check(plain_entry("ab", A_STAR_B), max_len=2)
+        assert found == [
+            "input 'b' rule S pos 0: packrat end 1 not derivable contextfree",
+            "input 'b': PEG accepts but CFG end-set lacks 1",
+            "input 'ab' rule S pos 0: packrat end 2 not derivable contextfree",
+            "input 'ab' rule S pos 1: packrat end 2 not derivable contextfree",
+            "input 'ab': PEG accepts but CFG end-set lacks 2",
+            "input 'ba' rule S pos 0: packrat end 1 not derivable contextfree",
+            "input 'bb' rule S pos 0: packrat end 1 not derivable contextfree",
+            "input 'bb' rule S pos 1: packrat end 2 not derivable contextfree",
+        ]
 
 
 class TestTracedContract:

@@ -267,6 +267,26 @@ class TestParseOutcomes:
         with pytest.raises(ParseFailed, match="not fully consumed"):
             parse_complete(s)
 
+    def test_a_failure_with_nothing_recorded_is_reported_at_zero(self, arith):
+        class Refusing(ParseSession):  # fails without trying a terminal
+            def apply(self, rule, pos):
+                return FAIL
+
+        with pytest.raises(ParseFailed) as exc:
+            parse_complete(Refusing(arith.grammar, "1+2"))
+        assert (exc.value.position, exc.value.expected) == (0, frozenset())
+        assert "parse failed" in str(exc.value)
+
+    def test_sentinels_and_nodes_compare_as_values(self):
+        assert (repr(UNEVALUATED), repr(FAIL)) == ("Unevaluated", "Fail")
+        node = ParseTreeNode(0, 0, 1)
+        assert node != (0, 0, 1) and not node == "node"
+        # a child that is no node compares as a tuple item would
+        odd = ParseTreeNode(0, 0, 2, (1.0, node))
+        assert odd == ParseTreeNode(0, 0, 2, (1, ParseTreeNode(0, 0, 1)))
+        assert odd != ParseTreeNode(0, 0, 2, (2, node))
+        assert odd != ParseTreeNode(0, 0, 2, (node, 1.0))
+
     def test_furthest_failure_tracks_attempted_labels(self, arith):
         s = new_session(arith.grammar, "2*")
         with pytest.raises(ParseFailed):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 import time
@@ -18,6 +19,7 @@ from pegkit import (
     Ref,
     Rule,
     Seq,
+    Star,
     and_,
     char,
     charclass,
@@ -37,7 +39,9 @@ from pegkit import (
     validate,
     walk_exprs,
 )
+from pegkit.grammar import _expr_nullable, prepared
 from pegkit.oracles import naive_parse
+from test_oracles import random_grammars
 
 
 def one_rule(body):
@@ -207,6 +211,41 @@ class TestNullable:
                     g.rule_name(rid),
                 )
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("shape", ["chain", "fan"])
+    def test_a_long_chain_of_rules_needs_no_round_per_rule(self, shape, reverse):
+        # the fixpoint read every rule once per round, and this chain takes
+        # one round per rule: 3,000 rules took 7.9 s, 10,000 over 110 s
+        n = 10_000 if shape == "chain" else 3_000
+        rules = [(f"A{i}", ref(f"A{i + 1}")) for i in range(n - 1)]
+        rules.append((f"A{n - 1}", EMPTY))
+        if shape == "fan":  # one rule calls every rule of the chain
+            rules.insert(0, ("S", seq(*(ref(f"A{i}") for i in range(n)))))
+        g = make_grammar(rules[::-1] if reverse else rules)
+        start = time.process_time()
+        assert prepared(g).nullability == (True,) * len(rules)
+        assert time.process_time() - start < 1
+
+    def test_the_table_is_the_least_fixed_point(self, entries, random_expr):
+        def fixpoint(g):  # the former algorithm: rounds until none changes
+            table = [False] * len(g.rules)
+            changed = True
+            while changed:
+                changed = False
+                for i, rule in enumerate(g.rules):
+                    if not table[i] and _expr_nullable(rule.body, table):
+                        table[i] = changed = True
+            return tuple(table)
+
+        grammars = [g for g, _ in random_grammars(random_expr)]
+        assert len(grammars) == 424
+        grammars += [entry.grammar for entry in entries.values()]
+        grammars += list(PINNED_GRAMMARS.values())
+        grammars.append(make_grammar([("A", ref("B")), ("B", seq(ref("A"), ref("C"))),
+                                      ("C", choice(char("x"), ref("B"), EMPTY))]))
+        for g in grammars:
+            assert prepared(g).nullability == fixpoint(g), format_grammar(g)
+
 
 class TestMakeGrammar:
     def test_duplicate_rule_names_rejected(self):
@@ -251,6 +290,12 @@ class TestMakeGrammar:
     def test_start_index_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Grammar((Rule("A", char("a")),), start=3)
+
+    def test_terminals_take_single_characters_only(self):
+        with pytest.raises(ValueError, match="Char expects a single character, got 'ab'"):
+            Char("ab")
+        with pytest.raises(ValueError, match="single characters, got 'xy'"):
+            charclass(["a", "xy"])
 
 
 class TestValidate:
@@ -433,3 +478,73 @@ def test_expressions_compare_and_hash_by_structure(random_expr):
     for unhashable in (listed, not_(listed)):
         with pytest.raises(TypeError, match="unhashable type: 'list'"):
             hash(unhashable)
+
+
+class EqSeq(Seq):
+    """A ``Seq`` of its own equality (by arity), and so unhashable."""
+
+    def __eq__(self, other):
+        return type(other) is EqSeq and len(self.parts) == len(other.parts)
+
+
+class HashSeq(Seq):
+    """A ``Seq`` of its own hash, which structural equality implies."""
+
+    def __hash__(self):
+        return len(self.parts)
+
+
+class BothSeq(EqSeq):
+    def __eq__(self, other):
+        return type(other) is BothSeq and len(self.parts) == len(other.parts)
+
+    def __hash__(self):
+        return len(self.parts)
+
+
+def _odd_expressions() -> list:
+    """Expressions with list, tuple and string parts, ``Seq`` subclasses
+    of each kind at the root and inside a tree, and a few non-nodes."""
+    a = char("a")
+    out = [
+        seq(a), seq(a, a), choice(a), opt(seq(a)), Seq(()), Choice(()),
+        Seq([a, opt(a)]), Seq((a, opt(a))), not_(Seq([a])), Choice([a]),
+        Star([a]), Star((a, a)), Star(seq(a, a)),
+        Seq((("x", a), a)), Seq((("x", Seq((a,))),)), Seq(("ab", a)),
+        Seq("ab"), Seq(("a", "b")), Ref("A"), Ref(0),
+        # parts that look like a node's entry in the flat shape
+        Seq(((Seq, 0),)), Seq((Seq(()),)), Seq(((Seq, [a]),)), Seq((Seq([a]),)),
+        "ab", (Seq, 1), None,
+    ]
+    for kind in (EqSeq, HashSeq, BothSeq, MySeq):
+        out += [kind((a,)), kind((a, a)), opt(kind((a,))), seq(a, kind((a,))),
+                choice(kind((a, opt(a))), a)]
+    return out
+
+
+def _verdict(a, b) -> str:
+    def hashed(x):
+        try:
+            return hash(x)
+        except TypeError as exc:
+            return str(exc)
+
+    eq, ha, hb = a == b, hashed(a), hashed(b)
+    return f"{eq} {a != b} {ha == hb if eq else ''} {type(ha).__name__}"
+
+
+def test_equality_and_hash_agreement_are_pinned(random_expr):
+    # ==, != and whether equal expressions hash alike, pinned before the
+    # two walkers of _Composite became one flat shape
+    def draws():
+        rng = random.Random(2004)
+        return [random_expr(rng, rng.randint(0, 4), 3, True, [6]) for _ in range(600)]
+
+    left, right = draws(), draws()[:60]  # equal draws are distinct objects
+    odd, twins = _odd_expressions(), _odd_expressions()
+    lines = [_verdict(a, b) for a in left for b in right]
+    lines += [_verdict(a, b) for a in odd for b in twins + right]
+    lines += [_verdict(b, a) for a in odd for b in right]
+    assert sum(line.startswith("True") for line in lines) > 800
+    digest = hashlib.md5("\n".join(lines).encode()).hexdigest()
+    assert digest == "93249e7f5657688dc9f0f3bc0a17cd72"

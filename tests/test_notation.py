@@ -304,6 +304,12 @@ class TestFormatGrammar:
         g = Grammar((Rule("A", seq(char("'"), lit('say "hi"'), charclass("-]x"))),))
         assert structurally_equal(parse_grammar(format_grammar(g)), g)
 
+    def test_render_expr_escapes_control_characters(self):
+        e = seq(lit("a\rb"), char("\x00"), charclass("\x7f\t"))
+        assert render_expr(e) == """"a\\rb" '\\x00' [\\t\\x7f]"""
+        g = Grammar((Rule("A", e),))
+        assert structurally_equal(parse_grammar(format_grammar(g)), g)
+
 
 # -- property: format then parse is the identity ------------------------
 

@@ -1,8 +1,10 @@
-"""The benchmark's tracer binds into pegkit's modules and restores them."""
+"""The benchmark's tracer binds into pegkit's modules and restores them,
+and the benchmark's self-test passes."""
 
 from __future__ import annotations
 
 import gc
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +33,14 @@ def test_install_binds_every_name_and_restore_puts_it_back():
         assert now.keys() == saved.keys()
         assert [k for k, v in saved.items() if now[k] is not v] == []
     assert gc.callbacks == callbacks
+
+
+def test_the_benchmark_self_test_passes():
+    # every workload, untraced and traced, at tiny sizes: a library change
+    # that breaks the traced pass or drops a metric fails here
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "self-test passed" in run.stdout.splitlines()
