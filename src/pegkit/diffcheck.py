@@ -8,12 +8,16 @@ collected one rule row at a time per backend and compared as whole
 rows; only a row that disagrees is walked cell by cell, to write its
 counterexamples.  A rule's verdict at a position depends only on the
 input from that position on, so the naive interpreter, the costly one,
-runs at most once per distinct (rule, suffix) of a grammar's corpus
-and its verdict serves every cell that shares them.  A run also yields
-the verdicts of the inner calls it completed, and those (rule, suffix)
-pairs are never run again (see :func:`_naive_row` for why they are
-exact); an input's suffixes are sliced once, for the lookups and the
-harvest alike.  Where the grammar lies in the CFG-friendly fragment it
+is called at most once per distinct (rule, suffix) of a grammar's
+corpus and its verdict serves every cell that shares them.  Each input
+has one naive run (:class:`~pegkit.oracles.NaiveRun`), in which each
+rule call is one interpreter frame; it is called for each (rule,
+suffix) not yet known, with a fresh call budget each time.  A call
+also yields the verdicts of the inner calls it completed, read from
+the records that it made, and those (rule, suffix) pairs are never
+called again (see :func:`_naive_row` for why they are exact); an
+input's suffixes are sliced once, for the lookups and the harvest
+alike.  Where the grammar lies in the CFG-friendly fragment it
 additionally checks every engine success against the context-free
 all-end-sets oracle (every parsed span must be derivable), and counts
 complete-input verdict splits between the PEG and CFG readings.  Such
@@ -52,10 +56,10 @@ from .engine import (
     run_deep,
     stats,
 )
-from .grammar import Grammar
 from .oracles import (
     DEFAULT_CALL_BUDGET,
     CallBudgetExceeded,
+    NaiveRun,
     SamePositionCycle,
     UnsupportedConstruct,
     check_cfg_compatible,
@@ -173,28 +177,33 @@ _UNSEEN = object()
 
 
 def _naive_row(
-    g: Grammar,
+    run: NaiveRun,
     rid: int,
-    text: str,
     suffixes: list[str],
     naive_seen: list[dict[str, int | str | None]],
-    cfg: CheckConfig,
 ) -> list[int | str | None]:
     """The naive oracle's verdicts for rule ``rid`` at every position of
-    ``text``, whose suffixes are ``suffixes``.
+    the text of ``run``, whose suffixes are ``suffixes``.
 
     The oracle reads only ``text[pos:]``, so its verdict relative to
     ``pos`` depends on the rule and that suffix alone.  ``naive_seen[r]``
     maps the suffixes known for rule ``r`` to that relative verdict, and
-    a (rule, suffix) met again is not re-run.  A run stores, besides its
-    own verdict, that of every call it completed (its report's
-    ``ends_by_cell``).  That is exact: a run started at such a cell
-    makes the same calls with fewer active calls and interpreter frames
-    below them, so it stays within the call budget, depth limit and
-    frames that the inner call stayed within, and meets no active cell,
-    as the inner call met none.  A run that exceeds its call budget or
-    depth limit stores that for its own cell only.  Positions are taken
-    in order, so a run serves the later cells of its own row too.  In
+    a (rule, suffix) met again is not called again.  ``run`` is the
+    input's one :class:`~pegkit.oracles.NaiveRun`, the state of its
+    naive calls, in which each rule call is one interpreter frame; it
+    is called once for each (rule, suffix) not yet known, each time
+    with a fresh call budget.
+    Besides its own verdict, a call stores the verdict of every cell
+    whose record it made: the end of an inner call that it completed.
+    That is exact: a call started at such a cell makes the same calls
+    with fewer active calls and interpreter frames below them, so it
+    stays within the call budget, depth limit and frames that the inner
+    call stayed within, and meets no active cell, as the inner call met
+    none.  A call that exceeds its call budget or depth limit, or runs
+    out of frames, stores that for its own cell only.  The records it
+    made are never harvested, and the run leaves every record inactive,
+    so no later call meets a false cycle.  Positions are taken in
+    order, so a call serves the later cells of its own row too.  In
     exhaustive mode every suffix of an input is itself a shorter input
     checked earlier.
     """
@@ -203,18 +212,18 @@ def _naive_row(
     for pos, suffix in enumerate(suffixes):
         rel = seen.get(suffix, _UNSEEN)
         if rel is _UNSEEN:
+            first = len(run.made)
             try:
-                report = naive_parse(g, rid, pos, text, call_budget=cfg.call_budget)
+                end = run(rid, pos)
             except CallBudgetExceeded:
-                rel = seen[suffix] = "budget-exceeded"
-            except DepthExceeded:
-                rel = seen[suffix] = "depth-exceeded"
+                rel = "budget-exceeded"
+            except (DepthExceeded, RecursionError):
+                rel = "depth-exceeded"
             else:
-                for (r, p), end in report.ends_by_cell.items():
-                    naive_seen[r].setdefault(
-                        suffixes[p], None if end is None else end - p
-                    )
-                rel = seen[suffix]
+                rel = None if end is None else end - pos
+                for r, p, e in run.ends(first):
+                    naive_seen[r].setdefault(suffixes[p], None if e is None else e - p)
+            seen[suffix] = rel
         row.append(pos + rel if rel.__class__ is int else rel)
     return row
 
@@ -288,6 +297,7 @@ def _check_entry(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck:
         apply = session.apply
         positions = range(n + 1)
         suffixes = [text[pos:] for pos in positions]
+        run = NaiveRun(g, text, call_budget=cfg.call_budget)
         grid: list[list[int | None]] = []
         mismatch = False
         for rid in range(nrules):
@@ -296,7 +306,7 @@ def _check_entry(entry: CatalogEntry, cfg: CheckConfig) -> GrammarCheck:
                 for pos in positions
             ]
             grid.append(row)
-            nai_row = _naive_row(g, rid, text, suffixes, naive_seen, cfg)
+            nai_row = _naive_row(run, rid, suffixes, naive_seen)
             tab_row = list(tab.ends[rid])  # a list never equals a tuple
             if row == nai_row and row == tab_row:
                 continue

@@ -351,27 +351,49 @@ def _expr_nullable(
 
 
 def _rule_nullability(g: Grammar) -> tuple[bool, ...]:
-    # Least fixed point from all-False: a rule is read once, then again
-    # only when a rule it calls has become nullable and it is not queued.
+    # The least fixed point by counting down.  Each node is visited once
+    # and waits for what it still needs: every part of a Seq or Plus, one
+    # alternative of a Choice, a Ref's rule body.  A node that needs
+    # nothing more is nullable and counts down the nodes waiting for it,
+    # so each edge is followed once.
     n = len(g.rules)
-    callers: list[list[int]] = [[] for _ in range(n)]
-    for i, rule in enumerate(g.rules):
-        for e in preorder(rule.body):
-            t = e.rule if isinstance(e, Ref) else None
-            if isinstance(t, int) and 0 <= t < n and callers[t][-1:] != [i]:
-                callers[t].append(i)
-    table, queued = [False] * n, [True] * n
-    work = list(range(n - 1, -1, -1))
-    while work:
-        i = work.pop()
-        queued[i] = False
-        if not table[i] and _expr_nullable(g.rules[i].body, table):
-            table[i] = True
-            for c in callers[i]:
-                if not queued[c]:
-                    queued[c] = True
-                    work.append(c)
-    return tuple(table)
+    need: dict[int, int] = {}  # by id, for the nodes that wait
+    waiting: dict[int, list] = {}  # by id: the nodes that wait for the node
+    ready: list = []  # nullable nodes whose waiting nodes are not yet counted down
+
+    def visit(x, _):
+        if isinstance(x, (Empty, Star, Opt, And, Not)) or (
+            isinstance(x, Literal) and x.text == ""
+        ):
+            ready.append(x)
+            return
+        if isinstance(x, Choice):
+            deps, count = x.alts, 1
+        elif isinstance(x, (Seq, Plus)):
+            deps = _children(x)
+            count = len(deps)
+        elif isinstance(x, Ref) and isinstance(x.rule, int) and 0 <= x.rule < n:
+            deps, count = (g.rules[x.rule].body,), 1
+        else:
+            return  # a terminal, or an object that is no expression node
+        if not count:
+            ready.append(x)  # a Seq of no parts
+        need[id(x)] = count
+        for d in deps:
+            waiting.setdefault(id(d), []).append(x)
+
+    memo: dict = {}  # by id: g keeps the nodes alive
+    for rule in g.rules:
+        postorder(rule.body, visit, memo)
+    done: set[int] = set()
+    while ready:
+        x = ready.pop()
+        done.add(id(x))
+        for w in waiting.get(id(x), ()):
+            need[id(w)] -= 1
+            if need[id(w)] == 0:
+                ready.append(w)
+    return tuple([id(rule.body) in done for rule in g.rules])
 
 
 class PreparedGrammar:
@@ -393,12 +415,13 @@ class PreparedGrammar:
     * ``expr_code``: the engine's generated function of each expression
       that ``ParseSession.eval_expr`` has evaluated, keyed by the
       expression;
-    * ``naive_code``: the naive oracle's function of each rule body, in
-      rule order, generated as one Python function:
-      ``run(text, p, call)`` returns the end of the body's match at
-      ``p``, or None, applying rule ``r`` as ``call(r, p)``; it holds no
-      state of a run, so every run on the grammar, on any thread,
-      shares it;
+    * ``naive_code``: the naive oracle's function of each rule, in rule
+      order, generated as one Python function: ``run(s, p, d)`` does
+      the call's bookkeeping on the ``NaiveRun`` ``s`` and returns the
+      end of the body's match at ``p``, or None, with ``d`` rule calls
+      active; it applies rule ``r`` as ``s.code[r](s, q, d + 1)``.  It
+      holds no state of a run, so every run on the grammar, on any
+      thread, shares it;
     * ``callee_first``: the rules, each after the rules it can call at
       its own position, and the first same-position cycle, or ``()``:
       the order in which the tabular and CFG oracles take the rules in

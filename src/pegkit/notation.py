@@ -13,8 +13,10 @@ Juxtaposition is sequencing, ``/`` is ordered choice, ``* + ?`` are
 greedy postfix repetition, ``& !`` are prefix lookahead predicates,
 ``'c'`` is a character, ``"str"`` a literal string, ``[a-z0-9]`` a
 character class, ``.`` any character, ``()`` the empty expression, and
-parentheses group.  Escapes ``\\n \\r \\t \\\\ \\' \\" \\[ \\] \\-``
-and ``\\xHH`` work inside quotes and classes.  The start rule is the
+parentheses group.  Escapes ``\\n \\r \\t \\\\ \\' \\" \\[ \\] \\-``,
+``\\xHH``, ``\\uHHHH`` and ``\\UHHHHHHHH`` work inside quotes and classes;
+the formatter writes a non-printable character with the shortest of
+the three hex escapes that holds it.  The start rule is the
 first rule unless ``@start`` says otherwise.
 
 :func:`load_grammar` reports syntax problems with line and column and
@@ -70,6 +72,8 @@ _HEX = set("0123456789abcdefABCDEF")
 
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", "\\": "\\", "'": "'", '"': '"',
             "[": "[", "]": "]", "-": "-"}
+# the hex escapes, by the number of digits that each takes
+_HEX_WIDTH = {"x": 2, "u": 4, "U": 8}
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,14 +120,15 @@ class _Scanner:
         c = self._take()
         if c in _ESCAPES:
             return _ESCAPES[c]
-        if c == "x":
-            if self.pos + 2 > len(self.text):
-                self.error("truncated \\x escape")
-            hh = self.text[self.pos : self.pos + 2]
-            if not _HEX.issuperset(hh):
-                self.error(f"bad \\x escape {hh!r}")
-            self.pos += 2
-            return chr(int(hh, 16))
+        width = _HEX_WIDTH.get(c)
+        if width:
+            if self.pos + width > len(self.text):
+                self.error(f"truncated \\{c} escape")
+            digits = self.text[self.pos : self.pos + width]
+            if not _HEX.issuperset(digits) or int(digits, 16) > 0x10FFFF:
+                self.error(f"bad \\{c} escape {digits!r}")
+            self.pos += width
+            return chr(int(digits, 16))
         self.error(f"unknown escape \\{c}")
         raise AssertionError  # unreachable
 
@@ -388,8 +393,12 @@ def _escape_text(text: str, specials: str) -> str:
             out.append("\\t")
         elif c.isprintable():
             out.append(c)
-        else:
+        elif c <= "\xff":
             out.append(f"\\x{ord(c):02x}")
+        elif c <= "\uffff":
+            out.append(f"\\u{ord(c):04x}")
+        else:
+            out.append(f"\\U{ord(c):08x}")
     return "".join(out)
 
 

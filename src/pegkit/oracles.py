@@ -23,10 +23,15 @@ from the engine and from each other:
 The naive oracle writes each rule body once per grammar as the source
 of one Python function, straight-line code on locals, and compiles it
 (see :func:`_naive_code`), so a run picks no case by node type.  The
-other two are plain interpreters that pick a case by the node's exact
-type, most frequent first.  Either way only the node classes themselves
-are understood: validation refuses any other type, a subclass of a node
-class included.  Verdicts are end positions (int) or None for failure;
+function also does the call's bookkeeping (the call budget, the cell's
+record, the cycle guard and the depth limit) on a :class:`NaiveRun`,
+the explicit state of a run over one text, so a rule call is one
+interpreter frame.  :func:`naive_parse` makes a run for one call; the
+differential judge keeps one run per input and calls it for many
+cells.  The other two are plain interpreters that pick a case by the
+node's exact type, most frequent first.  Either way only the node
+classes themselves are understood: validation refuses any other type,
+a subclass of a node class included.  Verdicts are end positions (int) or None for failure;
 oracle results carry no parse trees.  Each oracle refuses a cell outside
 the matrix with the engine's ``ValueError``.
 """
@@ -155,8 +160,6 @@ _TALLEST = 15
 #: the node types whose code is one test (see _Writer.test)
 _TESTS = (Ref, Char, Class, AnyChar, Literal)
 
-_RETURN_NONE = "return None"
-
 
 class _Piece:
     """The naive oracle's code of one expression node, not yet written:
@@ -184,21 +187,28 @@ def _at(pos: tuple[str, int]) -> str:
 
 
 class _Writer:
-    """The source of one generated function, ``run(text, p, call)``, and
-    the namespace it is compiled in.
+    """The source of one generated function, ``run(s, p, d)``, and the
+    namespace it is compiled in: ``s`` is the :class:`NaiveRun`, ``p``
+    the position and ``d`` the number of rule calls active, the
+    function's own call included.
 
     The source holds only template text, names made here and integers;
     every value taken from the grammar (a character, a character set,
     literal text) and every chunk called is a constant of the namespace,
     ``K0``, ``K1``, ...  A position is a pair (variable, offset), written
     ``v3 + 2``, so a run of terminals adds to the offset and stores
-    nothing."""
+    nothing.  The function of a rule (``rule`` not None) begins with the
+    call's bookkeeping (:data:`_ENTRY`) and leaves its cell's record
+    inactive at every return; a chunk does neither."""
 
-    def __init__(self):
+    def __init__(self, rule: int | None):
+        self.rule = rule
         self.lines: list[str] = []
         self.ns: dict = {}
         self.count = 0
-        self.uses_n = False  # whether the code reads n = len(text)
+        self.reads: set[str] = set()  # the run's fields that the code reads
+        # the statements that return a failure
+        self.give_up = "return None" if rule is None else "rec[2] = -1\nreturn None"
 
     def const(self, value) -> str:
         name = f"K{len(self.ns)}"
@@ -210,13 +220,21 @@ class _Writer:
         return f"v{self.count}"
 
     def line(self, ind: int, text: str) -> None:
-        self.lines.append("    " * ind + text)
+        self.lines += ["    " * ind + t for t in text.split("\n")]
+
+    def ret(self, ind: int, value: str) -> None:
+        # return value, the end of the match; a rule stores it in its record
+        if self.rule is None:
+            self.line(ind, f"return {value}")
+        else:
+            self.line(ind, f"rec[1] = e = {value}\nrec[2] = -1\nreturn e")
 
     def callee(self, piece: _Piece, x: str) -> str:
         # the call that runs a rule or a chunk at x
         if piece.node is None:
-            return f"{self.const(piece.chunk)}(text, {x}, call)"
-        return f"call({piece.node.rule}, {x})"
+            return f"{self.const(piece.chunk)}(s, {x}, d)"
+        self.reads.add("code")
+        return f"code[{piece.node.rule}](s, {x}, d + 1)"
 
     def test(self, piece: _Piece, pos) -> tuple[str, str, tuple[str, int]]:
         """A piece that :func:`_is_test` accepts, at ``pos``: the
@@ -230,18 +248,19 @@ class _Writer:
             run = self.callee(piece, x)
             return f"({v} := {run}) is None", f"({v} := {run}) is not None", (v, 0)
         if t is Literal:
+            self.reads.add("text")
             k = self.const(e.text)
             return (f"not text.startswith({k}, {x})", f"text.startswith({k}, {x})",
                     (name, off + len(e.text)))
-        self.uses_n = True
+        self.reads.add("n")
         if t is AnyChar:
             return f"{x} >= n", f"{x} < n", (name, off + 1)
+        self.reads.add("text")
         if t is Char:
             k = self.const(e.char)
             return f"{x} >= n or text[{x}] != {k}", f"{x} < n and text[{x}] == {k}", (name, off + 1)
         k = self.const(e.chars)
         return f"{x} >= n or text[{x}] not in {k}", f"{x} < n and text[{x}] in {k}", (name, off + 1)
-
     def emit(self, piece: _Piece, ind: int, pos, fail: str) -> tuple[str, int]:
         """Write ``piece`` at ``pos``, from indentation level ``ind``: the
         code runs the statement ``fail`` when the node fails and falls
@@ -323,43 +342,73 @@ class _Writer:
                 if _is_test(alt):
                     _, matched, end = self.test(alt, pos)
                     self.line(ind, f"if {matched}:")
-                    self.line(ind + 1, f"return {_at(end)}")
+                    self.ret(ind + 1, _at(end))
                 else:
                     self.line(ind, "while True:")
                     self.tail(alt, ind + 1, pos, "break")
             self.tail(kids[-1], ind, pos, fail)
-        elif fail == _RETURN_NONE and (piece.node is None or t is Ref):
-            self.line(ind, f"return {self.callee(piece, _at(pos))}")
+        elif fail == self.give_up and (piece.node is None or t is Ref):
+            self.ret(ind, self.callee(piece, _at(pos)))
         else:
             end = self.emit(piece, ind, pos, fail)
-            self.line(ind, f"return {_at(end)}")
+            self.ret(ind, _at(end))
 
 
-def _function(piece: _Piece) -> Callable:
-    # the compiled function of one rule body or chunk, in a namespace of
-    # its own that it is taken out of, so no function is reachable from
-    # its own globals and each is freed by reference counting
-    w = _Writer()
-    w.tail(piece, 1, ("p", 0), _RETURN_NONE)
-    head = ["def run(text, p, call):"] + (["    n = len(text)"] if w.uses_n else [])
+#: The bookkeeping that a rule's function does before its body, for
+#: rule ``{r}``: the call budget, the cell's record (a first call makes
+#: it), the active-cell cycle guard and the depth limit.
+_ENTRY = """\
+s.left = left = s.left - 1
+if left < 0:
+    raise s.over_budget()
+row = s.rows[{r}]
+rec = row.get(p)
+if rec is None:
+    row[p] = rec = [1, None, d, {r}, p]
+    s.made.append(rec)
+elif rec[2] < 0:
+    rec[0] += 1
+    rec[2] = d
+else:
+    raise s.cycle(rec)
+if d > s.deepest:
+    if d > s.depth_limit:
+        raise s.too_deep({r}, p)
+    s.deepest = d"""
+
+#: what the code reads from the run, by the name it reads it into
+_READS = {"text": "text = s.text", "n": "n = s.n", "code": "code = s.code"}
+
+
+def _function(piece: _Piece, rule: int | None = None) -> Callable:
+    # the compiled function of one rule body (``rule``) or chunk, in a
+    # namespace of its own that it is taken out of, so no function is
+    # reachable from its own globals and each is freed by reference counting
+    w = _Writer(rule)
+    w.tail(piece, 0, ("p", 0), w.give_up)
+    head = [] if rule is None else _ENTRY.format(r=rule).split("\n")
+    head += [read for name, read in _READS.items() if name in w.reads]
+    source = "\n".join(["def run(s, p, d):"] + ["    " + t for t in head + w.lines])
     ns = w.ns
-    exec(compile("\n".join(head + w.lines) + "\n", "<pegkit naive>", "exec"), ns)
+    exec(compile(source + "\n", "<pegkit naive>", "exec"), ns)
     return ns.pop("run")
 
 
 def _naive_code(g: Grammar) -> tuple[Callable, ...]:
-    """Each rule body of ``g`` as one generated function,
-    ``run(text, p, call)``: the end of the body's match at ``p`` in
-    ``text``, or None, where ``call(r, p)`` applies rule ``r``.
+    """Each rule body of ``g`` as one generated function, ``run(s, p,
+    d)``: the end of the body's match at ``p`` in ``s.text``, or None,
+    for the :class:`NaiveRun` ``s``, with ``d`` rule calls active.  It
+    applies a rule ``r`` as ``s.code[r](s, q, d + 1)``, so a rule call
+    is one interpreter frame.
 
     Every ``Seq``, ``Choice``, repetition, predicate and terminal is
     straight-line code on locals, in failure-continuation style (see
     :meth:`_Writer.emit`).  The pieces are made children first by
     :func:`~pegkit.grammar.postorder`, so nothing recurses once per
     nesting level: a child whose code would take its parent past
-    ``_TALLEST`` is compiled at once as a chunk, ``run(text, p, call)``
-    too, and called.  The functions hold no state of a run and refer to
-    no rule's code, so threads may share them."""
+    ``_TALLEST`` is compiled at once as a chunk, ``run(s, p, d)`` too,
+    and called.  The functions hold no state of a run and refer to no
+    rule's code, so threads may share them."""
     outlined: dict[int, _Piece] = {}  # by id: the memo keeps the pieces
 
     def visit(e: PegExpr, kids: list[_Piece]) -> _Piece:
@@ -373,17 +422,93 @@ def _naive_code(g: Grammar) -> tuple[Callable, ...]:
         return _Piece(e, tuple(kids), weight + max([k.height for k in kids], default=0))
 
     memo: dict = {}  # by id: g keeps the nodes alive
-    return tuple([_function(postorder(rule.body, visit, memo)) for rule in g.rules])
+    return tuple([_function(postorder(rule.body, visit, memo), r)
+                  for r, rule in enumerate(g.rules)])
+
+
+class NaiveRun:
+    """The state of naive calls over one text, which the generated rule
+    functions keep themselves.
+
+    ``run(rule, pos)`` applies ``rule`` at ``pos`` with a fresh call
+    budget and returns the end position or None.  A run may be called
+    any number of times, and its records outlive the calls.  ``made``
+    holds one record per called cell, in the order of first calls:
+    ``[calls, end, depth, rule, pos]``.  ``calls`` counts the cell's
+    calls and ``end`` is the end of its last completed call.  ``depth``
+    is the number of calls active, this one included, while the cell is
+    active, and -1 otherwise.  ``rows[r]`` maps each position of rule
+    ``r`` to its record, so a call finds its record with no tuple key.
+    ``left`` is what the current call has left of its budget, and
+    ``deepest`` the most calls active at once so far.
+
+    A call that raises leaves every record inactive.  The records keep
+    the ends of the inner calls that completed.  Each of those calls met
+    no active cell, stayed within the run's limits and read only the
+    input from its position on, so its end is that of a call made at
+    its cell alone.
+    """
+
+    __slots__ = ("text", "n", "code", "names", "budget", "depth_limit",
+                 "left", "deepest", "rows", "made")
+
+    def __init__(
+        self,
+        g: Grammar,
+        text: str,
+        *,
+        call_budget: int = DEFAULT_CALL_BUDGET,
+        depth_limit: int = DEFAULT_DEPTH_LIMIT,
+    ):
+        if call_budget < 1:
+            raise ValueError(f"call_budget must be at least 1, got {call_budget}")
+        if depth_limit < 1:
+            raise ValueError(f"depth_limit must be at least 1, got {depth_limit}")
+        prep = _require_valid(g)
+        code = prep.naive_code
+        if code is None:
+            code = prep.naive_code = _naive_code(g)
+        self.text = text
+        self.n = len(text)
+        self.code = code
+        self.names = g.names
+        self.budget = self.left = call_budget
+        self.depth_limit = depth_limit
+        self.deepest = 0
+        self.rows: list[dict[int, list]] = [{} for _ in code]
+        self.made: list[list] = []
+
+    def __call__(self, rule: int, pos: int) -> int | None:
+        _require_cell(rule, pos, len(self.code), self.n)
+        self.left = self.budget
+        try:
+            return self.code[rule](self, pos, 1)
+        except BaseException:
+            for rec in self.made:  # the calls that were active end here
+                rec[2] = -1
+            raise
+
+    def ends(self, first: int = 0) -> list[tuple[int, int, int | None]]:
+        """``(rule, pos, end)`` of each called cell from the ``first``-th
+        on, in the order of first calls: the end of its last completed
+        call, or None."""
+        return [(rule, pos, end) for _, end, _, rule, pos in self.made[first:]]
+
+    def over_budget(self) -> CallBudgetExceeded:
+        return CallBudgetExceeded(self.budget)
+
+    def cycle(self, rec: list) -> LeftRecursion:
+        # the active cells from rec's call on, outermost first, and rec's again
+        active = sorted([(x[2], (x[3], x[4])) for x in self.made if x[2] >= rec[2]])
+        return LeftRecursion(tuple([key for _, key in active]) + ((rec[3], rec[4]),),
+                             self.names)
+
+    def too_deep(self, rule: int, pos: int) -> DepthExceeded:
+        return DepthExceeded(self.depth_limit, f"naive interpreter at rule {rule}, pos {pos}")
 
 
 _CALLS = itemgetter(0)
 _END = itemgetter(1)
-
-
-def _trail(cells: dict[tuple[int, int], list], first: int) -> tuple[tuple[int, int], ...]:
-    # the active cells from depth ``first`` on, outermost first
-    active = sorted((rec[2], key) for key, rec in cells.items() if rec[2] >= first)
-    return tuple([key for _, key in active])
 
 
 def naive_parse(
@@ -398,80 +523,35 @@ def naive_parse(
     """Backtracking interpretation with no memo table.
 
     The report records every call's verdict (``ends_by_cell``) but the
-    run never reads one back: each call is evaluated afresh.  The run
-    keeps one record per called cell, ``[calls, end, depth]`` with the
-    depth -1 while the cell is not active, so a call looks its cell up
-    once (a first call also stores the record); the cycle guard reads
-    the depth, and the report's two dicts are copied from the records
-    once, at the end.
+    run never reads one back: each call is evaluated afresh.
     Verdict-identical to the engine on any grammar both accept; left
     recursion is cut off by an active-call cycle guard and reported as
     :class:`LeftRecursion` rather than looping.  ``call_budget`` and
     ``depth_limit`` must each be at least 1; a call that would make
     more than ``depth_limit`` rule calls active at once raises
     :class:`DepthExceeded`.  A rule outside the grammar or a position
-    outside the input raises ValueError.  Each rule body runs as the
-    function generated for it at the grammar's first run (see
-    ``PreparedGrammar.naive_code``); every rule call goes through one
-    per-run function that does the bookkeeping and checks the limits, so
-    a rule call costs two interpreter frames, and one more for each
-    chunk of a deep body that it enters.  It runs in the engine's counted deep section, as
-    :func:`~pegkit.engine.run_deep` does, so deep inputs reach that limit.
-    The report is filled in as an :class:`_UnfrozenReport` and then made
-    a :class:`NaiveReport` by ``__class__`` assignment.
+    outside the input raises ValueError.
+
+    It makes a :class:`NaiveRun`, calls it once in the engine's counted
+    deep section, as :func:`~pegkit.engine.run_deep` does, so deep
+    inputs reach that limit, and copies the report from the run's
+    records.  Each rule body runs as the function generated for it at
+    the grammar's first run (see ``PreparedGrammar.naive_code``), which
+    does the call's bookkeeping itself, so a rule call costs one
+    interpreter frame, and one more for each chunk of a deep body that
+    it enters.  The report is filled in as an :class:`_UnfrozenReport`
+    and then made a :class:`NaiveReport` by ``__class__`` assignment.
     """
-    if call_budget < 1:
-        raise ValueError(f"call_budget must be at least 1, got {call_budget}")
-    if depth_limit < 1:
-        raise ValueError(f"depth_limit must be at least 1, got {depth_limit}")
-    prep = _require_valid(g)
-    _require_cell(rule, pos, len(g.rules), len(text))
-    code = prep.naive_code
-    if code is None:
-        code = prep.naive_code = _naive_code(g)
-    calls = depth = max_depth = 0
-    # one record per called cell, in first-call order: [calls, end,
-    # depth while the cell is active, else -1]
-    cells: dict[tuple[int, int], list] = {}
-
-    def call_rule(r: int, p: int) -> int | None:
-        nonlocal calls, depth, max_depth
-        calls += 1
-        if calls > call_budget:
-            raise CallBudgetExceeded(call_budget)
-        key = (r, p)
-        rec = cells.get(key)
-        if rec is None:
-            cells[key] = rec = [1, None, depth]
-        elif rec[2] < 0:
-            rec[0] += 1
-            rec[2] = depth
-        else:  # key is active, at depth rec[2]
-            raise LeftRecursion(_trail(cells, rec[2]) + (key,), g.names)
-        if depth >= max_depth:  # max_depth never passes depth_limit
-            if depth >= depth_limit:
-                raise DepthExceeded(depth_limit, f"naive interpreter at rule {r}, pos {p}")
-            max_depth = depth + 1
-        depth += 1
-        rec[1] = end = code[r](text, p, call_rule)
-        # an exception ends the run, and the active calls with it
-        depth -= 1
-        rec[2] = -1
-        return end
-
-    try:
-        outcome = _deep(depth_limit, "interpreter frame budget exhausted",
-                        call_rule, rule, pos)
-    finally:
-        # call_rule refers to itself; unbound here, it is freed at once
-        # instead of by the cyclic collector
-        del call_rule
+    run = NaiveRun(g, text, call_budget=call_budget, depth_limit=depth_limit)
+    outcome = _deep(depth_limit, "interpreter frame budget exhausted", run, rule, pos)
+    made = run.made
+    keys = [(rec[3], rec[4]) for rec in made]
     report = _UnfrozenReport()
     report.outcome = outcome
-    report.calls = calls
-    report.max_depth = max_depth
-    report.calls_by_cell = dict(zip(cells, map(_CALLS, cells.values())))
-    report.ends_by_cell = dict(zip(cells, map(_END, cells.values())))
+    report.calls = call_budget - run.left
+    report.max_depth = run.deepest
+    report.calls_by_cell = dict(zip(keys, map(_CALLS, made)))
+    report.ends_by_cell = dict(zip(keys, map(_END, made)))
     report.__class__ = NaiveReport
     return report
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import sys
 from collections import Counter, defaultdict
 
 import pytest
@@ -18,8 +19,14 @@ from pegkit.diffcheck import (
     run_check,
 )
 from pegkit import Char, char, choice, make_grammar, ref, seq, walk_exprs
-from pegkit.engine import FAIL, ParseSession, ParseTreeNode
-from pegkit.oracles import UnsupportedConstruct, check_cfg_compatible, naive_parse
+from pegkit.engine import FAIL, DepthExceeded, ParseSession, ParseTreeNode
+from pegkit.oracles import (
+    CallBudgetExceeded,
+    NaiveRun,
+    UnsupportedConstruct,
+    check_cfg_compatible,
+    naive_parse,
+)
 
 
 class TestCorpora:
@@ -130,20 +137,116 @@ class TestRunCheck:
         recorded: set[tuple[int, int, str]] = set()  # (grammar, rule, suffix)
         runs = calls = 0
 
-        def counted(g, rule, pos, text, **limits):
-            nonlocal runs, calls
-            assert (id(g), rule, text[pos:]) not in recorded, (rule, text[pos:])
-            runs += 1
-            report = naive_parse(g, rule, pos, text, **limits)
-            calls += report.calls
-            recorded.update((id(g), r, text[p:]) for r, p in report.ends_by_cell)
-            return report
+        class Counted(NaiveRun):
+            __slots__ = ()
 
-        monkeypatch.setattr(diffcheck, "naive_parse", counted)
+            def __call__(self, rule, pos):
+                nonlocal runs, calls
+                grammar, text = id(self.code), self.text
+                assert (grammar, rule, text[pos:]) not in recorded, (rule, text[pos:])
+                runs += 1
+                first = len(self.made)
+                end = super().__call__(rule, pos)
+                calls += self.budget - self.left
+                recorded.add((grammar, rule, text[pos:]))
+                recorded.update((grammar, r, text[p:]) for r, p, _ in self.ends(first))
+                return end
+
+        monkeypatch.setattr(diffcheck, "NaiveRun", Counted)
         cfg = CheckConfig(max_len=12, mode="random", trials=8, seed=0)
         assert run_check(list(entries.values()), cfg).ok
-        # a run used to serve only its own cell: 2,184 runs and 98,931 calls
-        assert (runs, calls) == (748, 40_368)
+        # a run used to serve only its own cell: 2,184 runs and 98,931
+        # calls; the left-recursive entry's four probes are naive_parse's
+        assert (runs, calls) == (744, 40_368)
+
+
+def per_cell(g, rid: int, pos: int, text: str, budget: int) -> int | str | None:
+    # what a naive run made for this cell alone gives
+    try:
+        return naive_parse(g, rid, pos, text, call_budget=budget).outcome
+    except CallBudgetExceeded:
+        return "budget-exceeded"
+    except DepthExceeded:
+        return "depth-exceeded"
+
+
+class TestNaiveRows:
+    """The judge's one naive run per input against one run per cell."""
+
+    @pytest.mark.parametrize("budget", [20, diffcheck.DEFAULT_CALL_BUDGET])
+    def test_rows_equal_runs_made_cell_by_cell(self, entries, budget):
+        exceeded_then_done = 0
+        for name, entry in entries.items():
+            if "left_recursive" in entry.traits:
+                continue
+            g = entry.grammar
+            naive_seen = [{} for _ in g.rules]
+            for text in random_inputs(entry.alphabet, 10, 30, random.Random(name)):
+                run = NaiveRun(g, text, call_budget=budget)
+                suffixes = [text[pos:] for pos in range(len(text) + 1)]
+                for rid in range(len(g.rules)):
+                    row = diffcheck._naive_row(run, rid, suffixes, naive_seen)
+                    assert row == [
+                        per_cell(g, rid, pos, text, budget) for pos in range(len(text) + 1)
+                    ], (name, text, rid)
+                    if "budget-exceeded" in row:
+                        later = row[row.index("budget-exceeded"):]
+                        exceeded_then_done += any(v != "budget-exceeded" for v in later)
+        # a low budget is exceeded mid-row, and later calls of the row complete
+        assert (exceeded_then_done > 0) == (budget == 20)
+
+    def test_an_exceeded_call_leaves_no_active_cell(self, entries):
+        # blowup's S at 0 calls S at 1, 2, ...: a later call of S there
+        # meets no active cell and gives the verdict of a run made for it
+        # alone, past the budget on long suffixes and complete on short ones
+        g = entries["blowup"].grammar
+        text = "a" * 10
+        run = NaiveRun(g, text, call_budget=100)
+        with pytest.raises(CallBudgetExceeded):
+            run(g.start, 0)
+        assert {pos for _, pos, _ in run.ends()} == set(range(11))
+        assert all(rec[2] == -1 for rec in run.made)
+        got = []
+        for pos in range(1, len(text) + 1):
+            try:
+                got.append(run(g.start, pos))
+            except CallBudgetExceeded:
+                got.append("budget-exceeded")
+        assert got == [per_cell(g, g.start, pos, text, 100) for pos in range(1, 11)]
+        assert got[0] == "budget-exceeded" and got[-2:] == [10, None]
+
+    def test_an_over_deep_call_leaves_no_active_cell(self):
+        g = make_grammar([("P", choice(seq(char("("), ref(0), char(")")), char("1")))])
+        text = "(((1)))"
+        run = NaiveRun(g, text, depth_limit=3)
+        with pytest.raises(DepthExceeded):
+            run(0, 0)
+        assert run(0, 1) == 6
+
+    def test_frames_running_out_is_depth_exceeded(self):
+        # outside a counted deep section the interpreter's frames run out
+        # first; the row reads depth-exceeded there, as the judge read
+        # naive_parse's DepthExceeded, and the shallower cells complete
+        g = make_grammar([("P", choice(seq(char("("), ref(0), char(")")), char("1")))])
+        text = "(" * 1_200 + "1" + ")" * 1_200
+        run = NaiveRun(g, text)
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            row = diffcheck._naive_row(run, 0, [text[p:] for p in range(2_402)], [{}])
+        finally:
+            sys.setrecursionlimit(before)
+        assert row[0] == "depth-exceeded" and row[1_200] == 1_201
+        assert all(rec[2] == -1 for rec in run.made)
+
+    def test_a_small_budget_report_is_pinned(self):
+        # recorded on the judge that made one naive run per cell
+        cfg = CheckConfig(max_len=8, mode="random", trials=60, seed=3, call_budget=20)
+        report = run_check(list(registry().values()), cfg)
+        assert "naive=budget-exceeded" in report.text
+        assert hashlib.md5(report.text.encode()).hexdigest() == (
+            "0d07f27fcd3dce87fa389f626345ca02"
+        )
 
 
 class SkewedSession(ParseSession):
@@ -260,8 +363,8 @@ class TestTracedContract:
 
             monkeypatch.setattr(diffcheck, name, wrapper)
 
-        for name in ("ParseSession", "stats", "naive_parse", "tabular_parse",
-                     "cfg_end_table"):
+        for name in ("ParseSession", "stats", "NaiveRun", "naive_parse",
+                     "tabular_parse", "cfg_end_table"):
             counted(name)
         cfg = CheckConfig(max_len=12, mode="random", trials=8, seed=0)
         report = run_check(list(entries.values()), cfg)
@@ -284,6 +387,8 @@ class TestTracedContract:
             "tabular_parse": inputs,
             "stats": inputs - probes,
             "cfg_end_table": sampled,
-            "naive_parse": 748,
+            # one naive run per judged input; naive_parse only for probes
+            "NaiveRun": inputs - probes,
+            "naive_parse": probes,
         }
         assert (inputs, probes, sampled) == (68, 4, 48)

@@ -39,6 +39,7 @@ from pegkit import (
     validate,
     walk_exprs,
 )
+from pegkit import grammar
 from pegkit.grammar import _expr_nullable, prepared
 from pegkit.oracles import naive_parse
 from test_oracles import random_grammars
@@ -225,6 +226,28 @@ class TestNullable:
         start = time.process_time()
         assert prepared(g).nullability == (True,) * len(rules)
         assert time.process_time() - start < 1
+
+    def test_each_node_is_visited_once_whatever_the_rule_order(self, monkeypatch):
+        # A0 <- A1 ; ... ; A(k-1) <- Ak ; S <- A0 A1 ... Ak ; Ak <- () ;
+        # a worklist that re-read S whenever a rule of the chain turned
+        # nullable read S's k + 2 nodes once per rule: 1.80 s at k = 1,000,
+        # and 9,024,008 node visits here
+        k = 3_000
+        rules = [(f"A{i}", ref(f"A{i + 1}")) for i in range(k)]
+        rules += [("S", seq(*(ref(f"A{i}") for i in range(k + 1)))), (f"A{k}", EMPTY)]
+        g = make_grammar(rules)
+        nodes = sum(1 for _ in walk_exprs(g))
+        visits = 0
+        children = grammar._children
+
+        def counted(e):
+            nonlocal visits
+            visits += 1
+            return children(e)
+
+        monkeypatch.setattr(grammar, "_children", counted)
+        assert prepared(g).nullability == (True,) * len(rules)
+        assert nodes == 2 * k + 3 and visits <= 2 * nodes
 
     def test_the_table_is_the_least_fixed_point(self, entries, random_expr):
         def fixpoint(g):  # the former algorithm: rounds until none changes

@@ -150,6 +150,27 @@ class TestNotationForms:
             parse_grammar(text)
         assert str(exc.value) == f"line 1, column 9: bad \\x escape {digits!r}"
 
+    def test_four_and_eight_digit_hex_escapes(self):
+        g = parse_grammar("A <- '\\u2028' \"a\\U0010FFFFb\" [\\ue000-\\ue002] ;")
+        assert g.rules[0].body == seq(
+            char("\u2028"), lit("a\U0010ffffb"), charclass("\ue000\ue001\ue002")
+        )
+
+    @pytest.mark.parametrize("text, error", [
+        ("A <- '\\u202' ;", "line 1, column 9: bad \\u escape \"202'\""),
+        ("A <- '\\U00110000' ;", "line 1, column 9: bad \\U escape '00110000'"),
+        ("A <- '\\U0010", "line 1, column 9: truncated \\U escape"),
+    ])
+    def test_bad_long_hex_escapes(self, text, error):
+        with pytest.raises(GrammarSyntaxError) as exc:
+            parse_grammar(text)
+        assert str(exc.value) == error
+
+    def test_a_character_past_u00ff_round_trips(self):
+        g = make_grammar([("A", lit("a\u2028b"))])
+        assert format_grammar(g) == 'A <- "a\\u2028b" ;\n'
+        assert parse_grammar(format_grammar(g)).rules[0].body == lit("a\u2028b")
+
     def test_class_ranges_and_singletons(self):
         g = parse_grammar("A <- [a-c xz] ;")
         assert g.rules[0].body == charclass("abc xz")
@@ -315,7 +336,8 @@ class TestFormatGrammar:
 
 NAMES = ("R0", "R1", "R2")
 
-plain_char = st.sampled_from("abz+*()[0-9 \t\n'\"\\-")
+# with non-printable characters that need \x, \u and \U escapes
+plain_char = st.sampled_from("abz+*()[0-9 \t\n'\"\\-\x00\u2028\ufeff\ue000\U0010ffff")
 
 
 def exprs(depth: int):
